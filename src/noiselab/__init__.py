@@ -5,7 +5,7 @@ platform-independent random stream, so every experiment in the package is
 bit-reproducible from its seed.
 """
 
-from noiselab.core import Rng, gaussian, cholesky_solve, mean_std
+from noiselab.core import Rng, gaussian, cholesky_solve
 from noiselab.schedules import (
     ScheduleSpec,
     gamma,
@@ -24,7 +24,7 @@ from noiselab.forward import (
     normalize_input,
 )
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
-from noiselab.oracle import GaussianOracle, gaussian_oracle_denoise, oracle_denoise_mse
+from noiselab.oracle import GaussianOracle, oracle_denoise_mse
 from noiselab.denoiser import MlpArch, DenoiserParams, init_params, load_params, save_params
 from noiselab.metrics import covariance_error, mmd_rbf, redundancy_curve, sliced_wasserstein
 from noiselab.training import TrainConfig, TrainingDiverged, train
@@ -36,7 +36,6 @@ __all__ = [
     "Rng",
     "gaussian",
     "cholesky_solve",
-    "mean_std",
     "ScheduleSpec",
     "gamma",
     "log_snr",
@@ -55,7 +54,6 @@ __all__ = [
     "dataset_covariance",
     "make_dataset",
     "GaussianOracle",
-    "gaussian_oracle_denoise",
     "oracle_denoise_mse",
     "MlpArch",
     "DenoiserParams",

@@ -141,19 +141,10 @@ def _cmd_train(args, stdout) -> int:
     save_params(out / "params.bin", params)
     save_params(out / "ema.bin", ema)
     write_loss_csv(out / "loss.csv", history)
-    write_config(out / "config.txt", replace_config(cfg, train=tcfg))
+    write_config(out / "config.txt", replace(cfg, train=tcfg))
     final = history[-1][1] if history else float("nan")
     stdout.write(f"trained {tcfg.steps} steps; final batch loss {final:.6g}\n")
     return _OK
-
-
-def replace_config(cfg: Config, **kw) -> Config:
-    merged = dict(
-        dataset=cfg.dataset, compound=cfg.compound, train=cfg.train,
-        net=cfg.net, sampler=cfg.sampler, sweep=cfg.sweep,
-    )
-    merged.update(kw)
-    return Config(**merged)
 
 
 def _cmd_sample(args, stdout) -> int:
@@ -176,7 +167,7 @@ def _cmd_sample(args, stdout) -> int:
     else:
         write_samples_csv(out / "samples.csv", samples)
         written = "samples.csv"
-    write_config(out / "config.txt", replace_config(cfg, sampler=scfg))
+    write_config(out / "config.txt", replace(cfg, sampler=scfg))
     stdout.write(f"wrote {samples.shape[0]} samples to {out / written}\n")
     return _OK
 
@@ -184,7 +175,7 @@ def _cmd_sample(args, stdout) -> int:
 def _cmd_sweep(args, stdout) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None and cfg.sweep is not None:
-        cfg = replace_config(cfg, sweep=replace(cfg.sweep, base_seed=args.seed))
+        cfg = replace(cfg, sweep=replace(cfg.sweep, base_seed=args.seed))
     spec = sweep_spec_from_config(cfg)
 
     out = _ensure_dir(args.out_dir)

@@ -104,11 +104,15 @@ class Config:
     sweep: Optional[SweepSettings] = None
 
 
+# The only declaration of the run-file keys: one table per section,
+# mapping each key to its value type, in the order serialize_config
+# writes them. A key is named after the field it sets unless it is in
+# _RENAMES.
 _SECTION_KEYS = {
     "dataset": {
         "kind": "str", "n_train": "int", "seed": "int", "dim": "int",
-        "rho": "float", "modes": "int", "radius": "float", "std": "float",
-        "base_res": "int", "upsample": "int",
+        "base_res": "int", "rho": "float", "upsample": "int", "modes": "int",
+        "radius": "float", "std": "float",
     },
     "compound": {"schedule": "schedule", "input_scale": "float", "normalize": "str"},
     "train": {
@@ -132,7 +136,33 @@ _SECTION_KEYS = {
     },
 }
 
-_NET_KEYS = ("hidden", "time_embed", "classes", "self_cond")
+# (section, key) -> (Config attribute, field) for keys that set a field of
+# another name or of another class.
+_RENAMES = {
+    ("train", "hidden"): ("net", "hidden_dims"),
+    ("train", "time_embed"): ("net", "time_embed_dim"),
+    ("train", "classes"): ("net", "cond_classes"),
+    ("train", "self_cond"): ("net", "self_cond"),
+    ("sampler", "schedule"): ("sampler", "inference_schedule"),
+}
+
+# The Config attributes each section builds, in build order. A present
+# section builds all of them, from defaults where it sets no key.
+_SECTION_CLASSES = {
+    "dataset": {"dataset": DatasetSpec},
+    "compound": {"compound": CompoundSchedule},
+    "train": {"net": NetSettings, "train": TrainConfig},
+    "sampler": {"sampler": SamplerConfig},
+    "sweep": {"sweep": SweepSettings},
+}
+
+# The dataset keys each kind takes beyond the ones every kind takes.
+_DATASET_EXTRAS = {
+    "gaussian_ar1": ("dim", "rho"),
+    "mixture2d": ("modes", "radius", "std"),
+    "checkerboard": (),
+    "toy_image": ("base_res", "rho", "upsample"),
+}
 
 
 def _convert(raw: str, typ: str, lineno: int, key: str):
@@ -204,38 +234,35 @@ def _build(section: str, ctor, values: dict):
         raise ConfigError(f"[{section}]: {e}") from None
 
 
+def _check_normalize(cfg: Config) -> None:
+    """The per-example std of a single coordinate is always 0."""
+    if cfg.dataset is None or cfg.dataset.data_dim != 1:
+        return
+    for section in ("compound", "sweep"):
+        settings = getattr(cfg, section)
+        if settings is not None and settings.normalize == "empirical":
+            raise ConfigError(
+                f"[{section}]: normalize = empirical needs data_dim >= 2, "
+                f"got data_dim {cfg.dataset.data_dim}"
+            )
+
+
 def parse_config_text(text: str) -> Config:
-    sections: dict = {}
+    # values[section][attribute] holds the fields set by that section's keys;
+    # a section is present once it has a key, whichever class the key sets
+    values: dict = {}
     for lineno, sect, key, raw in _section_lines(text):
-        sections.setdefault(sect, {})[key] = _convert(
+        attr, name = _RENAMES.get((sect, key), (sect, key))
+        values.setdefault(sect, {}).setdefault(attr, {})[name] = _convert(
             raw, _SECTION_KEYS[sect][key], lineno, key
         )
 
     cfg = Config()
-    if "dataset" in sections:
-        cfg.dataset = _build("dataset", DatasetSpec, sections["dataset"])
-    if "compound" in sections:
-        cfg.compound = _build("compound", CompoundSchedule, sections["compound"])
-    if "train" in sections:
-        vals = dict(sections["train"])
-        net_vals = {}
-        if "hidden" in vals:
-            net_vals["hidden_dims"] = vals.pop("hidden")
-        if "time_embed" in vals:
-            net_vals["time_embed_dim"] = vals.pop("time_embed")
-        if "classes" in vals:
-            net_vals["cond_classes"] = vals.pop("classes")
-        if "self_cond" in vals:
-            net_vals["self_cond"] = vals.pop("self_cond")
-        cfg.net = _build("train", NetSettings, net_vals)
-        cfg.train = _build("train", TrainConfig, vals)
-    if "sampler" in sections:
-        vals = dict(sections["sampler"])
-        if "schedule" in vals:
-            vals["inference_schedule"] = vals.pop("schedule")
-        cfg.sampler = _build("sampler", SamplerConfig, vals)
-    if "sweep" in sections:
-        cfg.sweep = _build("sweep", SweepSettings, sections["sweep"])
+    for sect, classes in _SECTION_CLASSES.items():
+        if sect in values:
+            for attr, ctor in classes.items():
+                setattr(cfg, attr, _build(sect, ctor, values[sect].get(attr, {})))
+    _check_normalize(cfg)
     return cfg
 
 
@@ -261,62 +288,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_DATASET_EXTRAS = {
-    "gaussian_ar1": ("dim", "rho"),
-    "mixture2d": ("modes", "radius", "std"),
-    "checkerboard": (),
-    "toy_image": ("base_res", "rho", "upsample"),
-}
+def _written_keys(section: str, settings) -> tuple:
+    keys = tuple(_SECTION_KEYS[section])
+    if section != "dataset":
+        return keys
+    kind_specific = set().union(*_DATASET_EXTRAS.values())
+    extras = _DATASET_EXTRAS[settings.kind]
+    return tuple(k for k in keys if k not in kind_specific or k in extras)
 
 
 def serialize_config(cfg: Config) -> str:
     """Render every present section with all keys resolved to values."""
     out = []
-
-    def emit(section, pairs):
-        out.append(f"[{section}]")
-        out.extend(f"{k} = {_fmt(v)}" for k, v in pairs)
+    for sect, classes in _SECTION_CLASSES.items():
+        if getattr(cfg, sect) is None:
+            continue
+        objs = {attr: ctor() if getattr(cfg, attr) is None else getattr(cfg, attr)
+                for attr, ctor in classes.items()}
+        out.append(f"[{sect}]")
+        for key in _written_keys(sect, objs[sect]):
+            attr, name = _RENAMES.get((sect, key), (sect, key))
+            out.append(f"{key} = {_fmt(getattr(objs[attr], name))}")
         out.append("")
-
-    if cfg.dataset is not None:
-        d = cfg.dataset
-        pairs = [("kind", d.kind), ("n_train", d.n_train), ("seed", d.seed)]
-        pairs += [(k, getattr(d, k)) for k in _DATASET_EXTRAS[d.kind]]
-        emit("dataset", pairs)
-    if cfg.compound is not None:
-        c = cfg.compound
-        emit("compound", [("schedule", c.schedule), ("input_scale", c.input_scale),
-                          ("normalize", c.normalize)])
-    if cfg.train is not None:
-        t = cfg.train
-        net = cfg.net if cfg.net is not None else NetSettings()
-        emit("train", [
-            ("steps", t.steps), ("batch_size", t.batch_size), ("lr", t.lr),
-            ("seed", t.seed), ("optimizer", t.optimizer), ("lr_decay", t.lr_decay),
-            ("lr_decay_fraction", t.lr_decay_fraction), ("beta1", t.beta1),
-            ("beta2", t.beta2), ("eps_opt", t.eps_opt),
-            ("weight_decay", t.weight_decay), ("ema_decay", t.ema_decay),
-            ("self_cond_rate", t.self_cond_rate),
-            ("label_dropout", t.label_dropout), ("log_every", t.log_every),
-            ("hidden", net.hidden_dims), ("time_embed", net.time_embed_dim),
-            ("classes", net.cond_classes), ("self_cond", net.self_cond),
-        ])
-    if cfg.sampler is not None:
-        s = cfg.sampler
-        emit("sampler", [
-            ("steps", s.steps), ("seed", s.seed), ("step_kind", s.step_kind),
-            ("schedule", s.inference_schedule),
-            ("guidance_weight", s.guidance_weight),
-            ("signal_clamp", s.signal_clamp),
-        ])
-    if cfg.sweep is not None:
-        w = cfg.sweep
-        emit("sweep", [
-            ("schedules", w.schedules), ("scales", w.scales),
-            ("metric", w.metric), ("oracle", w.oracle),
-            ("base_seed", w.base_seed), ("n_eval", w.n_eval),
-            ("normalize", w.normalize),
-        ])
     return "\n".join(out)
 
 

@@ -25,7 +25,7 @@ __all__ = [
     "cholesky_solve",
     "ensure_finite",
     "gaussian",
-    "mean_std",
+    "sigmoid",
 ]
 
 _PIVOT_TOL = 1e-12
@@ -44,6 +44,14 @@ def ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{what}: non-finite values encountered")
     return x
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def as_f64(x, what: str = "array") -> np.ndarray:
@@ -180,26 +188,3 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = _solve_triangular(L, y, lower=False)
     ensure_finite(x, "cholesky_solve result")
     return x[:, 0] if vector else x
-
-
-def mean_std(x: np.ndarray, per_example: bool = False):
-    """Population mean and standard deviation.
-
-    Args:
-        x: array; with ``per_example`` it must have a leading batch axis
-            (ndim >= 2) and statistics are taken over all other axes.
-        per_example: reduce per batch element instead of globally.
-
-    Returns:
-        (mean, std); scalars for the global form, (batch,) arrays otherwise.
-        Population (biased) statistics, matching numpy's default ddof=0.
-    """
-    x = as_f64(x, "mean_std input")
-    if x.size == 0:
-        raise ValueError("mean_std needs at least one element")
-    if per_example:
-        if x.ndim < 2:
-            raise ValueError("per_example mean_std needs a batch axis (ndim >= 2)")
-        axes = tuple(range(1, x.ndim))
-        return x.mean(axis=axes), x.std(axis=axes)
-    return float(x.mean()), float(x.std())

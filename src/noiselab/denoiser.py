@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, ensure_finite
+from noiselab.core import Rng, as_f64, ensure_finite, sigmoid
 
 __all__ = [
     "DenoiserParams",
@@ -172,21 +172,12 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _silu(z: np.ndarray) -> np.ndarray:
-    return z * _sigmoid(z)
+    return z * sigmoid(z)
 
 
 def _silu_grad(z: np.ndarray) -> np.ndarray:
-    s = _sigmoid(z)
+    s = sigmoid(z)
     return s * (1.0 + z * (1.0 - s))
 
 

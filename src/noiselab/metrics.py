@@ -9,8 +9,6 @@ where the target covariance is known in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from noiselab.core import Rng, as_f64, ensure_finite
@@ -19,7 +17,6 @@ from noiselab.oracle import GaussianOracle
 
 __all__ = [
     "METRIC_NAMES",
-    "MetricReport",
     "covariance_error",
     "mmd_rbf",
     "redundancy_curve",
@@ -29,24 +26,6 @@ __all__ = [
 METRIC_NAMES = ("sliced_wasserstein", "mmd_rbf", "covariance_error")
 
 DEFAULT_PROJECTION_SEED = 19
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One scored metric, as it appears in sweep CSV rows."""
-
-    name: str
-    value: float
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.name!r}; expected one of {METRIC_NAMES}")
-        if not np.isfinite(self.value):
-            raise ValueError(f"metric value must be finite, got {self.value}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 def _two_sample_args(a, b, min_each: int):

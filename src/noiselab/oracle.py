@@ -35,7 +35,7 @@ from noiselab.core import (
     ensure_finite,
 )
 
-__all__ = ["GaussianOracle", "gaussian_oracle_denoise", "oracle_denoise_mse"]
+__all__ = ["GaussianOracle", "oracle_denoise_mse"]
 
 _PSD_TOL = 1e-9
 
@@ -127,11 +127,6 @@ class GaussianOracle:
         system = a2 * self.sigma + s2 * np.eye(self.dim)
         posterior = cholesky_solve(system, self.sigma)
         return float(s2 * np.trace(posterior) / self.dim)
-
-
-def gaussian_oracle_denoise(oracle: GaussianOracle, x_t, gamma_t, scale: float = 1.0):
-    """Functional form of GaussianOracle.denoise."""
-    return oracle.denoise(x_t, gamma_t, scale)
 
 
 def oracle_denoise_mse(oracle: GaussianOracle, gamma_t, scale: float = 1.0) -> float:

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from noiselab.core import sigmoid
+
 __all__ = [
     "REFERENCE_SPECS",
     "ScheduleSpec",
@@ -93,15 +95,6 @@ class ScheduleSpec:
         return cls("sigmoid", float(start), float(end), float(tau), clip_min)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     """Evaluate gamma(t) for scalar or array ``t`` in [0, 1].
 
@@ -124,9 +117,9 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
         out = (v_end - raw) / (v_end - v_start)
     else:
         s, e, tau = spec.start, spec.end, spec.tau
-        v_start = float(_sigmoid(np.asarray([s / tau]))[0])
-        v_end = float(_sigmoid(np.asarray([e / tau]))[0])
-        raw = _sigmoid(np.atleast_1d((tt * (e - s) + s) / tau))
+        v_start = float(sigmoid(np.asarray([s / tau]))[0])
+        v_end = float(sigmoid(np.asarray([e / tau]))[0])
+        raw = sigmoid(np.atleast_1d((tt * (e - s) + s) / tau))
         raw = raw.reshape(tt.shape)
         out = (v_end - raw) / (v_end - v_start)
     out = np.clip(out, spec.clip_min, 1.0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .config import Config, ConfigError, NetSettings, SweepSettings
 from .datasets import DatasetSpec, dataset_covariance, make_dataset
 from .forward import CompoundSchedule
-from .io import write_sweep_csv
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
 from .oracle import GaussianOracle
 from .sampler import SamplerConfig, generate
@@ -150,7 +148,7 @@ def _trained_cell(spec: SweepSpec, data, sigma, sched_str, scale, seed) -> float
     return _score(spec.settings.metric, out, data, sigma)
 
 
-def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every grid cell; failures record an error row and continue."""
     s = spec.settings
     sigma = dataset_covariance(spec.dataset) if spec.dataset.is_gaussian else None
@@ -177,10 +175,7 @@ def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
             wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
             rows.append(SweepRow(sched_str, scale, value, wall_ms, seed, status, error))
 
-    result = SweepResult(rows=tuple(rows), metric_name=s.metric)
-    if out_dir is not None:
-        write_sweep_csv(Path(out_dir) / "sweep.csv", result.rows)
-    return result
+    return SweepResult(rows=tuple(rows), metric_name=s.metric)
 
 
 def best_scale(result: SweepResult) -> float:

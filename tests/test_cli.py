@@ -151,6 +151,20 @@ class TestTrainCommand:
         rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
         assert rc == 2
 
+    def test_one_dim_data_with_empirical_normalize_is_config_error(self, tmp_path, capsys):
+        # [compound] defaults to normalize = empirical, which a single
+        # coordinate cannot support; that must fail before training starts
+        cfg = tmp_path / "dim1.txt"
+        cfg.write_text(
+            "[dataset]\nkind = gaussian_ar1\nn_train = 64\nseed = 0\ndim = 1\nrho = 0.0\n"
+            "[compound]\nschedule = linear\n"
+            "[train]\nsteps = 5\nbatch_size = 8\nlr = 0.003\nseed = 0\n"
+        )
+        rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "data_dim 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "short.txt"
         cfg.write_text("[dataset]\nkind = checkerboard\nn_train = 64\nseed = 0\n")

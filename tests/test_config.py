@@ -1,6 +1,8 @@
 """Config parsing, validation errors with line numbers, and round trips."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noiselab.config import (
     Config,
@@ -11,7 +13,12 @@ from noiselab.config import (
     parse_config_text,
     serialize_config,
 )
-from noiselab.schedules import ScheduleSpec
+from noiselab.datasets import DatasetSpec
+from noiselab.forward import NORMALIZE_MODES, CompoundSchedule
+from noiselab.metrics import METRIC_NAMES
+from noiselab.sampler import STEP_KINDS, SamplerConfig
+from noiselab.schedules import ScheduleSpec, format_schedule
+from noiselab.training import LR_DECAY_KINDS, OPTIMIZER_KINDS, TrainConfig
 
 FULL = """
 # run settings for a small trained sweep
@@ -161,6 +168,35 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=r"\[sampler\]"):
             parse_config_text("[sampler]\nseed = 0\n")
 
+    def test_net_only_train_section_rejected(self):
+        # the net keys live in [train] too; they do not make TrainConfig optional
+        with pytest.raises(ConfigError, match=r"\[train\].*TrainConfig.*'steps'"):
+            parse_config_text("[train]\nhidden = 8 8\n")
+
+
+AR1_DIM1 = "[dataset]\nkind = gaussian_ar1\nn_train = 8\nseed = 0\ndim = 1\nrho = 0.0\n"
+
+
+class TestEmpiricalNormalizeNeedsTwoDims:
+    def test_compound_default_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[compound\].*empirical.*data_dim 1"):
+            parse_config_text(AR1_DIM1 + "[compound]\nschedule = linear\n")
+
+    def test_sweep_empirical_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[sweep\].*empirical.*data_dim 1"):
+            parse_config_text(
+                AR1_DIM1 + "[sweep]\nschedules = linear\nscales = 0.5\n"
+                "metric = covariance_error\nbase_seed = 0\nnormalize = empirical\n"
+            )
+
+    @pytest.mark.parametrize("dim, mode", [(1, "off"), (1, "analytic"), (2, "empirical")])
+    def test_accepted(self, dim, mode):
+        cfg = parse_config_text(
+            AR1_DIM1.replace("dim = 1", f"dim = {dim}")
+            + f"[compound]\nschedule = linear\nnormalize = {mode}\n"
+        )
+        assert cfg.compound.normalize == mode
+
 
 class TestSweepSettingsValidation:
     def base(self, **kw):
@@ -230,6 +266,178 @@ class TestSerialization:
         cfg = parse_config_text("[compound]\nschedule = linear\ninput_scale = 0.1\n")
         again = parse_config_text(serialize_config(cfg))
         assert again.compound.input_scale == cfg.compound.input_scale
+
+
+FULL_RESOLVED = """[dataset]
+kind = mixture2d
+n_train = 4096
+seed = 3
+modes = 8
+radius = 1.0
+std = 0.1
+
+[compound]
+schedule = linear
+input_scale = 0.5
+normalize = off
+
+[train]
+steps = 200
+batch_size = 64
+lr = 0.003
+seed = 11
+optimizer = lamb
+lr_decay = cosine_first_fraction
+lr_decay_fraction = 0.7
+beta1 = 0.9
+beta2 = 0.999
+eps_opt = 1e-08
+weight_decay = 0.01
+ema_decay = 0.9999
+self_cond_rate = 0.9
+label_dropout = 0.0
+log_every = 100
+hidden = 32 32
+time_embed = 8
+classes = 0
+self_cond = false
+
+[sampler]
+steps = 50
+seed = 21
+step_kind = ddpm
+schedule = cosine:0.2,1,1
+guidance_weight = 1.5
+signal_clamp = 4.0
+
+[sweep]
+schedules = linear sigmoid:-3,3,0.9
+scales = 0.25 1.0
+metric = sliced_wasserstein
+oracle = false
+base_seed = 40
+n_eval = 500
+normalize = off
+"""
+
+
+class TestGoldenText:
+    """The exact resolved text; reruns and stored digests depend on its key order."""
+
+    def test_every_section(self):
+        assert serialize_config(parse_config_text(FULL)) == FULL_RESOLVED
+
+    @pytest.mark.parametrize(
+        "given_text, resolved",
+        [
+            ("[dataset]\nrho = 0.5\ndim = 4\nseed = 0\nn_train = 2\nkind = gaussian_ar1\n",
+             "[dataset]\nkind = gaussian_ar1\nn_train = 2\nseed = 0\ndim = 4\nrho = 0.5\n"),
+            ("[dataset]\nstd = 0.2\nradius = 1.0\nmodes = 2\nkind = mixture2d\n"
+             "seed = 3\nn_train = 512\n",
+             "[dataset]\nkind = mixture2d\nn_train = 512\nseed = 3\nmodes = 2\n"
+             "radius = 1.0\nstd = 0.2\n"),
+            ("[dataset]\nseed = 0\nkind = checkerboard\nn_train = 64\n",
+             "[dataset]\nkind = checkerboard\nn_train = 64\nseed = 0\n"),
+            ("[dataset]\nupsample = 2\nrho = 0.5\nbase_res = 2\nkind = toy_image\n"
+             "n_train = 8\nseed = 1\n",
+             "[dataset]\nkind = toy_image\nn_train = 8\nseed = 1\nbase_res = 2\n"
+             "rho = 0.5\nupsample = 2\n"),
+        ],
+    )
+    def test_dataset_kinds(self, given_text, resolved):
+        assert serialize_config(parse_config_text(given_text)) == resolved
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
+
+
+_SCHEDULES = st.one_of(
+    st.just(ScheduleSpec.linear()),
+    st.tuples(_floats(0.0, 1.0), _floats(0.0, 1.0), _floats(0.01, 10.0))
+    .filter(lambda v: v[0] < v[1])
+    .map(lambda v: ScheduleSpec.cosine(*v)),
+    st.tuples(_floats(-10.0, 10.0), _floats(-10.0, 10.0), _floats(0.01, 10.0))
+    .filter(lambda v: v[0] < v[1])
+    .map(lambda v: ScheduleSpec.sigmoid(*v)),
+)
+_SEEDS = st.integers(0, 2**63 - 1)
+_UNIT = _floats(0.0, 1.0)
+_SCALES = _floats(0.0, 1.0, exclude_min=True)
+
+_DATASETS = st.one_of(
+    st.builds(DatasetSpec, kind=st.just("gaussian_ar1"), n_train=st.integers(1, 10**6),
+              seed=_SEEDS, dim=st.integers(1, 64), rho=_floats(0.0, 1.0, exclude_max=True)),
+    st.builds(DatasetSpec, kind=st.just("mixture2d"), n_train=st.integers(1, 10**6),
+              seed=_SEEDS, modes=st.integers(1, 16), radius=_floats(1e-3, 10.0),
+              std=_floats(1e-3, 10.0)),
+    st.builds(DatasetSpec, kind=st.just("checkerboard"), n_train=st.integers(1, 10**6),
+              seed=_SEEDS),
+    st.builds(DatasetSpec, kind=st.just("toy_image"), n_train=st.integers(1, 10**6),
+              seed=_SEEDS, base_res=st.integers(2, 8),
+              rho=_floats(0.0, 1.0, exclude_max=True), upsample=st.sampled_from((1, 2, 4))),
+)
+_COMPOUNDS = st.builds(CompoundSchedule, schedule=_SCHEDULES, input_scale=_SCALES,
+                       normalize=st.sampled_from(NORMALIZE_MODES))
+_TRAINS = st.builds(
+    TrainConfig, steps=st.integers(0, 10**6), batch_size=st.integers(1, 4096),
+    lr=_floats(1e-8, 10.0), seed=_SEEDS, optimizer=st.sampled_from(OPTIMIZER_KINDS),
+    lr_decay=st.sampled_from(LR_DECAY_KINDS),
+    lr_decay_fraction=_floats(0.0, 1.0, exclude_min=True),
+    beta1=_floats(0.0, 1.0, exclude_max=True), beta2=_floats(0.0, 1.0, exclude_max=True),
+    eps_opt=_floats(1e-12, 1.0), weight_decay=_floats(0.0, 1.0), ema_decay=_UNIT,
+    self_cond_rate=_UNIT, label_dropout=_UNIT, log_every=st.integers(1, 10**4),
+)
+_NETS = st.builds(NetSettings, hidden_dims=st.lists(st.integers(1, 512), min_size=1,
+                                                    max_size=4).map(tuple),
+                  time_embed_dim=st.integers(1, 64), cond_classes=st.integers(0, 10),
+                  self_cond=st.booleans())
+_SAMPLERS = st.builds(SamplerConfig, steps=st.integers(1, 10**4), seed=_SEEDS,
+                      step_kind=st.sampled_from(STEP_KINDS), inference_schedule=_SCHEDULES,
+                      guidance_weight=_floats(0.0, 10.0),
+                      signal_clamp=st.none() | _floats(1e-3, 10.0))
+
+
+@st.composite
+def _sweeps(draw):
+    oracle = draw(st.booleans())
+    return SweepSettings(
+        schedules=tuple(draw(st.lists(_SCHEDULES.map(format_schedule), min_size=1,
+                                      max_size=3, unique=True))),
+        scales=tuple(draw(st.lists(_SCALES, min_size=1, max_size=4, unique=True))),
+        metric="covariance_error" if oracle else draw(st.sampled_from(METRIC_NAMES)),
+        base_seed=draw(_SEEDS),
+        oracle=oracle,
+        n_eval=draw(st.integers(2, 10**5)),
+        normalize="off" if oracle else draw(st.sampled_from(NORMALIZE_MODES)),
+    )
+
+
+@st.composite
+def _configs(draw):
+    cfg = Config(
+        dataset=draw(st.none() | _DATASETS),
+        compound=draw(st.none() | _COMPOUNDS),
+        train=draw(st.none() | _TRAINS),
+        sampler=draw(st.none() | _SAMPLERS),
+        sweep=draw(st.none() | _sweeps()),
+    )
+    if cfg.train is not None:
+        cfg.net = draw(_NETS)
+    # empirical normalization of a single coordinate is rejected at parse time
+    if cfg.dataset is not None and cfg.dataset.data_dim == 1:
+        assume(all(s is None or s.normalize != "empirical" for s in (cfg.compound, cfg.sweep)))
+    return cfg
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        text = serialize_config(cfg)
+        again = parse_config_text(text)
+        assert again == cfg
+        assert serialize_config(again) == text
 
 
 class TestNetSettings:

@@ -1,4 +1,4 @@
-"""Deterministic RNG, Cholesky solve, and batch statistics."""
+"""Deterministic RNG and Cholesky solve."""
 
 import hashlib
 import subprocess
@@ -15,7 +15,6 @@ from noiselab.core import (
     cholesky_solve,
     ensure_finite,
     gaussian,
-    mean_std,
 )
 
 # First four draws and digest of the first 1000 draws for seed 42,
@@ -134,34 +133,6 @@ class TestCholeskySolve:
             cholesky_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
-class TestMeanStd:
-    """Global and per-example population statistics."""
-
-    def test_global(self):
-        mean, std = mean_std(np.array([1.0, 2.0, 3.0]))
-        assert mean == 2.0
-        np.testing.assert_allclose(std, np.sqrt(2.0 / 3.0), rtol=1e-15)
-
-    def test_constant_batch(self):
-        mean, std = mean_std(np.full((4, 3), 5.0), per_example=True)
-        np.testing.assert_array_equal(mean, np.full(4, 5.0))
-        np.testing.assert_array_equal(std, np.zeros(4))
-
-    def test_per_example(self):
-        x = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 3.0]])
-        mean, std = mean_std(x, per_example=True)
-        np.testing.assert_array_equal(mean, [0.0, 2.0, 2.0])
-        np.testing.assert_array_equal(std, [0.0, 0.0, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_std(np.array([]))
-
-    def test_per_example_needs_batch_axis(self):
-        with pytest.raises(ValueError):
-            mean_std(np.array([1.0, 2.0]), per_example=True)
-
-
 class TestFiniteness:
     """No operation silently produces non-finite values."""
 
@@ -181,5 +152,3 @@ class TestFiniteness:
             a = z @ z.T + n * np.eye(n)
             x = cholesky_solve(a, gaussian(rng, [n]))
             assert np.all(np.isfinite(x))
-            m, s = mean_std(z, per_example=True)
-            assert np.all(np.isfinite(m)) and np.all(np.isfinite(s))

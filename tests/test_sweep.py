@@ -9,7 +9,7 @@ import noiselab.sweep as sweep_mod
 from noiselab.config import ConfigError, NetSettings, SweepSettings, parse_config_text
 from noiselab.datasets import DatasetSpec, ar1_covariance, upsample_covariance
 from noiselab.forward import CompoundSchedule
-from noiselab.io import read_sweep_csv
+from noiselab.io import read_sweep_csv, write_sweep_csv
 from noiselab.metrics import covariance_error
 from noiselab.oracle import GaussianOracle
 from noiselab.sampler import SamplerConfig, generate
@@ -183,7 +183,8 @@ class TestRunSweep:
         spec = oracle_spec(n_eval=400, steps=10,
                            dataset=DatasetSpec(kind="gaussian_ar1", n_train=2,
                                                seed=0, dim=4, rho=0.5))
-        res = run_sweep(spec, out_dir=tmp_path)
+        res = run_sweep(spec)
+        write_sweep_csv(tmp_path / "sweep.csv", res.rows)
         rows = read_sweep_csv(tmp_path / "sweep.csv")
         assert len(rows) == 1
         assert rows[0][0] == "cosine:0,1,1"
