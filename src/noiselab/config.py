@@ -163,6 +163,7 @@ _DATASET_EXTRAS = {
     "checkerboard": (),
     "toy_image": ("base_res", "rho", "upsample"),
 }
+_KIND_SPECIFIC = frozenset().union(*_DATASET_EXTRAS.values())
 
 
 def _convert(raw: str, typ: str, lineno: int, key: str):
@@ -247,11 +248,23 @@ def _check_normalize(cfg: Config) -> None:
             )
 
 
+def _check_dataset_keys(cfg: Config, lines: dict) -> None:
+    """A [dataset] key of another kind would be dropped from config.txt."""
+    if cfg.dataset is None:
+        return
+    kind = cfg.dataset.kind
+    for (sect, key), lineno in lines.items():
+        if sect == "dataset" and key in _KIND_SPECIFIC and key not in _DATASET_EXTRAS[kind]:
+            raise ConfigError(f"line {lineno}: key '{key}' does not apply to [dataset] kind {kind}")
+
+
 def parse_config_text(text: str) -> Config:
     # values[section][attribute] holds the fields set by that section's keys;
     # a section is present once it has a key, whichever class the key sets
     values: dict = {}
+    lines: dict = {}
     for lineno, sect, key, raw in _section_lines(text):
+        lines[sect, key] = lineno
         attr, name = _RENAMES.get((sect, key), (sect, key))
         values.setdefault(sect, {}).setdefault(attr, {})[name] = _convert(
             raw, _SECTION_KEYS[sect][key], lineno, key
@@ -262,6 +275,7 @@ def parse_config_text(text: str) -> Config:
         if sect in values:
             for attr, ctor in classes.items():
                 setattr(cfg, attr, _build(sect, ctor, values[sect].get(attr, {})))
+    _check_dataset_keys(cfg, lines)
     _check_normalize(cfg)
     return cfg
 
@@ -292,9 +306,8 @@ def _written_keys(section: str, settings) -> tuple:
     keys = tuple(_SECTION_KEYS[section])
     if section != "dataset":
         return keys
-    kind_specific = set().union(*_DATASET_EXTRAS.values())
     extras = _DATASET_EXTRAS[settings.kind]
-    return tuple(k for k in keys if k not in kind_specific or k in extras)
+    return tuple(k for k in keys if k not in _KIND_SPECIFIC or k in extras)
 
 
 def serialize_config(cfg: Config) -> str:

@@ -7,14 +7,18 @@ first hidden pre-activation (the last embedding row is reserved for the
 null class used by label dropout and classifier-free guidance); optional
 self-conditioning concatenates the previous signal estimate to the input.
 
-Parameters serialize to a flat binary file: one ASCII header line naming
-the architecture, then the raw little-endian float64 buffers in layer
-order (weights then bias per layer, class embedding last).
+All parameters live in one contiguous float64 vector, ``flat``, laid out
+in layer order: weights (fan_in, fan_out) then bias per layer, the class
+embedding last. The per-array names are views into it, so gradients,
+optimizer moments and the EMA copy use the same type and update as
+whole-vector numpy ops. ``save_params`` writes one ASCII header line
+naming the architecture, then ``flat`` as little-endian float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,7 +27,6 @@ from noiselab.core import Rng, as_f64, ensure_finite, sigmoid
 
 __all__ = [
     "DenoiserParams",
-    "Gradients",
     "MlpArch",
     "clone_params",
     "init_params",
@@ -31,7 +34,6 @@ __all__ = [
     "mlp_backward",
     "mlp_forward",
     "mlp_forward_cached",
-    "param_arrays",
     "save_params",
     "time_embedding",
 ]
@@ -85,43 +87,60 @@ class MlpArch:
         return list(zip(widths[:-1], widths[1:]))
 
 
-@dataclass
+def _layout(arch: MlpArch) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
+    """(start, stop, shape) of each array in layout order, and the total size."""
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in arch.layer_dims():
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    if arch.cond_classes is not None:
+        shapes.append((arch.cond_classes + 1, arch.hidden_dims[0]))
+    spans, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        spans.append((offset, offset + size, shape))
+        offset += size
+    return spans, offset
+
+
+@dataclass(frozen=True, eq=False)
 class DenoiserParams:
-    """Weights (fan_in, fan_out), biases, and the optional class table."""
+    """One flat float64 vector with per-array views; zeros when flat is None.
+
+    A given ``flat`` is adopted, not copied, when it already is a contiguous
+    float64 vector. This is also the type of gradients, optimizer moments
+    and the EMA copy. The views are writable, but the dataclass is frozen
+    and the view lists are tuples, so no attribute can be rebound away
+    from ``flat``.
+    """
 
     arch: MlpArch
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    class_embed: Optional[np.ndarray] = None
+    flat: Optional[np.ndarray] = None
+    arrays: tuple = field(init=False, repr=False)
+    weights: tuple = field(init=False, repr=False)
+    biases: tuple = field(init=False, repr=False)
+    class_embed: Optional[np.ndarray] = field(init=False, repr=False)
 
-
-@dataclass
-class Gradients:
-    """Loss gradients, mirroring DenoiserParams' array layout."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    class_embed: Optional[np.ndarray] = None
-
-
-def param_arrays(p: DenoiserParams | Gradients) -> list[np.ndarray]:
-    """All parameter arrays in fixed (serialization) order."""
-    arrays: list[np.ndarray] = []
-    for w, b in zip(p.weights, p.biases):
-        arrays.extend([w, b])
-    if p.class_embed is not None:
-        arrays.append(p.class_embed)
-    return arrays
+    def __post_init__(self):
+        spans, size = _layout(self.arch)
+        if self.flat is None:
+            flat = np.zeros(size)
+        else:
+            flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+            if flat.shape != (size,):
+                raise ValueError(f"flat has shape {flat.shape}, the arch needs ({size},)")
+        arrays = tuple(flat[start:stop].reshape(shape) for start, stop, shape in spans)
+        n_layers = len(self.arch.hidden_dims) + 1
+        setattr_ = object.__setattr__
+        setattr_(self, "flat", flat)
+        setattr_(self, "arrays", arrays)
+        setattr_(self, "weights", arrays[0 : 2 * n_layers : 2])
+        setattr_(self, "biases", arrays[1 : 2 * n_layers : 2])
+        setattr_(self, "class_embed", arrays[-1] if self.arch.cond_classes is not None else None)
 
 
 def clone_params(p: DenoiserParams) -> DenoiserParams:
     """Deep copy: the clone's arrays never alias the original's."""
-    return DenoiserParams(
-        arch=p.arch,
-        weights=[w.copy() for w in p.weights],
-        biases=[b.copy() for b in p.biases],
-        class_embed=None if p.class_embed is None else p.class_embed.copy(),
-    )
+    return DenoiserParams(p.arch, p.flat.copy())
 
 
 def init_params(arch: MlpArch, rng: Rng) -> DenoiserParams:
@@ -133,22 +152,13 @@ def init_params(arch: MlpArch, rng: Rng) -> DenoiserParams:
     unconditional one; the first-layer rows fed by the self-conditioning
     slice start at zero so a zero estimate is a true no-op.
     """
-    weights, biases = [], []
-    dims = arch.layer_dims()
-    for i, (fan_in, fan_out) in enumerate(dims):
-        if i == len(dims) - 1:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            limit = np.sqrt(3.0 / fan_in)
-            w = (2.0 * rng.uniform((fan_in, fan_out)) - 1.0) * limit
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    if arch.self_cond and len(dims) > 0:
-        weights[0][arch.in_dim + arch.time_embed_dim :, :] = 0.0
-    class_embed = None
-    if arch.cond_classes is not None:
-        class_embed = np.zeros((arch.cond_classes + 1, arch.hidden_dims[0]))
-    return DenoiserParams(arch=arch, weights=weights, biases=biases, class_embed=class_embed)
+    p = DenoiserParams(arch)
+    for w in p.weights[:-1]:
+        limit = np.sqrt(3.0 / w.shape[0])
+        w[...] = (2.0 * rng.uniform(w.shape) - 1.0) * limit
+    if arch.self_cond:
+        p.weights[0][arch.in_dim + arch.time_embed_dim :, :] = 0.0
+    return p
 
 
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -249,7 +259,7 @@ def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None) -> np.ndar
     return out
 
 
-def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> Gradients:
+def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> DenoiserParams:
     """Exact reverse-mode gradients of the cached forward pass.
 
     Args:
@@ -258,29 +268,26 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> Gradie
         grad_out: dLoss/d(eps_pred), shape (batch, in_dim).
 
     Returns:
-        Gradients with the same array shapes as the parameters.
+        The gradients, in p's layout.
     """
     acts, pres, idx = cache["acts"], cache["pres"], cache["labels"]
-    grad_out = as_f64(grad_out, "grad_out")
+    d = as_f64(grad_out, "grad_out")
     n_hidden = len(p.arch.hidden_dims)
-    g_w = [np.empty(0)] * (n_hidden + 1)
-    g_b = [np.empty(0)] * (n_hidden + 1)
-    d = grad_out
-    g_w[n_hidden] = acts[n_hidden].T @ d
-    g_b[n_hidden] = d.sum(axis=0)
-    g_embed = None
+    grads = DenoiserParams(p.arch)
+    g_w, g_b = grads.weights, grads.biases
+    np.matmul(acts[n_hidden].T, d, out=g_w[n_hidden])
+    d.sum(axis=0, out=g_b[n_hidden])
     if n_hidden > 0:
         da = d @ p.weights[n_hidden].T
         for i in range(n_hidden - 1, -1, -1):
             dz = da * _silu_grad(pres[i])
-            g_w[i] = acts[i].T @ dz
-            g_b[i] = dz.sum(axis=0)
-            if i == 0 and p.class_embed is not None:
-                g_embed = np.zeros_like(p.class_embed)
-                np.add.at(g_embed, idx, dz)
+            np.matmul(acts[i].T, dz, out=g_w[i])
+            dz.sum(axis=0, out=g_b[i])
+            if i == 0 and grads.class_embed is not None:
+                np.add.at(grads.class_embed, idx, dz)
             if i > 0:
                 da = dz @ p.weights[i].T
-    return Gradients(weights=g_w, biases=g_b, class_embed=g_embed)
+    return grads
 
 
 def _arch_header(arch: MlpArch) -> str:
@@ -298,10 +305,10 @@ def _parse_header(line: str) -> MlpArch:
     if not fields or fields[0] != _FORMAT_TAG:
         raise ValueError(f"bad params header: {line!r}")
     kv = {}
-    for field in fields[1:]:
-        key, _, val = field.partition("=")
+    for item in fields[1:]:
+        key, _, val = item.partition("=")
         if not val:
-            raise ValueError(f"bad params header field: {field!r}")
+            raise ValueError(f"bad params header field: {item!r}")
         kv[key] = val
     try:
         hidden = () if kv["hidden"] == "-" else tuple(int(h) for h in kv["hidden"].split(","))
@@ -317,11 +324,10 @@ def _parse_header(line: str) -> MlpArch:
 
 
 def save_params(path, p: DenoiserParams) -> None:
-    """Write the header line and little-endian float64 buffers in layer order."""
+    """Write the header line, then flat as little-endian float64."""
     with open(path, "wb") as fh:
         fh.write((_arch_header(p.arch) + "\n").encode("ascii"))
-        for arr in param_arrays(p):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(p.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path) -> DenoiserParams:
@@ -330,24 +336,9 @@ def load_params(path) -> DenoiserParams:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         arch = _parse_header(header)
         blob = fh.read()
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in arch.layer_dims():
-        shapes.extend([(fan_in, fan_out), (fan_out,)])
-    if arch.cond_classes is not None:
-        shapes.append((arch.cond_classes + 1, arch.hidden_dims[0]))
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
+    expected = _layout(arch)[1] * 8
     if len(blob) != expected:
         raise ValueError(f"params payload is {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     ensure_finite(flat, "loaded params")
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[offset : offset + size].reshape(shape).copy())
-        offset += size
-    weights = arrays[0 : 2 * len(arch.layer_dims()) : 2]
-    biases = arrays[1 : 2 * len(arch.layer_dims()) : 2]
-    class_embed = arrays[-1] if arch.cond_classes is not None else None
-    return DenoiserParams(arch=arch, weights=list(weights), biases=list(biases),
-                          class_embed=class_embed)
+    return DenoiserParams(arch, flat)

@@ -11,7 +11,7 @@ histories bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import math
@@ -21,14 +21,12 @@ import numpy as np
 from noiselab.core import Rng, as_f64
 from noiselab.denoiser import (
     DenoiserParams,
-    Gradients,
     MlpArch,
     clone_params,
     init_params,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    param_arrays,
 )
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -126,26 +124,21 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """First/second moment accumulators in param_arrays order."""
+    """First/second moment accumulators in the parameters' layout."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: DenoiserParams
+    v: DenoiserParams
     step: int = 0
 
 
 class LossResult(NamedTuple):
     loss: float
-    grads: Gradients
+    grads: DenoiserParams
     gamma_stats: tuple  # (min, mean, max) of the batch's gamma_t
 
 
 def init_optimizer_state(params: DenoiserParams) -> OptimizerState:
-    arrays = param_arrays(params)
-    return OptimizerState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        step=0,
-    )
+    return OptimizerState(m=DenoiserParams(params.arch), v=DenoiserParams(params.arch))
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -163,69 +156,62 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def _moment_update(grads_arrays, state: OptimizerState, cfg: TrainConfig):
+def _moment_update(params: DenoiserParams, grads: DenoiserParams, state: OptimizerState,
+                   cfg: TrainConfig):
     """Advance the shared Adam-style moments; returns bias-corrected m, v."""
+    if not grads.arch == state.m.arch == state.v.arch == params.arch:
+        raise ValueError("gradients or optimizer state do not match the parameter layout")
     state.step += 1
     t = state.step
-    m_hat, v_hat = [], []
-    for i, g in enumerate(grads_arrays):
-        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * g * g
-        m_hat.append(state.m[i] / (1.0 - cfg.beta1**t))
-        v_hat.append(state.v[i] / (1.0 - cfg.beta2**t))
-    return m_hat, v_hat
-
-
-def _check_state(params: DenoiserParams, state: OptimizerState):
-    arrays = param_arrays(params)
-    if len(state.m) != len(arrays) or len(state.v) != len(arrays):
-        raise ValueError("optimizer state does not match the parameter layout")
-    for a, m, v in zip(arrays, state.m, state.v):
-        if m.shape != a.shape or v.shape != a.shape:
-            raise ValueError("optimizer moment shapes do not match the parameters")
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    return m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
 
 
 def adam_step(
     params: DenoiserParams,
-    grads: Gradients,
+    grads: DenoiserParams,
     state: OptimizerState,
     cfg: TrainConfig,
     lr: float,
 ):
     """Bias-corrected Adam with decoupled weight decay. In-place on params."""
-    _check_state(params, state)
-    m_hat, v_hat = _moment_update(param_arrays(grads), state, cfg)
-    for a, mh, vh in zip(param_arrays(params), m_hat, v_hat):
-        a -= lr * mh / (np.sqrt(vh) + cfg.eps_opt)
-        if cfg.weight_decay > 0.0:
-            a -= lr * cfg.weight_decay * a
+    m_hat, v_hat = _moment_update(params, grads, state, cfg)
+    theta = params.flat
+    theta -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps_opt)
+    if cfg.weight_decay > 0.0:
+        theta -= lr * cfg.weight_decay * theta
     return params, state
 
 
 def lamb_step(
     params: DenoiserParams,
-    grads: Gradients,
+    grads: DenoiserParams,
     state: OptimizerState,
     cfg: TrainConfig,
     lr: float,
 ):
     """Layerwise-adaptive step. In-place on params.
 
-    Per array: r = m_hat / (sqrt(v_hat) + eps_opt) + weight_decay * theta,
-    scaled by the trust ratio ||theta|| / ||r|| (1.0 when either norm is
-    below 1e-12, so zero updates and fresh zero layers stay put).
+    r = m_hat / (sqrt(v_hat) + eps_opt) + weight_decay * theta; each array
+    then moves by r scaled with its own trust ratio ||theta|| / ||r|| (1.0
+    when either norm is below 1e-12, so zero updates and fresh zero layers
+    stay put).
     """
-    _check_state(params, state)
-    m_hat, v_hat = _moment_update(param_arrays(grads), state, cfg)
-    for a, mh, vh in zip(param_arrays(params), m_hat, v_hat):
-        r = mh / (np.sqrt(vh) + cfg.eps_opt) + cfg.weight_decay * a
+    m_hat, v_hat = _moment_update(params, grads, state, cfg)
+    r = DenoiserParams(params.arch, m_hat / (np.sqrt(v_hat) + cfg.eps_opt)
+                       + cfg.weight_decay * params.flat)
+    for a, ra in zip(params.arrays, r.arrays):
         theta_norm = float(np.linalg.norm(a))
-        r_norm = float(np.linalg.norm(r))
+        r_norm = float(np.linalg.norm(ra))
         if theta_norm < _TRUST_FLOOR or r_norm < _TRUST_FLOOR:
             trust = 1.0
         else:
             trust = theta_norm / r_norm
-        a -= lr * trust * r
+        a -= lr * trust * ra
     return params, state
 
 
@@ -233,11 +219,11 @@ def ema_update(ema_params: DenoiserParams, params: DenoiserParams, decay: float)
     """ema <- decay * ema + (1 - decay) * params, elementwise in place."""
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must lie in [0, 1], got {decay}")
-    for e, p in zip(param_arrays(ema_params), param_arrays(params)):
-        if e.shape != p.shape:
-            raise ValueError("EMA parameter shapes do not match")
-        e *= decay
-        e += (1.0 - decay) * p
+    if ema_params.arch != params.arch:
+        raise ValueError("EMA and parameter layouts do not match")
+    e = ema_params.flat
+    e *= decay
+    e += (1.0 - decay) * params.flat
     return ema_params
 
 

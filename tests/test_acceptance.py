@@ -19,13 +19,11 @@ from noiselab.core import Rng
 from noiselab.datasets import DatasetSpec, ar1_covariance, make_dataset
 from noiselab.denoiser import (
     DenoiserParams,
-    Gradients,
     MlpArch,
     clone_params,
     init_params,
     mlp_backward,
     mlp_forward_cached,
-    param_arrays,
 )
 from noiselab.forward import CompoundSchedule, diffuse
 from noiselab.io import write_samples_csv
@@ -150,10 +148,12 @@ class TestCriterion04GradientCheck:
     def test_criterion_04_finite_differences(self, arch, batch_seed):
         p = init_params(arch, Rng(900 + batch_seed))
         rng = Rng(950 + batch_seed)
-        p.weights = [0.5 * rng.normal(w.shape) for w in p.weights]
-        p.biases = [0.1 * rng.normal(b.shape) for b in p.biases]
+        for w in p.weights:
+            w[...] = 0.5 * rng.normal(w.shape)
+        for b in p.biases:
+            b[...] = 0.1 * rng.normal(b.shape)
         if p.class_embed is not None:
-            p.class_embed = 0.3 * rng.normal(p.class_embed.shape)
+            p.class_embed[...] = 0.3 * rng.normal(p.class_embed.shape)
 
         x = rng.normal((6, arch.in_dim))
         t = rng.uniform((6,))
@@ -164,8 +164,8 @@ class TestCriterion04GradientCheck:
         sc = rng.normal((6, arch.in_dim)) if arch.self_cond else None
         _, grads = self._loss_and_grads(p, x, t, target, labels, sc)
 
-        param_list = param_arrays(p)
-        grad_list = param_arrays(grads)
+        param_list = p.arrays
+        grad_list = grads.arrays
         picker = np.random.default_rng(batch_seed)
         h = 1e-5
         worst = 0.0
@@ -256,17 +256,16 @@ class TestCriterion09Determinism:
         assert a.read_bytes() == b.read_bytes()
 
 
+SCALAR_ARCH = MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)
+
+
 def scalar_layer(theta: float) -> DenoiserParams:
-    arch = MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)
-    w = np.zeros((3, 1))
-    w[0, 0] = theta
-    return DenoiserParams(arch=arch, weights=[w], biases=[np.zeros(1)])
+    """One linear layer whose only nonzero entry is W[0, 0] = theta."""
+    return DenoiserParams(SCALAR_ARCH, np.array([theta, 0.0, 0.0, 0.0]))
 
 
-def scalar_grads(g: float) -> Gradients:
-    gw = np.zeros((3, 1))
-    gw[0, 0] = g
-    return Gradients(weights=[gw], biases=[np.zeros(1)])
+def scalar_grads(g: float) -> DenoiserParams:
+    return DenoiserParams(SCALAR_ARCH, np.array([g, 0.0, 0.0, 0.0]))
 
 
 class TestCriterion10OptimizerExamples:
@@ -290,18 +289,21 @@ class TestCriterion10OptimizerExamples:
             w += 0.01  # keep every layer away from the trust-ratio guard
         scaled = clone_params(base)
         c = 3.0
-        scaled.weights[0] *= c
+        scaled.weights[0][...] *= c
 
         rng = Rng(31)
-        grads = Gradients(weights=[rng.normal(w.shape) for w in base.weights],
-                          biases=[rng.normal(b.shape) for b in base.biases])
-        before_b = [a.copy() for a in param_arrays(base)]
-        before_s = [a.copy() for a in param_arrays(scaled)]
+        grads = DenoiserParams(arch)
+        for w in grads.weights:
+            w[...] = rng.normal(w.shape)
+        for b in grads.biases:
+            b[...] = rng.normal(b.shape)
+        before_b = [a.copy() for a in base.arrays]
+        before_s = [a.copy() for a in scaled.arrays]
         lamb_step(base, grads, init_optimizer_state(base), self.CFG, lr=0.01)
         lamb_step(scaled, grads, init_optimizer_state(scaled), self.CFG, lr=0.01)
         np.testing.assert_allclose(
-            param_arrays(scaled)[0] - before_s[0],
-            c * (param_arrays(base)[0] - before_b[0]),
+            scaled.arrays[0] - before_s[0],
+            c * (base.arrays[0] - before_b[0]),
             rtol=1e-10,
         )
 

@@ -168,6 +168,23 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=r"\[sampler\]"):
             parse_config_text("[sampler]\nseed = 0\n")
 
+    @pytest.mark.parametrize(
+        "kind, extras, foreign",
+        [
+            ("mixture2d", "modes = 2\nradius = 1.0\nstd = 0.2\n", "dim = 4"),
+            ("mixture2d", "modes = 2\nradius = 1.0\nstd = 0.2\n", "upsample = 4"),
+            ("gaussian_ar1", "dim = 4\nrho = 0.5\n", "modes = 3"),
+            ("checkerboard", "", "rho = 0.5"),
+            ("toy_image", "base_res = 4\nrho = 0.5\n", "dim = 4"),
+        ],
+    )
+    def test_key_of_another_dataset_kind_rejected(self, kind, extras, foreign):
+        # before, the key was stored and then dropped from config.txt
+        text = f"[dataset]\nkind = {kind}\nn_train = 10\nseed = 0\n{extras}{foreign}\n"
+        key = foreign.split()[0]
+        with pytest.raises(ConfigError, match=rf"line {text.count(chr(10))}: key '{key}'.*{kind}"):
+            parse_config_text(text)
+
     def test_net_only_train_section_rejected(self):
         # the net keys live in [train] too; they do not make TrainConfig optional
         with pytest.raises(ConfigError, match=r"\[train\].*TrainConfig.*'steps'"):

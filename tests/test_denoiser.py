@@ -1,18 +1,22 @@
-"""MLP forward/backward correctness, embeddings, and serialization."""
+"""MLP forward/backward correctness, embeddings, the flat layout, and serialization."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiselab.core import Rng
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
+    clone_params,
     init_params,
     load_params,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    param_arrays,
     save_params,
     time_embedding,
 )
@@ -28,10 +32,12 @@ def randomized_params(arch: MlpArch, seed: int) -> DenoiserParams:
     """Params with every array non-degenerate (zero init would hide bugs)."""
     p = init_params(arch, Rng(seed))
     rng = Rng(seed + 1)
-    p.weights = [0.5 * rng.normal(w.shape) for w in p.weights]
-    p.biases = [0.1 * rng.normal(b.shape) for b in p.biases]
+    for w in p.weights:
+        w[...] = 0.5 * rng.normal(w.shape)
+    for b in p.biases:
+        b[...] = 0.1 * rng.normal(b.shape)
     if p.class_embed is not None:
-        p.class_embed = 0.3 * rng.normal(p.class_embed.shape)
+        p.class_embed[...] = 0.3 * rng.normal(p.class_embed.shape)
     return p
 
 
@@ -120,9 +126,8 @@ class TestForward:
     def test_single_weight_hand_gradient(self):
         """out = w * x for a bare linear layer: dL/dw = 2 x (w x - e)."""
         arch = MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)
-        w = np.zeros((3, 1))
-        w[0, 0] = 1.0  # the x column; time-feature columns stay zero
-        p = DenoiserParams(arch=arch, weights=[w], biases=[np.zeros(1)])
+        # W[0, 0] = 1 is the x column; time-feature columns and the bias stay zero
+        p = DenoiserParams(arch, np.array([1.0, 0.0, 0.0, 0.0]))
         x = np.array([[2.0]])
         target = np.array([[1.0]])
         loss, grads = mse_loss_and_grads(p, x, 0.0, target, None, None)
@@ -172,11 +177,9 @@ class TestSelfConditioning:
         plain_arch = MlpArch(in_dim=3, hidden_dims=(8, 8), time_embed_dim=4, self_cond=False)
         p_sc = randomized_params(sc_arch, 21)
         p_sc.weights[0][plain_arch.input_width :, :] = 0.0
-        p_plain = DenoiserParams(
-            arch=plain_arch,
-            weights=[p_sc.weights[0][: plain_arch.input_width, :]] + p_sc.weights[1:],
-            biases=p_sc.biases,
-        )
+        p_plain = DenoiserParams(plain_arch)
+        for dst, src in zip(p_plain.arrays, p_sc.arrays):
+            dst[...] = src[: dst.shape[0]]
         x, t = Rng(1).normal((5, 3)), Rng(2).uniform((5,))
         estimate = Rng(3).normal((5, 3))
         np.testing.assert_array_equal(
@@ -188,7 +191,7 @@ class TestSelfConditioning:
         """init_params zeroes the slice, so any estimate is a no-op at start."""
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
         p = init_params(arch, Rng(5))
-        p.weights[-1] = Rng(6).normal(p.weights[-1].shape)  # make output nonzero
+        p.weights[-1][...] = Rng(6).normal(p.weights[-1].shape)  # make output nonzero
         x, t = Rng(7).normal((4, 2)), 0.4
         np.testing.assert_array_equal(
             mlp_forward(p, x, t, self_cond=Rng(8).normal((4, 2))),
@@ -224,8 +227,8 @@ class TestGradientCheck:
         x, t, target, labels, sc = batch_for(arch, 6, 200 + batch_seed)
         _, grads = mse_loss_and_grads(p, x, t, target, labels, sc)
 
-        param_list = param_arrays(p)
-        grad_list = param_arrays(grads)
+        param_list = p.arrays
+        grad_list = grads.arrays
         picker = np.random.default_rng(batch_seed)
         h = 1e-5
         worst = 0.0
@@ -284,7 +287,7 @@ class TestSerialization:
         save_params(path, p)
         q = load_params(path)
         assert q.arch == p.arch
-        for a, b in zip(param_arrays(p), param_arrays(q)):
+        for a, b in zip(p.arrays, q.arrays):
             np.testing.assert_array_equal(a, b)
 
     def test_header_is_ascii_line(self, tmp_path):
@@ -308,3 +311,106 @@ class TestSerialization:
         path.write_bytes(b"not-a-params-file\n" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_params(path)
+
+
+GOLDEN_HEADERS = [
+    (MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4),
+     "mlp1 in=3 hidden=8 time_embed=4 classes=- self_cond=0"),
+    (MlpArch(in_dim=2, hidden_dims=(16, 8), time_embed_dim=6, cond_classes=3),
+     "mlp1 in=2 hidden=16,8 time_embed=6 classes=3 self_cond=0"),
+    (MlpArch(in_dim=2, hidden_dims=(32,), time_embed_dim=8, self_cond=True),
+     "mlp1 in=2 hidden=32 time_embed=8 classes=- self_cond=1"),
+]
+
+
+class TestFileFormat:
+    """params.bin is the header line, then weights and bias per layer, class table last."""
+
+    @pytest.mark.parametrize("arch, header", GOLDEN_HEADERS, ids=["plain", "cond", "sc"])
+    def test_golden_bytes(self, arch, header, tmp_path):
+        widths = [arch.input_width, *arch.hidden_dims, arch.in_dim]
+        rng = Rng(3)
+        p = init_params(arch, Rng(0))
+        expected = [header.encode("ascii") + b"\n"]
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            w = rng.normal((fan_in, fan_out))
+            b = rng.normal((fan_out,))
+            p.weights[i][...] = w
+            p.biases[i][...] = b
+            expected += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
+        if arch.cond_classes is not None:
+            table = rng.normal((arch.cond_classes + 1, arch.hidden_dims[0]))
+            p.class_embed[...] = table
+            expected.append(table.astype("<f8").tobytes())
+        path = tmp_path / "params.bin"
+        save_params(path, p)
+        assert path.read_bytes() == b"".join(expected)
+
+
+@st.composite
+def mlp_archs(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    classes = draw(st.none() | st.integers(1, 4)) if hidden else None
+    return MlpArch(
+        in_dim=draw(st.integers(1, 4)),
+        hidden_dims=hidden,
+        time_embed_dim=draw(st.sampled_from([2, 4, 6])),
+        cond_classes=classes,
+        self_cond=draw(st.booleans()),
+    )
+
+
+class TestFlatLayoutProperties:
+    """Invariants of the one flat parameter vector, over random architectures."""
+
+    @given(arch=mlp_archs())
+    def test_views_tile_flat_once_in_order(self, arch):
+        p = DenoiserParams(arch)
+        p.flat[:] = np.arange(p.flat.size)
+        pairs = [a for wb in zip(p.weights, p.biases) for a in wb]
+        tail = [] if p.class_embed is None else [p.class_embed]
+        assert [id(a) for a in p.arrays] == [id(a) for a in pairs + tail]
+        assert all(np.shares_memory(a, p.flat) for a in p.arrays)
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in p.arrays]), np.arange(p.flat.size)
+        )
+        assert [w.shape for w in p.weights] == arch.layer_dims()
+
+    @settings(max_examples=50)
+    @given(arch=mlp_archs(), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_round_trip_is_bitwise(self, arch, seed, tmp_path_factory):
+        p = DenoiserParams(arch)
+        p.flat[:] = np.random.default_rng(seed).normal(size=p.flat.size)
+        path = tmp_path_factory.mktemp("params") / "params.bin"
+        save_params(path, p)
+        q = load_params(path)
+        assert q.arch == arch
+        assert q.flat.tobytes() == p.flat.tobytes()
+
+    @given(arch=mlp_archs())
+    def test_clone_never_aliases(self, arch):
+        p = init_params(arch, Rng(1))
+        c = clone_params(p)
+        assert c.arch == p.arch
+        assert not np.shares_memory(c.flat, p.flat)
+        assert not any(np.shares_memory(a, b) for a in c.arrays for b in p.arrays)
+        before = p.flat.copy()
+        c.flat[:] = 7.0
+        np.testing.assert_array_equal(p.flat, before)
+
+    @given(arch=mlp_archs())
+    def test_rebinding_raises(self, arch):
+        p = DenoiserParams(arch)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.weights = tuple(np.zeros_like(w) for w in p.weights)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.flat = np.zeros_like(p.flat)
+        with pytest.raises(TypeError):
+            p.weights[0] = np.zeros_like(p.weights[0])
+        with pytest.raises(TypeError):
+            p.biases[0] = np.zeros_like(p.biases[0])
+
+    def test_wrong_flat_size_rejected(self):
+        arch = GRAD_CHECK_ARCHS[0]
+        with pytest.raises(ValueError, match="flat"):
+            DenoiserParams(arch, np.zeros(DenoiserParams(arch).flat.size + 1))

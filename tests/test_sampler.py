@@ -30,10 +30,12 @@ LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, n
 def randomized_params(arch: MlpArch, seed: int):
     p = init_params(arch, Rng(seed))
     rng = Rng(seed + 1)
-    p.weights = [0.3 * rng.normal(w.shape) for w in p.weights]
-    p.biases = [0.05 * rng.normal(b.shape) for b in p.biases]
+    for w in p.weights:
+        w[...] = 0.3 * rng.normal(w.shape)
+    for b in p.biases:
+        b[...] = 0.05 * rng.normal(b.shape)
     if p.class_embed is not None:
-        p.class_embed = 0.2 * rng.normal(p.class_embed.shape)
+        p.class_embed[...] = 0.2 * rng.normal(p.class_embed.shape)
     return p
 
 
@@ -267,11 +269,9 @@ class TestGenerate:
         p_sc.weights[0][plain_arch.input_width:, :] = 0.0
         from noiselab.denoiser import DenoiserParams
 
-        p_plain = DenoiserParams(
-            arch=plain_arch,
-            weights=[p_sc.weights[0][: plain_arch.input_width, :]] + p_sc.weights[1:],
-            biases=p_sc.biases,
-        )
+        p_plain = DenoiserParams(plain_arch)
+        for dst, src in zip(p_plain.arrays, p_sc.arrays):
+            dst[...] = src[: dst.shape[0]]
         cfg = SamplerConfig(steps=10, seed=8)
         np.testing.assert_array_equal(
             generate(p_sc, LINEAR_OFF, cfg, 9), generate(p_plain, LINEAR_OFF, cfg, 9)

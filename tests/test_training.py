@@ -7,11 +7,9 @@ from noiselab.core import Rng
 from noiselab.datasets import DatasetSpec, make_dataset
 from noiselab.denoiser import (
     DenoiserParams,
-    Gradients,
     MlpArch,
     clone_params,
     init_params,
-    param_arrays,
 )
 from noiselab.forward import CompoundSchedule
 from noiselab.schedules import ScheduleSpec
@@ -37,18 +35,16 @@ def tiny_cfg(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+SCALAR_ARCH = MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)
+
+
 def scalar_layer_params(theta: float) -> DenoiserParams:
     """One linear layer; only W[0,0] is live, so norms reduce to scalars."""
-    arch = MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)
-    w = np.zeros((3, 1))
-    w[0, 0] = theta
-    return DenoiserParams(arch=arch, weights=[w], biases=[np.zeros(1)])
+    return DenoiserParams(SCALAR_ARCH, np.array([theta, 0.0, 0.0, 0.0]))
 
 
-def scalar_layer_grads(g: float) -> Gradients:
-    gw = np.zeros((3, 1))
-    gw[0, 0] = g
-    return Gradients(weights=[gw], biases=[np.zeros(1)])
+def scalar_layer_grads(g: float) -> DenoiserParams:
+    return DenoiserParams(SCALAR_ARCH, np.array([g, 0.0, 0.0, 0.0]))
 
 
 class TestTrainLoss:
@@ -63,12 +59,12 @@ class TestTrainLoss:
     def test_deterministic(self):
         arch = MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
         params = init_params(arch, Rng(4))
-        params.weights[-1] = Rng(5).normal(params.weights[-1].shape) * 0.1
+        params.weights[-1][...] = Rng(5).normal(params.weights[-1].shape) * 0.1
         x0 = Rng(6).normal((32, 3))
         a = train_loss(x0, None, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
         b = train_loss(x0, None, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
         assert a.loss == b.loss
-        for ga, gb in zip(param_arrays(a.grads), param_arrays(b.grads)):
+        for ga, gb in zip(a.grads.arrays, b.grads.arrays):
             np.testing.assert_array_equal(ga, gb)
 
     def test_loss_non_negative(self):
@@ -89,8 +85,8 @@ class TestTrainLoss:
         """dropout = 1: every label is replaced, matching explicit nulls."""
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=3)
         params = init_params(arch, Rng(12))
-        params.weights[-1] = Rng(13).normal(params.weights[-1].shape) * 0.1
-        params.class_embed = Rng(14).normal(params.class_embed.shape) * 0.1
+        params.weights[-1][...] = Rng(13).normal(params.weights[-1].shape) * 0.1
+        params.class_embed[...] = Rng(14).normal(params.class_embed.shape) * 0.1
         x0 = Rng(15).normal((16, 2))
         labels = Rng(16).integers(3, (16,))
         dropped = train_loss(
@@ -123,9 +119,9 @@ class TestAdamStep:
     def test_zero_grads_zero_wd_identity(self):
         p = scalar_layer_params(2.0)
         st = init_optimizer_state(p)
-        before = [a.copy() for a in param_arrays(p)]
+        before = [a.copy() for a in p.arrays]
         adam_step(p, scalar_layer_grads(0.0), st, tiny_cfg(weight_decay=0.0), lr=0.1)
-        for a, b in zip(param_arrays(p), before):
+        for a, b in zip(p.arrays, before):
             np.testing.assert_array_equal(a, b)
 
     def test_first_step_is_signed_lr(self):
@@ -181,25 +177,26 @@ class TestLambStep:
         for w in base.weights:
             w += 0.01  # no zero layers, so the guard stays out of the way
         scaled = clone_params(base)
-        scaled.weights[0] *= c
+        scaled.weights[0][...] *= c
 
         rng = Rng(31)
-        grads = Gradients(
-            weights=[rng.normal(w.shape) for w in base.weights],
-            biases=[rng.normal(b.shape) for b in base.biases],
-        )
+        grads = DenoiserParams(arch)
+        for w in grads.weights:
+            w[...] = rng.normal(w.shape)
+        for b in grads.biases:
+            b[...] = rng.normal(b.shape)
         cfg = tiny_cfg(weight_decay=0.0)
-        before_b = [a.copy() for a in param_arrays(base)]
-        before_s = [a.copy() for a in param_arrays(scaled)]
+        before_b = [a.copy() for a in base.arrays]
+        before_s = [a.copy() for a in scaled.arrays]
         lamb_step(base, grads, init_optimizer_state(base), cfg, lr=0.01)
         lamb_step(scaled, grads, init_optimizer_state(scaled), cfg, lr=0.01)
-        upd_b = param_arrays(base)[0] - before_b[0]
-        upd_s = param_arrays(scaled)[0] - before_s[0]
+        upd_b = base.arrays[0] - before_b[0]
+        upd_s = scaled.arrays[0] - before_s[0]
         np.testing.assert_allclose(upd_s, c * upd_b, rtol=1e-10)
         # untouched layers get identical updates in both copies
         np.testing.assert_allclose(
-            param_arrays(scaled)[2] - before_s[2],
-            param_arrays(base)[2] - before_b[2],
+            scaled.arrays[2] - before_s[2],
+            base.arrays[2] - before_b[2],
             rtol=1e-12,
         )
 
@@ -210,6 +207,76 @@ class TestLambStep:
         lamb_step(p, scalar_layer_grads(0.0), st, tiny_cfg(weight_decay=0.01), lr=0.1)
         # r = 0.02, trust = 2 / 0.02 = 100, update = -0.1 * 100 * 0.02 = -0.2
         assert p.weights[0][0, 0] == pytest.approx(1.8, abs=1e-12)
+
+
+def per_array_step(kind, arrays, grads, m, v, t, cfg, lr):
+    """Reference: the per-array loop that the whole-vector optimizers replaced."""
+    for a, g, mi, vi in zip(arrays, grads, m, v):
+        mi[...] = cfg.beta1 * mi + (1.0 - cfg.beta1) * g
+        vi[...] = cfg.beta2 * vi + (1.0 - cfg.beta2) * g * g
+        mh = mi / (1.0 - cfg.beta1**t)
+        vh = vi / (1.0 - cfg.beta2**t)
+        if kind == "adam":
+            a -= lr * mh / (np.sqrt(vh) + cfg.eps_opt)
+            a -= lr * cfg.weight_decay * a
+        else:
+            r = mh / (np.sqrt(vh) + cfg.eps_opt) + cfg.weight_decay * a
+            theta_norm, r_norm = float(np.linalg.norm(a)), float(np.linalg.norm(r))
+            trust = 1.0 if theta_norm < 1e-12 or r_norm < 1e-12 else theta_norm / r_norm
+            a -= lr * trust * r
+
+
+class TestWholeVectorMatchesPerArrayLoop:
+    """The flat-vector updates are bit-identical to the per-array loops."""
+
+    ARCH = MlpArch(in_dim=2, hidden_dims=(8, 4), time_embed_dim=4, cond_classes=2, self_cond=True)
+
+    @pytest.mark.parametrize("step_fn, kind", [(adam_step, "adam"), (lamb_step, "lamb")])
+    def test_optimizer_steps(self, step_fn, kind):
+        params = init_params(self.ARCH, Rng(40))
+        ref = [a.copy() for a in params.arrays]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        state = init_optimizer_state(params)
+        cfg = tiny_cfg(weight_decay=0.01)
+        rng = Rng(41)
+        for t in range(1, 4):
+            grads = DenoiserParams(self.ARCH, rng.normal((params.flat.size,)))
+            step_fn(params, grads, state, cfg, lr=0.01)
+            per_array_step(kind, ref, grads.arrays, m, v, t, cfg, 0.01)
+            for a, b in zip(params.arrays, ref):
+                np.testing.assert_array_equal(a, b)
+
+    def test_ema_update(self):
+        ema = init_params(self.ARCH, Rng(42))
+        params = DenoiserParams(self.ARCH, Rng(43).normal((ema.flat.size,)))
+        ref = [a.copy() for a in ema.arrays]
+        ema_update(ema, params, 0.999)
+        for e, p in zip(ref, params.arrays):
+            e *= 0.999
+            e += (1.0 - 0.999) * p
+        for a, b in zip(ema.arrays, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestLayoutMismatch:
+    """Arrays of another architecture are rejected, not zipped and truncated."""
+
+    COND = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2, cond_classes=2)
+    PLAIN = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
+
+    @pytest.mark.parametrize("step_fn", [adam_step, lamb_step], ids=["adam", "lamb"])
+    def test_unconditional_grads_on_conditional_params(self, step_fn):
+        # before, the class table was silently left unstepped
+        params = init_params(self.COND, Rng(0))
+        grads = init_params(self.PLAIN, Rng(1))
+        with pytest.raises(ValueError):
+            step_fn(params, grads, init_optimizer_state(params), tiny_cfg(), lr=0.1)
+
+    def test_conditional_ema_with_unconditional_params(self):
+        ema = init_params(self.COND, Rng(0))
+        with pytest.raises(ValueError):
+            ema_update(ema, init_params(self.PLAIN, Rng(1)), 0.9)
 
 
 class TestEmaUpdate:
@@ -317,9 +384,9 @@ class TestTrainLoop:
         cfg = tiny_cfg(steps=0)
         params, ema, history = train(data, self.ARCH, LINEAR_OFF, cfg)
         fresh = init_params(self.ARCH, Rng(cfg.seed))
-        for a, b in zip(param_arrays(params), param_arrays(fresh)):
+        for a, b in zip(params.arrays, fresh.arrays):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(param_arrays(params), param_arrays(ema)):
+        for a, b in zip(params.arrays, ema.arrays):
             np.testing.assert_array_equal(a, b)
         assert history == []
 
@@ -329,9 +396,9 @@ class TestTrainLoop:
         p1, e1, h1 = train(data, self.ARCH, LINEAR_OFF, cfg)
         p2, e2, h2 = train(data, self.ARCH, LINEAR_OFF, cfg)
         assert h1 == h2
-        for a, b in zip(param_arrays(p1), param_arrays(p2)):
+        for a, b in zip(p1.arrays, p2.arrays):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(param_arrays(e1), param_arrays(e2)):
+        for a, b in zip(e1.arrays, e2.arrays):
             np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_history(self):
@@ -355,7 +422,7 @@ class TestTrainLoop:
         cfg = tiny_cfg(steps=30, ema_decay=0.5, seed=3)
 
         # replay: track raw params per step by training step-by-step
-        lo = [a.copy() for a in param_arrays(init_params(arch, Rng(cfg.seed)))]
+        lo = [a.copy() for a in init_params(arch, Rng(cfg.seed)).arrays]
         hi = [a.copy() for a in lo]
         params, ema, _ = train(data, arch, LINEAR_OFF, cfg)
         # bounds from a parallel manual run
@@ -375,10 +442,10 @@ class TestTrainLoop:
                 label_dropout=cfg.label_dropout, self_cond_rate=cfg.self_cond_rate,
             )
             step_fn(manual, res.grads, st, cfg, lr)
-            for j, a in enumerate(param_arrays(manual)):
+            for j, a in enumerate(manual.arrays):
                 lo[j] = np.minimum(lo[j], a)
                 hi[j] = np.maximum(hi[j], a)
-        for j, e in enumerate(param_arrays(ema)):
+        for j, e in enumerate(ema.arrays):
             assert np.all(e >= lo[j] - 1e-12)
             assert np.all(e <= hi[j] + 1e-12)
 
