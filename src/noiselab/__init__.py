@@ -30,7 +30,7 @@ from noiselab.metrics import covariance_error, mmd_rbf, redundancy_curve, sliced
 from noiselab.training import TrainConfig, TrainingDiverged, train
 from noiselab.sampler import SamplerConfig, cfg_combine, ddim_step, ddpm_step, generate
 from noiselab.config import Config, ConfigError, parse_config, serialize_config
-from noiselab.sweep import SweepSpec, best_scale, run_sweep
+from noiselab.sweep import best_scale, check_sweep, run_sweep
 
 __all__ = [
     "Rng",
@@ -76,8 +76,8 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "serialize_config",
-    "SweepSpec",
     "best_scale",
+    "check_sweep",
     "run_sweep",
 ]
 

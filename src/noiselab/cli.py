@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, NetSettings, parse_config, write_config
+from .config import Config, ConfigError, check_label_keys, parse_config, write_config
 from .core import NonFiniteError
 from .datasets import make_dataset
 from .denoiser import load_params, save_params
@@ -29,7 +29,7 @@ from .io import (
 from .metrics import redundancy_curve
 from .sampler import generate
 from .schedules import gamma, log_snr, parse_schedule
-from .sweep import run_sweep, sweep_spec_from_config
+from .sweep import check_sweep, run_sweep
 from .training import TrainingDiverged, train
 
 _OK, _CONFIG_ERROR, _RUNTIME_ERROR, _CHECK_FAILED = 0, 1, 2, 3
@@ -129,13 +129,13 @@ def _cmd_train(args, stdout) -> int:
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
     tcfg = _require(cfg, "train")
-    net = cfg.net if cfg.net is not None else NetSettings()
+    check_label_keys(cfg, "train")
     if args.seed is not None:
         tcfg = replace(tcfg, seed=args.seed)
 
     out = _ensure_dir(args.out_dir)
     data = make_dataset(dspec)
-    arch = net.build_arch(data.shape[1])
+    arch = cfg.net.build_arch(data.shape[1])
     params, ema, history = train(data, arch, compound, tcfg)
 
     save_params(out / "params.bin", params)
@@ -152,13 +152,19 @@ def _cmd_sample(args, stdout) -> int:
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
     scfg = _require(cfg, "sampler")
+    check_label_keys(cfg, "sampler")
     if args.seed is not None:
         scfg = replace(scfg, seed=args.seed)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
 
-    out = _ensure_dir(args.out_dir)
     params = load_params(args.checkpoint)
+    if params.arch.in_dim != dspec.data_dim:
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} has in_dim {params.arch.in_dim}, "
+            f"but [dataset] has data_dim {dspec.data_dim}"
+        )
+    out = _ensure_dir(args.out_dir)
     samples = generate(params, compound, scfg, args.n)
     if dspec.kind == "toy_image":
         side = int(round(math.sqrt(samples.shape[1])))
@@ -176,10 +182,10 @@ def _cmd_sweep(args, stdout) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None and cfg.sweep is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, base_seed=args.seed))
-    spec = sweep_spec_from_config(cfg)
+    check_sweep(cfg)  # before the out dir exists, so a bad config leaves nothing behind
 
     out = _ensure_dir(args.out_dir)
-    result = run_sweep(spec)
+    result = run_sweep(cfg)
     write_sweep_csv(out / "sweep.csv", result.rows)
     write_config(out / "config.txt", cfg)
     for row in result.rows:

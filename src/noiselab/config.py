@@ -248,6 +248,20 @@ def _check_normalize(cfg: Config) -> None:
             )
 
 
+def check_label_keys(cfg: Config, *sections: str) -> None:
+    """Reject label-only keys: no command passes class labels, so they would do nothing.
+
+    A command calls this with the sections it reads; parsing accepts the keys.
+    """
+    for sect, key in (("sampler", "guidance_weight"), ("train", "label_dropout")):
+        settings = getattr(cfg, sect)
+        if sect in sections and settings is not None and getattr(settings, key) > 0.0:
+            raise ConfigError(
+                f"[{sect}]: {key} = {getattr(settings, key)!r} needs class labels, "
+                f"which no command passes; set it to 0"
+            )
+
+
 def _check_dataset_keys(cfg: Config, lines: dict) -> None:
     """A [dataset] key of another kind would be dropped from config.txt."""
     if cfg.dataset is None:

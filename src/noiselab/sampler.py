@@ -226,7 +226,7 @@ def generate(
     prev_est = np.zeros((n_samples, dim))
     guided = sc.guidance_weight > 0.0 and labels is not None
 
-    for t_now, t_next in time_grid(sc.steps).pairs:
+    for t_now, t_next in time_grid(sc.steps):
         g_now = float(gamma(sc.inference_schedule, t_now))
         g_next = float(gamma(sc.inference_schedule, t_next))
         x_in = normalize_input(x_t, g_now, cs)

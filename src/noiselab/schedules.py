@@ -17,7 +17,7 @@ shifts every schedule's logSNR curve by exactly 2 ln b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from noiselab.core import sigmoid
 __all__ = [
     "REFERENCE_SPECS",
     "ScheduleSpec",
-    "TimeGrid",
     "format_schedule",
     "gamma",
     "log_snr",
@@ -168,26 +167,16 @@ def solve_t_for_logsnr(spec: ScheduleSpec, scale: float, target: float) -> float
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Reverse-process time pairs (t_now, t_next), from t=1 down to t=0."""
+def time_grid(steps: int) -> tuple[tuple[float, float], ...]:
+    """Reverse-process time pairs (t_now, t_next), from t=1 down to t=0.
 
-    steps: int
-    pairs: tuple[tuple[float, float], ...] = field(repr=False)
-
-
-def time_grid(steps: int) -> TimeGrid:
-    """Uniform sampling grid: t_now = 1 - k/steps, t_next = max(t_now - 1/steps, 0)."""
+    The grid is uniform: t_now = 1 - k/steps, t_next = max(t_now - 1/steps, 0).
+    """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise TypeError("steps must be an int")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    pairs = []
-    for k in range(steps):
-        t_now = 1.0 - k / steps
-        t_next = max(1.0 - (k + 1) / steps, 0.0)
-        pairs.append((t_now, t_next))
-    return TimeGrid(steps=int(steps), pairs=tuple(pairs))
+    return tuple((1.0 - k / steps, max(1.0 - (k + 1) / steps, 0.0)) for k in range(steps))
 
 
 def _fmt_num(x: float) -> str:

@@ -1,9 +1,13 @@
 """Grid runner over (schedule, input scale) cells with per-cell seeding.
 
-Oracle cells swap the trained denoiser for the exact Gaussian posterior
-mean, which turns the scale sweep into a deterministic measurement of
-how the noising strategy interacts with data redundancy. Trained cells
-run the full fit-then-sample loop on the configured dataset.
+A sweep runs from a parsed Config: [sweep] gives the grid, [dataset]
+and [sampler] the data and the sampler, and [train] the per-cell fit.
+[compound] is ignored, since the grid sets schedule and scale and
+[sweep] normalize sets the input normalization. Oracle cells swap the
+trained denoiser for the exact Gaussian posterior mean, which turns the
+scale sweep into a deterministic measurement of how the noising
+strategy interacts with data redundancy. Trained cells run the full
+fit-then-sample loop on the configured dataset.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .config import Config, ConfigError, NetSettings, SweepSettings
-from .datasets import DatasetSpec, dataset_covariance, make_dataset
+from .config import Config, ConfigError, check_label_keys
+from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
 from .oracle import GaussianOracle
-from .sampler import SamplerConfig, generate
+from .sampler import generate
 from .schedules import parse_schedule
-from .training import TrainConfig, train
+from .training import train
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,53 +45,6 @@ def cell_seed(base_seed: int, sched_idx: int, scale_idx: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Everything one sweep needs; oracle mode drops the training half."""
-
-    settings: SweepSettings
-    dataset: DatasetSpec
-    sampler: SamplerConfig
-    train: Optional[TrainConfig] = None
-    net: Optional[NetSettings] = None
-
-    def __post_init__(self):
-        s = self.settings
-        if s.oracle:
-            if not self.dataset.is_gaussian:
-                raise ValueError(
-                    f"oracle sweeps need a Gaussian dataset, got {self.dataset.kind!r}"
-                )
-            if self.train is not None:
-                raise ValueError("oracle sweeps take no training config")
-        else:
-            if self.train is None or self.net is None:
-                raise ValueError("trained sweeps need train and net settings")
-        if s.metric == "covariance_error" and not self.dataset.is_gaussian:
-            raise ValueError("covariance_error needs a dataset with a known covariance")
-
-
-def sweep_spec_from_config(cfg: Config) -> SweepSpec:
-    if cfg.sweep is None:
-        raise ConfigError("missing [sweep] section")
-    if cfg.dataset is None:
-        raise ConfigError("missing [dataset] section for sweep")
-    if cfg.sampler is None:
-        raise ConfigError("missing [sampler] section for sweep")
-    if not cfg.sweep.oracle and cfg.train is None:
-        raise ConfigError("missing [train] section for trained sweep")
-    try:
-        return SweepSpec(
-            settings=cfg.sweep,
-            dataset=cfg.dataset,
-            sampler=cfg.sampler,
-            train=cfg.train,
-            net=cfg.net,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -115,10 +72,32 @@ class SweepResult:
         return self.n_failed == 0
 
 
-def _score(metric: str, samples: np.ndarray, data: np.ndarray,
-           sigma: Optional[np.ndarray]) -> float:
+def check_sweep(cfg: Config) -> None:
+    """Reject a config the sweep cannot run, before any cell starts."""
+    if cfg.sweep is None:
+        raise ConfigError("missing [sweep] section")
+    if cfg.dataset is None:
+        raise ConfigError("missing [dataset] section for sweep")
+    if cfg.sampler is None:
+        raise ConfigError("missing [sampler] section for sweep")
+    if cfg.sweep.oracle:
+        if not cfg.dataset.is_gaussian:
+            raise ConfigError(
+                f"oracle sweeps need a Gaussian dataset, got {cfg.dataset.kind!r}"
+            )
+        if cfg.train is not None:
+            raise ConfigError("oracle sweeps take no training config")
+    elif cfg.train is None or cfg.net is None:
+        raise ConfigError("missing [train] section for trained sweep")
+    if cfg.sweep.metric == "covariance_error" and not cfg.dataset.is_gaussian:
+        raise ConfigError("covariance_error needs a dataset with a known covariance")
+    check_label_keys(cfg, "sampler", "train")
+
+
+def _score(cfg: Config, samples: np.ndarray, data: Optional[np.ndarray]) -> float:
+    metric = cfg.sweep.metric
     if metric == "covariance_error":
-        return covariance_error(samples, sigma)
+        return covariance_error(samples, dataset_covariance(cfg.dataset))
     if metric == "sliced_wasserstein":
         return sliced_wasserstein(samples, data)
     if metric == "mmd_rbf":
@@ -126,38 +105,33 @@ def _score(metric: str, samples: np.ndarray, data: np.ndarray,
     raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
 
-def _oracle_cell(spec: SweepSpec, oracle, sigma, sched_str, scale, seed) -> float:
-    """The swept schedule drives sampling here; there is nothing to train."""
-    cs = CompoundSchedule(schedule=parse_schedule(sched_str), input_scale=scale,
-                          normalize="off")
-    sc = replace(spec.sampler, inference_schedule=parse_schedule(sched_str),
-                 seed=seed + 1)
-    out = generate(oracle, cs, sc, spec.settings.n_eval)
-    return covariance_error(out, sigma)
+def _cell(cfg: Config, model, data, sched_str, scale, seed) -> float:
+    """Score one grid cell.
 
-
-def _trained_cell(spec: SweepSpec, data, sigma, sched_str, scale, seed) -> float:
-    """The swept schedule is the training schedule; inference keeps its own."""
-    cs = CompoundSchedule(schedule=parse_schedule(sched_str), input_scale=scale,
-                          normalize=spec.settings.normalize)
-    arch = spec.net.build_arch(data.shape[1])
-    tcfg = replace(spec.train, seed=seed)
-    _, ema, _ = train(data, arch, cs, tcfg)
-    sc = replace(spec.sampler, seed=seed + 1)
-    out = generate(ema, cs, sc, spec.settings.n_eval)
-    return _score(spec.settings.metric, out, data, sigma)
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every grid cell; failures record an error row and continue."""
-    s = spec.settings
-    sigma = dataset_covariance(spec.dataset) if spec.dataset.is_gaussian else None
+    An oracle cell has nothing to train, so the swept schedule drives
+    sampling. A trained cell trains with the swept schedule, and
+    inference keeps [sampler]'s own schedule.
+    """
+    s = cfg.sweep
+    schedule = parse_schedule(sched_str)
+    cs = CompoundSchedule(schedule=schedule, input_scale=scale, normalize=s.normalize)
     if s.oracle:
-        oracle = GaussianOracle(sigma)
-        data = None
+        sc = replace(cfg.sampler, inference_schedule=schedule, seed=seed + 1)
     else:
-        oracle = None
-        data = make_dataset(spec.dataset)
+        arch = cfg.net.build_arch(data.shape[1])
+        _, model, _ = train(data, arch, cs, replace(cfg.train, seed=seed))
+        sc = replace(cfg.sampler, seed=seed + 1)
+    return _score(cfg, generate(model, cs, sc, s.n_eval), data)
+
+
+def run_sweep(cfg: Config) -> SweepResult:
+    """Run every grid cell; failures record an error row and continue."""
+    check_sweep(cfg)
+    s = cfg.sweep
+    if s.oracle:
+        model, data = GaussianOracle(dataset_covariance(cfg.dataset)), None
+    else:
+        model, data = None, make_dataset(cfg.dataset)
 
     rows = []
     for i, sched_str in enumerate(s.schedules):
@@ -165,10 +139,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             seed = cell_seed(s.base_seed, i, j)
             t0 = time.perf_counter()
             try:
-                if s.oracle:
-                    value = float(_oracle_cell(spec, oracle, sigma, sched_str, scale, seed))
-                else:
-                    value = float(_trained_cell(spec, data, sigma, sched_str, scale, seed))
+                value = float(_cell(cfg, model, data, sched_str, scale, seed))
                 status, error = 0, ""
             except Exception as e:  # noqa: BLE001 - cell isolation is the contract
                 value, status, error = float("nan"), 1, f"{type(e).__name__}: {e}"

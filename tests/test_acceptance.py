@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noiselab.config import SweepSettings
+from noiselab.config import Config, SweepSettings
 from noiselab.core import Rng
 from noiselab.datasets import DatasetSpec, ar1_covariance, make_dataset
 from noiselab.denoiser import (
@@ -31,7 +31,7 @@ from noiselab.metrics import covariance_error, sliced_wasserstein
 from noiselab.oracle import GaussianOracle, oracle_denoise_mse
 from noiselab.sampler import SamplerConfig, generate
 from noiselab.schedules import REFERENCE_SPECS, ScheduleSpec, format_schedule, gamma, log_snr
-from noiselab.sweep import SweepSpec, best_scale, run_sweep
+from noiselab.sweep import best_scale, run_sweep
 from noiselab.training import (
     TrainConfig,
     adam_step,
@@ -214,8 +214,8 @@ class TestCriterion07BestScaleStaircase:
         scales = tuple(round(0.1 * k, 1) for k in range(1, 11))
         bests = []
         for rho in (0.0, 0.5, 0.9):
-            spec = SweepSpec(
-                settings=SweepSettings(
+            spec = Config(
+                sweep=SweepSettings(
                     schedules=("linear",), scales=scales, metric="covariance_error",
                     base_seed=7, oracle=True, n_eval=10000, normalize="off"),
                 dataset=DatasetSpec(kind="gaussian_ar1", n_train=1, seed=0,

@@ -165,6 +165,15 @@ class TestTrainCommand:
         assert "data_dim 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_label_dropout_is_config_error(self, tmp_path, capsys):
+        # no command passes class labels, so label dropout would do nothing
+        cfg = tmp_path / "dropout.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("[train]", "[train]\nlabel_dropout = 0.1"))
+        rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "label_dropout" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "short.txt"
         cfg.write_text("[dataset]\nkind = checkerboard\nn_train = 64\nseed = 0\n")
@@ -233,6 +242,35 @@ class TestSampleCommand:
                      "--n", "0", "--out-dir", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("dataset", [
+        "kind = gaussian_ar1\nn_train = 64\nseed = 0\ndim = 7\nrho = 0.5\n",
+        "kind = toy_image\nn_train = 64\nseed = 1\nbase_res = 2\nrho = 0.5\nupsample = 1\n",
+    ], ids=["gaussian_ar1", "toy_image"])
+    def test_checkpoint_width_must_match_dataset(self, train_cfg, tmp_path, capsys, dataset):
+        # a 2-D mixture checkpoint under a config whose data has another width
+        ckpt = self.checkpoint(train_cfg, tmp_path)
+        cfg = tmp_path / "other.txt"
+        cfg.write_text("[dataset]\n" + dataset + "[compound]"
+                       + TRAIN_SAMPLE.partition("[compound]")[2])
+        out_dir = tmp_path / "x"
+        rc, _ = run(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--n", "5", "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "in_dim 2" in err and "data_dim" in err
+        assert not out_dir.exists()
+
+    def test_guidance_weight_is_config_error(self, train_cfg, tmp_path, capsys):
+        # no command passes class labels, so guidance would do nothing
+        ckpt = self.checkpoint(train_cfg, tmp_path)
+        cfg = tmp_path / "guided.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("[sampler]", "[sampler]\nguidance_weight = 4.0"))
+        rc, _ = run(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--n", "5", "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "guidance_weight" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, train_cfg, tmp_path):
         rc, _ = run(["sample", "--config", str(train_cfg), "--checkpoint",
                      str(tmp_path / "absent.bin"), "--out-dir", str(tmp_path / "x")])
@@ -292,6 +330,26 @@ class TestSweepCommand:
         rows_a = read_sweep_csv(a / "sweep.csv")
         rows_b = read_sweep_csv(b / "sweep.csv")
         assert [r[4] for r in rows_a] != [r[4] for r in rows_b]
+
+    def test_guidance_weight_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "guided.txt"
+        cfg.write_text(ORACLE_SWEEP.replace("[sampler]", "[sampler]\nguidance_weight = 4.0"))
+        rc, _ = run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "guidance_weight" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_trained_sweep_label_dropout_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "dropout.txt"
+        cfg.write_text(
+            TRAIN_SAMPLE.replace("[train]", "[train]\nlabel_dropout = 0.1")
+            + "[sweep]\nschedules = linear\nscales = 1.0\nmetric = sliced_wasserstein\n"
+            "base_seed = 0\nn_eval = 50\n"
+        )
+        rc, _ = run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "label_dropout" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_empty_schedules_rejected_before_work(self, tmp_path):
         cfg = tmp_path / "empty.txt"

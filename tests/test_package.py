@@ -1,11 +1,14 @@
-"""Package surface: every module imports, and every exported name exists."""
+"""Package surface: every module imports, every exported name exists, and the
+SweepRow field order that positional readers rely on."""
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import noiselab
+from noiselab.sweep import SweepRow
 
 MODULES = ["noiselab"] + [f"noiselab.{m.name}" for m in pkgutil.iter_modules(noiselab.__path__)]
 
@@ -20,3 +23,10 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_sweep_row_field_order():
+    # rows read back from sweep.csv are rebuilt positionally as SweepRow(*row)
+    assert [f.name for f in fields(SweepRow)] == [
+        "schedule", "scale", "metric", "wall_ms", "seed", "status", "error",
+    ]

@@ -173,24 +173,24 @@ class TestTimeGrid:
     """Reverse-time pair layout."""
 
     def test_single_step(self):
-        assert time_grid(1).pairs == ((1.0, 0.0),)
+        assert time_grid(1) == ((1.0, 0.0),)
 
     def test_four_steps(self):
-        grid = time_grid(4)
+        pairs = time_grid(4)
         np.testing.assert_allclose(
-            grid.pairs, [(1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)], atol=1e-15
+            pairs, [(1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)], atol=1e-15
         )
 
     def test_thousand_steps(self):
-        grid = time_grid(1000)
-        assert len(grid.pairs) == 1000
-        assert grid.pairs[0][0] == 1.0
-        assert grid.pairs[-1][1] == 0.0
-        assert grid.pairs[-1][0] == pytest.approx(0.001, abs=1e-12)
+        pairs = time_grid(1000)
+        assert len(pairs) == 1000
+        assert pairs[0][0] == 1.0
+        assert pairs[-1][1] == 0.0
+        assert pairs[-1][0] == pytest.approx(0.001, abs=1e-12)
 
     def test_contiguous_and_decreasing(self):
-        grid = time_grid(37)
-        for (now, nxt), (now2, _) in zip(grid.pairs, grid.pairs[1:]):
+        pairs = time_grid(37)
+        for (now, nxt), (now2, _) in zip(pairs, pairs[1:]):
             assert nxt == now2
             assert nxt < now
 

@@ -1,12 +1,19 @@
 """Grid runner: cell seeding, isolation, argmin rules, oracle trends."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import noiselab.sweep as sweep_mod
-from noiselab.config import ConfigError, NetSettings, SweepSettings, parse_config_text
+from noiselab.config import (
+    Config,
+    ConfigError,
+    NetSettings,
+    SweepSettings,
+    parse_config_text,
+)
 from noiselab.datasets import DatasetSpec, ar1_covariance, upsample_covariance
 from noiselab.forward import CompoundSchedule
 from noiselab.io import read_sweep_csv, write_sweep_csv
@@ -17,25 +24,40 @@ from noiselab.schedules import ScheduleSpec
 from noiselab.sweep import (
     SweepResult,
     SweepRow,
-    SweepSpec,
     best_scale,
     cell_seed,
+    check_sweep,
     run_sweep,
-    sweep_spec_from_config,
 )
 from noiselab.training import TrainConfig
 
 AR1_16 = DatasetSpec(kind="gaussian_ar1", n_train=2, seed=0, dim=16, rho=0.9)
+AR1_4 = DatasetSpec(kind="gaussian_ar1", n_train=2, seed=0, dim=4, rho=0.5)
+MIX = DatasetSpec(kind="mixture2d", n_train=100, seed=0, modes=4, radius=1.0, std=0.1)
 
 
-def oracle_spec(schedules=("cosine:0,1,1",), scales=(1.0,), base_seed=0,
-                n_eval=10000, steps=100, dataset=AR1_16):
-    return SweepSpec(
-        settings=SweepSettings(schedules=schedules, scales=scales,
-                               metric="covariance_error", base_seed=base_seed,
-                               oracle=True, n_eval=n_eval),
+def oracle_cfg(schedules=("cosine:0,1,1",), scales=(1.0,), base_seed=0,
+               n_eval=10000, steps=100, dataset=AR1_16):
+    return Config(
+        sweep=SweepSettings(schedules=schedules, scales=scales,
+                            metric="covariance_error", base_seed=base_seed,
+                            oracle=True, n_eval=n_eval),
         dataset=dataset,
         sampler=SamplerConfig(steps=steps, seed=0),
+    )
+
+
+def trained_cfg(**train_kw):
+    """One linear cell at b = 1 on a two-mode mixture; small enough for tier 1."""
+    return Config(
+        sweep=SweepSettings(schedules=("linear",), scales=(1.0,),
+                            metric="sliced_wasserstein", base_seed=3, n_eval=200),
+        dataset=DatasetSpec(kind="mixture2d", n_train=512, seed=5, modes=2,
+                            radius=1.0, std=0.2),
+        sampler=SamplerConfig(steps=10, seed=0, signal_clamp=3.0),
+        train=TrainConfig(steps=60, batch_size=32, lr=0.003, seed=0, log_every=30,
+                          **train_kw),
+        net=NetSettings(hidden_dims=(16,), time_embed_dim=4),
     )
 
 
@@ -58,43 +80,56 @@ class TestCellSeed:
 
 class TestSpecValidation:
     def test_oracle_requires_gaussian_dataset(self):
-        mix = DatasetSpec(kind="mixture2d", n_train=100, seed=0, modes=4,
-                          radius=1.0, std=0.1)
-        with pytest.raises(ValueError, match="Gaussian"):
-            oracle_spec(dataset=mix)
+        with pytest.raises(ConfigError, match="Gaussian"):
+            check_sweep(oracle_cfg(dataset=MIX))
 
     def test_oracle_rejects_training_config(self):
-        with pytest.raises(ValueError, match="training"):
-            SweepSpec(
-                settings=SweepSettings(schedules=("linear",), scales=(1.0,),
-                                       metric="covariance_error", base_seed=0,
-                                       oracle=True),
-                dataset=AR1_16,
-                sampler=SamplerConfig(steps=10, seed=0),
-                train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0),
-            )
+        cfg = replace(oracle_cfg(), train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0))
+        with pytest.raises(ConfigError, match="training"):
+            check_sweep(cfg)
 
     def test_trained_requires_train_and_net(self):
-        with pytest.raises(ValueError, match="train"):
-            SweepSpec(
-                settings=SweepSettings(schedules=("linear",), scales=(1.0,),
-                                       metric="sliced_wasserstein", base_seed=0),
-                dataset=DatasetSpec(kind="mixture2d", n_train=100, seed=0,
-                                    modes=4, radius=1.0, std=0.1),
-                sampler=SamplerConfig(steps=10, seed=0),
-            )
+        cfg = Config(
+            sweep=SweepSettings(schedules=("linear",), scales=(1.0,),
+                                metric="sliced_wasserstein", base_seed=0),
+            dataset=MIX,
+            sampler=SamplerConfig(steps=10, seed=0),
+        )
+        with pytest.raises(ConfigError, match="train"):
+            check_sweep(cfg)
+        with pytest.raises(ConfigError, match="train"):
+            check_sweep(replace(cfg, train=TrainConfig(steps=1, batch_size=1, lr=0.1,
+                                                       seed=0)))
 
     def test_covariance_metric_needs_known_covariance(self):
-        with pytest.raises(ValueError, match="covariance"):
-            SweepSpec(
-                settings=SweepSettings(schedules=("linear",), scales=(1.0,),
-                                       metric="covariance_error", base_seed=0),
-                dataset=DatasetSpec(kind="mixture2d", n_train=100, seed=0,
-                                    modes=4, radius=1.0, std=0.1),
-                sampler=SamplerConfig(steps=10, seed=0),
-                train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0),
-                net=NetSettings(),
-            )
+        cfg = Config(
+            sweep=SweepSettings(schedules=("linear",), scales=(1.0,),
+                                metric="covariance_error", base_seed=0),
+            dataset=MIX,
+            sampler=SamplerConfig(steps=10, seed=0),
+            train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0),
+            net=NetSettings(),
+        )
+        with pytest.raises(ConfigError, match="covariance"):
+            check_sweep(cfg)
+
+    def test_run_sweep_checks_before_any_cell(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sweep_mod, "_cell", no_cells)
+        with pytest.raises(ConfigError, match="Gaussian"):
+            run_sweep(oracle_cfg(dataset=MIX))
+
+    def test_guidance_weight_rejected(self):
+        cfg = oracle_cfg()
+        cfg = replace(cfg, sampler=replace(cfg.sampler, guidance_weight=4.0))
+        with pytest.raises(ConfigError, match=r"\[sampler\]: guidance_weight"):
+            check_sweep(cfg)
+
+    def test_label_dropout_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[train\]: label_dropout"):
+            check_sweep(trained_cfg(label_dropout=0.1))
 
 
 class TestSpecFromConfig:
@@ -106,9 +141,9 @@ class TestSpecFromConfig:
     )
 
     def test_builds_oracle_spec(self):
-        spec = sweep_spec_from_config(parse_config_text(self.ORACLE_TEXT))
-        assert spec.settings.oracle is True
-        assert spec.dataset.dim == 4
+        res = run_sweep(parse_config_text(self.ORACLE_TEXT))
+        assert res.ok
+        assert [(r.schedule, r.scale) for r in res.rows] == [("linear", 1.0)]
 
     @pytest.mark.parametrize("drop", ["[dataset]", "[sampler]", "[sweep]"])
     def test_missing_sections_are_config_errors(self, drop):
@@ -117,17 +152,17 @@ class TestSpecFromConfig:
             if block and not ("[" + block).startswith(drop)
         )
         with pytest.raises(ConfigError, match=drop.strip("[]")):
-            sweep_spec_from_config(parse_config_text(text))
+            check_sweep(parse_config_text(text))
 
     def test_trained_sweep_needs_train_section(self):
         text = self.ORACLE_TEXT.replace("oracle = true", "oracle = false")
         with pytest.raises(ConfigError, match=r"\[train\]"):
-            sweep_spec_from_config(parse_config_text(text))
+            check_sweep(parse_config_text(text))
 
 
 class TestRunSweep:
     def test_single_oracle_cell_closes(self):
-        res = run_sweep(oracle_spec())
+        res = run_sweep(oracle_cfg())
         assert len(res.rows) == 1
         row = res.rows[0]
         assert row.status == 0
@@ -136,41 +171,35 @@ class TestRunSweep:
         assert res.ok
 
     def test_grid_complete(self):
-        spec = oracle_spec(schedules=("linear", "cosine:0,1,1"), scales=(0.5, 1.0),
-                           n_eval=400, steps=10,
-                           dataset=DatasetSpec(kind="gaussian_ar1", n_train=2,
-                                               seed=0, dim=4, rho=0.5))
-        res = run_sweep(spec)
+        cfg = oracle_cfg(schedules=("linear", "cosine:0,1,1"), scales=(0.5, 1.0),
+                         n_eval=400, steps=10, dataset=AR1_4)
+        res = run_sweep(cfg)
         assert len(res.rows) == 4
         cells = {(r.schedule, r.scale) for r in res.rows}
         assert cells == {("linear", 0.5), ("linear", 1.0),
                          ("cosine:0,1,1", 0.5), ("cosine:0,1,1", 1.0)}
 
     def test_rerun_identical_up_to_wall_time(self):
-        spec = oracle_spec(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
-                           steps=10,
-                           dataset=DatasetSpec(kind="gaussian_ar1", n_train=2,
-                                               seed=0, dim=4, rho=0.5))
-        a = run_sweep(spec)
-        b = run_sweep(spec)
+        cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
+                         steps=10, dataset=AR1_4)
+        a = run_sweep(cfg)
+        b = run_sweep(cfg)
         strip = lambda rows: [(r.schedule, r.scale, r.metric, r.seed, r.status)
                               for r in rows]
         assert strip(a.rows) == strip(b.rows)
 
     def test_failed_cell_recorded_and_run_continues(self, monkeypatch):
-        real = sweep_mod._oracle_cell
+        real = sweep_mod._cell
 
-        def flaky(spec, oracle, sigma, sched_str, scale, seed):
+        def flaky(cfg, model, data, sched_str, scale, seed):
             if scale == 0.4:
                 raise RuntimeError("injected cell failure")
-            return real(spec, oracle, sigma, sched_str, scale, seed)
+            return real(cfg, model, data, sched_str, scale, seed)
 
-        monkeypatch.setattr(sweep_mod, "_oracle_cell", flaky)
-        spec = oracle_spec(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
-                           steps=10,
-                           dataset=DatasetSpec(kind="gaussian_ar1", n_train=2,
-                                               seed=0, dim=4, rho=0.5))
-        res = run_sweep(spec)
+        monkeypatch.setattr(sweep_mod, "_cell", flaky)
+        cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
+                         steps=10, dataset=AR1_4)
+        res = run_sweep(cfg)
         assert len(res.rows) == 2
         bad = next(r for r in res.rows if r.scale == 0.4)
         good = next(r for r in res.rows if r.scale == 0.8)
@@ -180,10 +209,7 @@ class TestRunSweep:
         assert res.n_failed == 1 and not res.ok
 
     def test_writes_csv(self, tmp_path):
-        spec = oracle_spec(n_eval=400, steps=10,
-                           dataset=DatasetSpec(kind="gaussian_ar1", n_train=2,
-                                               seed=0, dim=4, rho=0.5))
-        res = run_sweep(spec)
+        res = run_sweep(oracle_cfg(n_eval=400, steps=10, dataset=AR1_4))
         write_sweep_csv(tmp_path / "sweep.csv", res.rows)
         rows = read_sweep_csv(tmp_path / "sweep.csv")
         assert len(rows) == 1
@@ -191,21 +217,36 @@ class TestRunSweep:
         assert rows[0][2] == res.rows[0].metric
 
     def test_trained_cells_run(self):
-        spec = SweepSpec(
-            settings=SweepSettings(schedules=("linear",), scales=(1.0,),
-                                   metric="sliced_wasserstein", base_seed=3,
-                                   n_eval=200),
-            dataset=DatasetSpec(kind="mixture2d", n_train=512, seed=5, modes=2,
-                                radius=1.0, std=0.2),
-            sampler=SamplerConfig(steps=10, seed=0, signal_clamp=3.0),
-            train=TrainConfig(steps=60, batch_size=32, lr=0.003, seed=0,
-                              log_every=30),
-            net=NetSettings(hidden_dims=(16,), time_embed_dim=4),
-        )
-        res = run_sweep(spec)
+        res = run_sweep(trained_cfg())
         assert res.ok
         assert math.isfinite(res.rows[0].metric)
         assert res.rows[0].metric >= 0.0
+
+
+class TestGoldenRows:
+    """Exact rows of two small sweeps, recorded before the sweep ran from Config.
+
+    Any change to cell seeding, schedule parsing, sampling or scoring
+    order shows here; wall_ms is timing and is left out.
+    """
+
+    @staticmethod
+    def strip(result):
+        return [(r.schedule, r.scale, r.metric, r.seed, r.status, r.error)
+                for r in result.rows]
+
+    def test_oracle_rows(self):
+        cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
+                         steps=10, dataset=AR1_4)
+        assert self.strip(run_sweep(cfg)) == [
+            ("linear", 0.4, 0.3748643176491698, 3844543151005203059, 0, ""),
+            ("linear", 0.8, 0.3251518253843905, 5186481466807218631, 0, ""),
+        ]
+
+    def test_trained_row(self):
+        assert self.strip(run_sweep(trained_cfg())) == [
+            ("linear", 1.0, 2.1341764346531313, 5305169700752127899, 0, ""),
+        ]
 
 
 class TestBestScale:
