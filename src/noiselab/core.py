@@ -47,10 +47,19 @@ def ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    """Logistic function of an array with ndim >= 1; x is not modified.
+
+    exp only ever sees -|x|, so it cannot overflow. The numerator is 1
+    where x >= 0 and e = exp(-|x|) elsewhere. Since 0 <= e <= 1,
+    max(float(x >= 0), e) picks the same value (NaN stays NaN) without a
+    branchy select. The temporaries are updated in place.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum((x >= 0).astype(np.float64), e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -40,6 +40,9 @@ __all__ = [
 
 _EMBED_MAX_PERIOD = 1.0e4
 _FORMAT_TAG = "mlp1"
+# Rows per block of the hidden layers: at width 64 a block's activations
+# take 128 KiB and stay in cache through matmul, bias and SiLU.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -182,13 +185,19 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _silu(z: np.ndarray) -> np.ndarray:
-    return z * sigmoid(z)
-
-
-def _silu_grad(z: np.ndarray) -> np.ndarray:
-    s = sigmoid(z)
+def _silu_grad(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/dz z*sigmoid(z), given s = sigmoid(z) from the forward pass."""
     return s * (1.0 + z * (1.0 - s))
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of _BLOCK_ROWS; the tail joins the last block.
+
+    So no block has a single row unless n == 1: BLAS computes a 1-row
+    product on its matrix-vector path, whose rounding differs.
+    """
+    bounds = [i * _BLOCK_ROWS for i in range(max(1, n // _BLOCK_ROWS))] + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
@@ -198,11 +207,15 @@ def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
         raise ValueError(f"input shape {x.shape} does not match in_dim {arch.in_dim}")
     n = x.shape[0]
     tt = np.asarray(t, dtype=np.float64)
+    dim = arch.time_embed_dim
     if tt.ndim == 0:
-        tt = np.full(n, float(tt))
-    if tt.shape != (n,):
+        # one time for the whole batch: embed it once and broadcast the row
+        emb = np.broadcast_to(time_embedding(tt, dim), (n, dim))
+    elif tt.shape != (n,):
         raise ValueError(f"t shape {tt.shape}, expected ({n},)")
-    parts = [x, time_embedding(tt, arch.time_embed_dim)]
+    else:
+        emb = time_embedding(tt, dim)
+    parts = [x, emb]
     if arch.self_cond:
         if self_cond is None:
             self_cond = np.zeros_like(x)
@@ -213,7 +226,9 @@ def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
         parts.append(self_cond)
     elif self_cond is not None:
         raise ValueError("arch has no self-conditioning input")
-    a0 = np.concatenate(parts, axis=1)
+    # out= keeps a0 C-ordered: with a broadcast row among the parts, concatenate
+    # may pick Fortran order, and BLAS rounds that layout differently
+    a0 = np.concatenate(parts, axis=1, out=np.empty((n, arch.input_width)))
 
     idx = None
     if arch.cond_classes is not None:
@@ -233,30 +248,48 @@ def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
     return a0, idx
 
 
+def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict]) -> np.ndarray:
+    """The one layer loop behind mlp_forward and mlp_forward_cached.
+
+    Hidden layers (matmul, bias, SiLU) run block by block, so a block's
+    activations stay in cache, and only the last hidden layer's output is
+    held for the whole batch. With a cache dict the whole batch is one
+    block and every layer's pre-activation, sigmoid and activation are
+    kept. The output layer runs on the whole batch: for a narrow output,
+    BLAS picks a kernel by row count, and blocks would move its last ulp.
+    """
+    a0, idx = _assemble_input(p, x, t, labels, self_cond)
+    n = a0.shape[0]
+    n_hidden = len(p.arch.hidden_dims)
+    last = np.empty((n, p.arch.hidden_dims[-1])) if n_hidden else a0
+    if cache is not None:
+        cache.update(acts=[a0], pres=[], sigs=[], labels=idx)
+    for r0, r1 in [(0, n)] if cache is not None else _row_blocks(n):
+        a = a0[r0:r1]
+        for i in range(n_hidden):
+            z = a @ p.weights[i]
+            z += p.biases[i]
+            if i == 0 and p.class_embed is not None:
+                z += p.class_embed[idx[r0:r1]]
+            s = sigmoid(z)
+            a = np.multiply(z, s, out=last[r0:r1] if i == n_hidden - 1 else None)
+            if cache is not None:
+                cache["pres"].append(z)
+                cache["sigs"].append(s)
+                cache["acts"].append(a)
+    out = last @ p.weights[n_hidden] + p.biases[n_hidden]
+    return ensure_finite(out, "mlp output")
+
+
 def mlp_forward_cached(p: DenoiserParams, x, t, labels=None, self_cond=None):
     """Forward pass returning (eps_pred, cache) for mlp_backward."""
-    a0, idx = _assemble_input(p, x, t, labels, self_cond)
-    acts = [a0]
-    pres = []
-    a = a0
-    n_hidden = len(p.arch.hidden_dims)
-    for i in range(n_hidden):
-        z = a @ p.weights[i] + p.biases[i]
-        if i == 0 and p.class_embed is not None:
-            z = z + p.class_embed[idx]
-        pres.append(z)
-        a = _silu(z)
-        acts.append(a)
-    out = a @ p.weights[n_hidden] + p.biases[n_hidden]
-    ensure_finite(out, "mlp output")
-    cache = {"acts": acts, "pres": pres, "labels": idx}
-    return out, cache
+    cache: dict = {}
+    return _forward(p, x, t, labels, self_cond, cache), cache
 
 
 def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None) -> np.ndarray:
-    """Predicted noise for a batch; see mlp_forward_cached."""
-    out, _ = mlp_forward_cached(p, x, t, labels, self_cond)
-    return out
+    """Predicted noise for a batch; t is a scalar or one time per row."""
+    return _forward(p, x, t, labels, self_cond, None)
 
 
 def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> DenoiserParams:
@@ -270,7 +303,7 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> Denois
     Returns:
         The gradients, in p's layout.
     """
-    acts, pres, idx = cache["acts"], cache["pres"], cache["labels"]
+    acts, pres, sigs, idx = cache["acts"], cache["pres"], cache["sigs"], cache["labels"]
     d = as_f64(grad_out, "grad_out")
     n_hidden = len(p.arch.hidden_dims)
     grads = DenoiserParams(p.arch)
@@ -280,7 +313,7 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> Denois
     if n_hidden > 0:
         da = d @ p.weights[n_hidden].T
         for i in range(n_hidden - 1, -1, -1):
-            dz = da * _silu_grad(pres[i])
+            dz = da * _silu_grad(pres[i], sigs[i])
             np.matmul(acts[i].T, dz, out=g_w[i])
             dz.sum(axis=0, out=g_b[i])
             if i == 0 and grads.class_embed is not None:

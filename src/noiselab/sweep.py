@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import Config, ConfigError, check_label_keys
+from .config import Config, ConfigError, _check_normalize, check_label_keys
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
@@ -91,6 +91,7 @@ def check_sweep(cfg: Config) -> None:
         raise ConfigError("missing [train] section for trained sweep")
     if cfg.sweep.metric == "covariance_error" and not cfg.dataset.is_gaussian:
         raise ConfigError("covariance_error needs a dataset with a known covariance")
+    _check_normalize(cfg)
     check_label_keys(cfg, "sampler", "train")
 
 

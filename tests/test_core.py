@@ -1,4 +1,4 @@
-"""Deterministic RNG and Cholesky solve."""
+"""Deterministic RNG, Cholesky solve and the shared sigmoid."""
 
 import hashlib
 import subprocess
@@ -15,6 +15,7 @@ from noiselab.core import (
     cholesky_solve,
     ensure_finite,
     gaussian,
+    sigmoid,
 )
 
 # First four draws and digest of the first 1000 draws for seed 42,
@@ -152,3 +153,36 @@ class TestFiniteness:
             a = z @ z.T + n * np.eye(n)
             x = cholesky_solve(a, gaussian(rng, [n]))
             assert np.all(np.isfinite(x))
+
+
+def where_sigmoid(x):
+    """The select form of the logistic function, kept as the reference."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
+class TestSigmoid:
+    """core.sigmoid equals the select form bit for bit."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 36.7, -36.7,
+               709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+               1e-320, -1e-320, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+    def test_special_values(self):
+        x = np.array(self.SPECIAL)
+        with np.errstate(invalid="ignore"):
+            assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+        assert np.isnan(sigmoid(np.array([np.nan]))[0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0, 800.0])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (256, 64), (129, 3)])
+    def test_random_arrays(self, scale, shape):
+        x = scale * np.random.default_rng(int(scale * 1000) + len(shape)).normal(size=shape)
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+    def test_does_not_modify_input(self):
+        x = np.array([-3.0, 0.0, 2.0])
+        sigmoid(x)
+        np.testing.assert_array_equal(x, [-3.0, 0.0, 2.0])

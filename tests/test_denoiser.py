@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselab.core import Rng
+from noiselab import denoiser
+from noiselab.core import Rng, sigmoid
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
@@ -348,8 +349,8 @@ class TestFileFormat:
 
 
 @st.composite
-def mlp_archs(draw):
-    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+def mlp_archs(draw, max_width=6):
+    hidden = tuple(draw(st.lists(st.integers(1, max_width), max_size=3)))
     classes = draw(st.none() | st.integers(1, 4)) if hidden else None
     return MlpArch(
         in_dim=draw(st.integers(1, 4)),
@@ -414,3 +415,130 @@ class TestFlatLayoutProperties:
         arch = GRAD_CHECK_ARCHS[0]
         with pytest.raises(ValueError, match="flat"):
             DenoiserParams(arch, np.zeros(DenoiserParams(arch).flat.size + 1))
+
+
+BENCH_ARCHS = {
+    "plain": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16),
+    "conditional": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16, cond_classes=8),
+    "self_cond": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16, self_cond=True),
+}
+B = denoiser._BLOCK_ROWS
+
+
+def whole_batch_forward(p, x, t, labels=None, self_cond=None):
+    """Every layer on the whole batch and a per-row time embedding: the
+    forward pass before blocking, kept as the reference."""
+    arch = p.arch
+    n = x.shape[0]
+    tt = np.full(n, float(t)) if np.ndim(t) == 0 else t
+    parts = [x, time_embedding(tt, arch.time_embed_dim)]
+    if arch.self_cond:
+        parts.append(np.zeros_like(x) if self_cond is None else self_cond)
+    a = np.concatenate(parts, axis=1)
+    for i in range(len(arch.hidden_dims)):
+        z = a @ p.weights[i] + p.biases[i]
+        if i == 0 and p.class_embed is not None:
+            z = z + p.class_embed[np.full(n, arch.null_class) if labels is None else labels]
+        a = z * sigmoid(z)
+    return a @ p.weights[-1] + p.biases[-1]
+
+
+def recomputing_backward(p, cache, d):
+    """Gradient arrays in layout order, each sigmoid recomputed from the
+    cached pre-activation: the backward pass before the cache kept it."""
+    acts, pres, idx = cache["acts"], cache["pres"], cache["labels"]
+    n_hidden = len(p.arch.hidden_dims)
+    g_w, g_b = [acts[-1].T @ d], [d.sum(axis=0)]
+    da = d @ p.weights[-1].T
+    class_grad = None
+    for i in range(n_hidden - 1, -1, -1):
+        s = sigmoid(pres[i])
+        dz = da * (s * (1.0 + pres[i] * (1.0 - s)))
+        g_w.insert(0, acts[i].T @ dz)
+        g_b.insert(0, dz.sum(axis=0))
+        if i == 0 and p.class_embed is not None:
+            class_grad = np.zeros_like(p.class_embed)
+            np.add.at(class_grad, idx, dz)
+        da = dz @ p.weights[i].T
+    pairs = [a for wb in zip(g_w, g_b) for a in wb]
+    return pairs + ([] if class_grad is None else [class_grad])
+
+
+class TestBlockedForward:
+    """mlp_forward runs the hidden layers in row blocks; mlp_forward_cached
+    runs the whole batch as one block. Both come from one layer loop."""
+
+    def test_row_blocks_tile_the_batch(self):
+        for n in (1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 16385):
+            blocks = denoiser._row_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            sizes = [stop - start for start, stop in blocks]
+            assert all(B <= k < 2 * B for k in sizes) or sizes == [n]
+            assert n == 1 or min(sizes) > 1
+
+    @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar_t", "per_row_t"])
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 16385])
+    @pytest.mark.parametrize("kind", sorted(BENCH_ARCHS))
+    def test_benchmark_arch_bit_identical(self, kind, n, per_row_t):
+        arch = BENCH_ARCHS[kind]
+        p = randomized_params(arch, 21)
+        x, t, _, labels, sc = batch_for(arch, n, n)
+        if not per_row_t:
+            t = 0.37
+        blocked = mlp_forward(p, x, t, labels, sc)
+        whole, _ = mlp_forward_cached(p, x, t, labels, sc)
+        assert blocked.tobytes() == whole.tobytes()
+        assert blocked.tobytes() == whole_batch_forward(p, x, t, labels, sc).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arch=mlp_archs(max_width=128),
+        n=st.integers(1, 3 * B + 2),
+        seed=st.integers(0, 2**16),
+        per_row_t=st.booleans(),
+    )
+    def test_random_archs_agree(self, arch, n, seed, per_row_t):
+        p = randomized_params(arch, seed)
+        x, t, _, labels, sc = batch_for(arch, n, seed + 1)
+        if not per_row_t:
+            t = float(t[0])
+        blocked = mlp_forward(p, x, t, labels, sc)
+        reference = whole_batch_forward(p, x, t, labels, sc)
+        np.testing.assert_allclose(blocked, reference, rtol=1e-12, atol=1e-300)
+        assert mlp_forward(p, x, t, labels, sc).tobytes() == blocked.tobytes()
+        assert mlp_forward_cached(p, x, t, labels, sc)[0].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 0.999, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 8, 11, 257, 16385])
+    def test_scalar_t_row_is_broadcast_bitwise(self, n, t):
+        dim = 16
+        row = np.broadcast_to(time_embedding(np.float64(t), dim), (n, dim))
+        assert row.tobytes() == time_embedding(np.full(n, t), dim).tobytes()
+        # in_dim 1 makes x both C- and Fortran-contiguous, so only the
+        # assembled input's explicit layout keeps it C-ordered
+        for arch in (BENCH_ARCHS["plain"], MlpArch(in_dim=1, hidden_dims=(), time_embed_dim=2)):
+            p = randomized_params(arch, 4)
+            x = Rng(n).normal((n, arch.in_dim))
+            expected = mlp_forward(p, x, np.full(n, t)).tobytes()
+            assert mlp_forward(p, x, t).tobytes() == expected
+
+    @pytest.mark.parametrize("arch", GRAD_CHECK_ARCHS + [BENCH_ARCHS["conditional"]])
+    def test_backward_with_cached_sigmoid_bit_identical(self, arch):
+        p = randomized_params(arch, 13)
+        x, t, target, labels, sc = batch_for(arch, 128, 5)
+        pred, cache = mlp_forward_cached(p, x, t, labels, sc)
+        d = 2.0 * (pred - target) / pred.size
+        grads = mlp_backward(p, cache, d)
+        reference = recomputing_backward(p, cache, d)
+        assert [g.tobytes() for g in grads.arrays] == [g.tobytes() for g in reference]
+
+    def test_cache_keeps_the_forward_sigmoid(self):
+        arch = GRAD_CHECK_ARCHS[1]
+        p = randomized_params(arch, 9)
+        x, t, _, labels, sc = batch_for(arch, 7, 3)
+        _, cache = mlp_forward_cached(p, x, t, labels, sc)
+        assert len(cache["sigs"]) == len(cache["pres"]) == len(arch.hidden_dims)
+        for z, s, a in zip(cache["pres"], cache["sigs"], cache["acts"][1:]):
+            assert s.tobytes() == sigmoid(z).tobytes()
+            assert a.tobytes() == (z * s).tobytes()

@@ -1,9 +1,15 @@
-"""Package surface: every module imports, every exported name exists, and the
-SweepRow field order that positional readers rely on."""
+"""Package surface: every module imports, every exported name exists, no module
+pulls in a dependency beyond numpy, and the SweepRow field order that
+positional readers rely on."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +36,20 @@ def test_sweep_row_field_order():
     assert [f.name for f in fields(SweepRow)] == [
         "schedule", "scale", "metric", "wall_ms", "seed", "status", "error",
     ]
+
+
+def test_imports_load_numpy_and_stdlib_only():
+    # a fresh interpreter: this test process may have loaded anything
+    code = (
+        "import importlib, json, sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
+    )
+    src = str(Path(noiselab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert "noiselab" in loaded and "numpy" in loaded
+    assert loaded & {"scipy", "numba", "torch"} == set()

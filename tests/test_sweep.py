@@ -131,6 +131,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=r"\[train\]: label_dropout"):
             check_sweep(trained_cfg(label_dropout=0.1))
 
+    def test_one_dim_empirical_rejected_before_any_cell(self, monkeypatch):
+        # the parse-time rule, for a Config built without parsing
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        cfg = trained_cfg()
+        cfg = replace(
+            cfg,
+            dataset=DatasetSpec(kind="gaussian_ar1", n_train=64, seed=0, dim=1, rho=0.0),
+            sweep=replace(cfg.sweep, normalize="empirical"),
+        )
+        monkeypatch.setattr(sweep_mod, "_cell", no_cells)
+        with pytest.raises(ConfigError, match=r"\[sweep\]: normalize = empirical .* data_dim 1"):
+            run_sweep(cfg)
+        check_sweep(replace(cfg, sweep=replace(cfg.sweep, normalize="analytic")))
+
 
 class TestSpecFromConfig:
     ORACLE_TEXT = (
