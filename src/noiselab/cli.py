@@ -124,14 +124,22 @@ def _require(cfg: Config, section: str):
     return value
 
 
+def _with_seed(settings, name: str, seed):
+    """settings with the field ``name`` set from --seed; a bad value is a flag error."""
+    if seed is None:
+        return settings
+    try:
+        return replace(settings, **{name: seed})
+    except ValueError as e:
+        raise ConfigError(f"--seed: {e}") from None
+
+
 def _cmd_train(args, stdout) -> int:
     cfg = parse_config(args.config)
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
-    tcfg = _require(cfg, "train")
+    tcfg = _with_seed(_require(cfg, "train"), "seed", args.seed)
     check_label_keys(cfg, "train")
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=args.seed)
 
     out = _ensure_dir(args.out_dir)
     data = make_dataset(dspec)
@@ -151,10 +159,8 @@ def _cmd_sample(args, stdout) -> int:
     cfg = parse_config(args.config)
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
-    scfg = _require(cfg, "sampler")
+    scfg = _with_seed(_require(cfg, "sampler"), "seed", args.seed)
     check_label_keys(cfg, "sampler")
-    if args.seed is not None:
-        scfg = replace(scfg, seed=args.seed)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
 
@@ -180,8 +186,8 @@ def _cmd_sample(args, stdout) -> int:
 
 def _cmd_sweep(args, stdout) -> int:
     cfg = parse_config(args.config)
-    if args.seed is not None and cfg.sweep is not None:
-        cfg = replace(cfg, sweep=replace(cfg.sweep, base_seed=args.seed))
+    if cfg.sweep is not None:
+        cfg = replace(cfg, sweep=_with_seed(cfg.sweep, "base_seed", args.seed))
     check_sweep(cfg)  # before the out dir exists, so a bad config leaves nothing behind
 
     out = _ensure_dir(args.out_dir)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .core import check_seed
 from .datasets import DatasetSpec
 from .denoiser import MlpArch
 from .forward import NORMALIZE_MODES, CompoundSchedule
@@ -78,8 +79,7 @@ class SweepSettings:
                 raise ValueError(f"scales must lie in (0, 1], got {b}")
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"metric must be one of {METRIC_NAMES}, got {self.metric!r}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        check_seed(self.base_seed, "base_seed")
         if self.n_eval < 2:
             raise ValueError(f"n_eval must be >= 2, got {self.n_eval}")
         if self.normalize not in NORMALIZE_MODES:

@@ -21,6 +21,7 @@ __all__ = [
     "DecompositionError",
     "NonFiniteError",
     "Rng",
+    "check_seed",
     "cholesky_factor",
     "cholesky_solve",
     "ensure_finite",
@@ -41,9 +42,15 @@ class DecompositionError(ValueError):
 
 def ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
     """Return ``x`` unchanged, raising NonFiniteError if any entry is NaN/Inf."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{what}: non-finite values encountered")
     return x
+
+
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Raise ValueError unless seed lies in [0, 2**64), the range Rng accepts."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -82,8 +89,7 @@ class Rng:
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        if seed < 0 or seed >= 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        check_seed(seed)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
@@ -101,14 +107,18 @@ class Rng:
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         shape = tuple(int(s) for s in shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         m = (n + 1) // 2
         u1 = self._gen.random(size=m)
         u2 = self._gen.random(size=m)
         # 1 - u1 lies in (0, 1], so the log argument never hits zero.
         r = np.sqrt(-2.0 * np.log1p(-u1))
         ang = (2.0 * math.pi) * u2
-        z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
+        z = np.empty((2, m))
+        np.cos(ang, out=z[0])
+        np.sin(ang, out=z[1])
+        z *= r
+        z = z.ravel()[:n]
         return float(z[0]) if shape == () else z.reshape(shape)
 
     def integers(self, n: int, shape: int | Sequence[int] = ()) -> np.ndarray | int:

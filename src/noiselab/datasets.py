@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, cholesky_factor
+from noiselab.core import Rng, check_seed, cholesky_factor
 
 __all__ = [
     "DATASET_KINDS",
@@ -76,8 +76,7 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}; expected {DATASET_KINDS}")
         if self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.kind == "gaussian_ar1":
             if self.dim is None or self.dim < 1:
                 raise ValueError("gaussian_ar1 needs dim >= 1")

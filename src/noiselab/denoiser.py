@@ -17,6 +17,7 @@ naming the architecture, then ``flat`` as little-endian float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -90,8 +91,12 @@ class MlpArch:
         return list(zip(widths[:-1], widths[1:]))
 
 
-def _layout(arch: MlpArch) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
-    """(start, stop, shape) of each array in layout order, and the total size."""
+@functools.lru_cache(maxsize=None)
+def _layout(arch: MlpArch) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
+    """(start, stop, shape) of each array in layout order, and the total size.
+
+    Computed once per arch; the result is an immutable tuple.
+    """
     shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in arch.layer_dims():
         shapes += [(fan_in, fan_out), (fan_out,)]
@@ -102,7 +107,7 @@ def _layout(arch: MlpArch) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]
         size = math.prod(shape)
         spans.append((offset, offset + size, shape))
         offset += size
-    return spans, offset
+    return tuple(spans), offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +185,30 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     if t.ndim != 1:
         raise ValueError("time_embedding expects scalar or (batch,) t")
     k = dim // 2
-    freqs = np.exp(np.linspace(0.0, np.log(_EMBED_MAX_PERIOD), k)) if k > 1 else np.ones(1)
-    ang = t[:, None] * freqs[None, :]
+    ang = t[:, None] * _frequencies(k)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _silu_grad(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/dz z*sigmoid(z), given s = sigmoid(z) from the forward pass."""
-    return s * (1.0 + z * (1.0 - s))
+@functools.lru_cache(maxsize=None)
+def _frequencies(k: int) -> np.ndarray:
+    """The k log-spaced embedding frequencies, built once per k and read-only."""
+    freqs = np.exp(np.linspace(0.0, np.log(_EMBED_MAX_PERIOD), k)) if k > 1 else np.ones(1)
+    freqs.setflags(write=False)
+    return freqs
+
+
+def _silu_grad(z: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """da * d/dz z*sigmoid(z), given s = sigmoid(z) from the forward pass.
+
+    Evaluates da * (s * (1 + z * (1 - s))) in one new array; each step
+    keeps the operands of that expression, so the bits are the same.
+    """
+    dz = np.subtract(1.0, s)
+    dz *= z
+    dz += 1.0
+    dz *= s
+    dz *= da
+    return dz
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -292,13 +313,16 @@ def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None) -> np.ndar
     return _forward(p, x, t, labels, self_cond, None)
 
 
-def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> DenoiserParams:
+def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
+                 out: Optional[DenoiserParams] = None) -> DenoiserParams:
     """Exact reverse-mode gradients of the cached forward pass.
 
     Args:
         p: parameters used in the forward pass.
         cache: second output of mlp_forward_cached.
         grad_out: dLoss/d(eps_pred), shape (batch, in_dim).
+        out: optional gradient buffer in p's layout, overwritten and
+            returned, so a training loop allocates it once.
 
     Returns:
         The gradients, in p's layout.
@@ -306,17 +330,24 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray) -> Denois
     acts, pres, sigs, idx = cache["acts"], cache["pres"], cache["sigs"], cache["labels"]
     d = as_f64(grad_out, "grad_out")
     n_hidden = len(p.arch.hidden_dims)
-    grads = DenoiserParams(p.arch)
+    if out is None:
+        grads = DenoiserParams(p.arch)
+    elif out.arch != p.arch:
+        raise ValueError("gradient buffer does not match the parameter layout")
+    else:
+        grads = out
     g_w, g_b = grads.weights, grads.biases
     np.matmul(acts[n_hidden].T, d, out=g_w[n_hidden])
     d.sum(axis=0, out=g_b[n_hidden])
     if n_hidden > 0:
         da = d @ p.weights[n_hidden].T
         for i in range(n_hidden - 1, -1, -1):
-            dz = da * _silu_grad(pres[i], sigs[i])
+            dz = _silu_grad(pres[i], sigs[i], da)
             np.matmul(acts[i].T, dz, out=g_w[i])
             dz.sum(axis=0, out=g_b[i])
             if i == 0 and grads.class_embed is not None:
+                # add.at accumulates, and every other array is overwritten
+                grads.class_embed[...] = 0.0
                 np.add.at(grads.class_embed, idx, dz)
             if i > 0:
                 da = dz @ p.weights[i].T

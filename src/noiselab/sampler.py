@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, ensure_finite, gaussian
+from noiselab.core import Rng, as_f64, check_seed, ensure_finite, gaussian
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -67,8 +67,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.step_kind not in STEP_KINDS:
             raise ValueError(f"step_kind must be one of {STEP_KINDS}, got {self.step_kind!r}")
         if self.guidance_weight < 0.0:

@@ -102,9 +102,9 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     and gamma(1) == clip_min exact.
     """
     tt = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(tt)):
-        raise ValueError("t must be finite")
-    if np.any(tt < 0.0) or np.any(tt > 1.0):
+    if not ((tt >= 0.0) & (tt <= 1.0)).all():  # also false for NaN
+        if not np.isfinite(tt).all():
+            raise ValueError("t must be finite")
         raise ValueError("t must lie in [0, 1]")
     if spec.kind == "linear":
         out = 1.0 - tt
@@ -121,7 +121,7 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
         raw = sigmoid(np.atleast_1d((tt * (e - s) + s) / tau))
         raw = raw.reshape(tt.shape)
         out = (v_end - raw) / (v_end - v_start)
-    out = np.clip(out, spec.clip_min, 1.0)
+    out = np.minimum(np.maximum(out, spec.clip_min), 1.0)  # np.clip, without its wrapper
     return float(out) if np.ndim(t) == 0 else out
 
 

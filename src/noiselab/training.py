@@ -18,10 +18,11 @@ import math
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64
+from noiselab.core import Rng, as_f64, check_seed
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
+    _layout,
     clone_params,
     init_params,
     mlp_backward,
@@ -94,8 +95,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}, got {self.optimizer!r}")
         if self.lr_decay not in LR_DECAY_KINDS:
@@ -187,6 +187,11 @@ def adam_step(
     return params, state
 
 
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array: the ddot and sqrt np.linalg.norm runs."""
+    return math.sqrt(a.dot(a))
+
+
 def lamb_step(
     params: DenoiserParams,
     grads: DenoiserParams,
@@ -200,18 +205,28 @@ def lamb_step(
     then moves by r scaled with its own trust ratio ||theta|| / ||r|| (1.0
     when either norm is below 1e-12, so zero updates and fresh zero layers
     stay put).
+
+    r is one flat vector. Each norm is taken on a flat slice with the
+    reduction np.linalg.norm runs, each slice of r is scaled in place by
+    lr * trust, and theta moves in one subtraction; the bits match a
+    per-array loop of ``a -= lr * trust * ra``.
     """
-    m_hat, v_hat = _moment_update(params, grads, state, cfg)
-    r = DenoiserParams(params.arch, m_hat / (np.sqrt(v_hat) + cfg.eps_opt)
-                       + cfg.weight_decay * params.flat)
-    for a, ra in zip(params.arrays, r.arrays):
-        theta_norm = float(np.linalg.norm(a))
-        r_norm = float(np.linalg.norm(ra))
+    r, denom = _moment_update(params, grads, state, cfg)  # m_hat, v_hat: fresh arrays
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps_opt
+    r /= denom
+    theta = params.flat
+    r += cfg.weight_decay * theta
+    for start, stop, _ in _layout(params.arch)[0]:
+        ra = r[start:stop]
+        theta_norm = _norm(theta[start:stop])
+        r_norm = _norm(ra)
         if theta_norm < _TRUST_FLOOR or r_norm < _TRUST_FLOOR:
             trust = 1.0
         else:
             trust = theta_norm / r_norm
-        a -= lr * trust * ra
+        ra *= lr * trust
+    theta -= r
     return params, state
 
 
@@ -236,6 +251,7 @@ def train_loss(
     *,
     label_dropout: float = 0.0,
     self_cond_rate: float = 0.0,
+    out: Optional[DenoiserParams] = None,
 ) -> LossResult:
     """Diffusion loss and gradients for one batch.
 
@@ -243,7 +259,8 @@ def train_loss(
     normalizes the network input per cs.normalize, optionally replaces
     labels with the null class (label dropout) and runs a gradient-free
     first pass to build the self-conditioning signal estimate (clamped
-    to +-SELF_COND_CLAMP). The loss is mean((eps_hat - eps)^2).
+    to +-SELF_COND_CLAMP). The loss is mean((eps_hat - eps)^2). The
+    gradients overwrite ``out`` when it is given (see mlp_backward).
     """
     x0 = as_f64(x0_batch, "train_loss x0_batch")
     if x0.ndim != 2 or x0.shape[0] < 1:
@@ -270,10 +287,10 @@ def train_loss(
 
     pred, cache = mlp_forward_cached(params, x_in, t, used_labels, self_cond)
     diff = pred - sample.eps
-    loss = float(np.mean(diff * diff))
-    grads = mlp_backward(params, cache, 2.0 * diff / diff.size)
+    loss = float((diff * diff).mean())
+    grads = mlp_backward(params, cache, 2.0 * diff / diff.size, out=out)
     g = sample.gamma_t
-    stats = (float(np.min(g)), float(np.mean(g)), float(np.max(g)))
+    stats = (float(g.min()), float(g.mean()), float(g.max()))
     return LossResult(loss=loss, grads=grads, gamma_stats=stats)
 
 
@@ -304,6 +321,7 @@ def train(
     params = init_params(arch, rng)
     ema_params = clone_params(params)
     state = init_optimizer_state(params)
+    grads = DenoiserParams(arch)  # refilled by every step's backward pass
     step_fn = adam_step if cfg.optimizer == "adam" else lamb_step
 
     history: list[tuple[int, float, float]] = []
@@ -311,9 +329,9 @@ def train(
     for step in range(cfg.steps):
         lr = lr_at(step, cfg)
         idx = rng.integers(n, (cfg.batch_size,))
-        x0 = dataset[idx]
+        x0 = dataset.take(idx, axis=0)
         batch_labels = None if labels is None else labels[idx]
-        loss, grads, gamma_stats = train_loss(
+        loss, _, gamma_stats = train_loss(
             x0,
             batch_labels,
             params,
@@ -321,6 +339,7 @@ def train(
             rng,
             label_dropout=cfg.label_dropout,
             self_cond_rate=cfg.self_cond_rate,
+            out=grads,
         )
         if not math.isfinite(loss):
             g_min, g_mean, g_max = gamma_stats

@@ -209,6 +209,7 @@ class TestCriterion06OracleClosure:
 
 
 class TestCriterion07BestScaleStaircase:
+    @pytest.mark.slow
     def test_criterion_07_best_scale_non_increasing_in_rho(self):
         """Oracle b-sweeps: more redundancy pushes the best input scale down."""
         scales = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -229,6 +230,7 @@ class TestCriterion07BestScaleStaircase:
 
 
 class TestCriterion08EndToEnd:
+    @pytest.mark.slow  # runs the end_to_end_run fixture's 20k-step set-up
     def test_criterion_08_sw_ratio(self, end_to_end_run):
         """Trained samples beat the standard-normal baseline by > 3.3x in SW."""
         r = end_to_end_run
@@ -248,6 +250,7 @@ class TestCriterion09Determinism:
         write_samples_csv(b, oracle_closure_samples(1.0))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.slow
     def test_criterion_09_trained_samples_bit_identical(self, tmp_path, end_to_end_run):
         """A from-scratch rerun of the whole recipe reproduces the same file."""
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

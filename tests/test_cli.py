@@ -392,6 +392,39 @@ class TestOracleCurveCommand:
         assert rc == 1
 
 
+class TestSeedRange:
+    """A seed outside [0, 2**64) is a config error (exit 1) that leaves no out dir."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["train", "sample", "sweep"])
+    def test_seed_flag(self, train_cfg, sweep_cfg, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        args = [command, "--config", str(sweep_cfg if command == "sweep" else train_cfg),
+                "--out-dir", str(out), "--seed", str(seed)]
+        if command == "sample":
+            args += ["--checkpoint", str(tmp_path / "absent.bin")]
+        rc, _ = run(args)
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_file_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "big.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("seed = 11", f"seed = {2**64}"))
+        out = tmp_path / "out"
+        rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1
+        assert "[train]: seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_trains(self, train_cfg, tmp_path):
+        out = tmp_path / "out"
+        rc, _ = run(["train", "--config", str(train_cfg), "--out-dir", str(out),
+                     "--seed", str(2**64 - 1)])
+        assert rc == 0
+        assert parse_config(out / "config.txt").train.seed == 2**64 - 1
+
+
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self):
         rc, _ = run(["schedule", "--spec", "linear", "--frobnicate"])

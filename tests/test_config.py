@@ -248,6 +248,39 @@ class TestSweepSettingsValidation:
             SweepSettings(**self.base(**kw))
 
 
+class TestSeedRange:
+    """Every seed key takes exactly the range Rng accepts, [0, 2**64)."""
+
+    BUILDERS = {
+        "train": lambda seed: TrainConfig(steps=1, batch_size=1, lr=0.1, seed=seed),
+        "sampler": lambda seed: SamplerConfig(steps=1, seed=seed),
+        "dataset": lambda seed: DatasetSpec(kind="checkerboard", n_train=1, seed=seed),
+        "sweep": lambda seed: SweepSettings(schedules=("linear",), scales=(0.5,),
+                                            metric="covariance_error", base_seed=seed),
+    }
+
+    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
+    def test_out_of_range_rejected(self, section, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            self.BUILDERS[section](seed)
+
+    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_endpoints_accepted(self, section, seed):
+        self.BUILDERS[section](seed)
+
+    @pytest.mark.parametrize("section, line", [("dataset", "seed = 3"), ("train", "seed = 11"),
+                                               ("sampler", "seed = 21"),
+                                               ("sweep", "base_seed = 40")])
+    def test_run_file_seed_is_config_error(self, section, line):
+        key = line.split()[0]
+        text = FULL.replace(f"\n{line}\n", f"\n{key} = {2**64}\n")
+        assert text != FULL
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be in"):
+            parse_config_text(text)
+
+
 class TestSerialization:
     def test_round_trip_identity(self):
         cfg = parse_config_text(FULL)

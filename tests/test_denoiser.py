@@ -92,6 +92,31 @@ class TestTimeEmbedding:
         t = np.linspace(0, 1, 5)
         np.testing.assert_array_equal(time_embedding(t, 12), time_embedding(t, 12))
 
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_cached_frequencies_match_formula_and_are_read_only(self, dim):
+        k = dim // 2
+        ref = np.exp(np.linspace(0.0, np.log(1.0e4), k)) if k > 1 else np.ones(1)
+        freqs = denoiser._frequencies(k)
+        assert freqs.tobytes() == ref.tobytes()
+        assert denoiser._frequencies(k) is freqs
+        assert not freqs.flags.writeable
+        with pytest.raises(ValueError):
+            freqs[0] = 2.0
+        t = np.array([0.0, 0.25, 1.0])
+        ang = t[:, None] * ref[None, :]
+        expected = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+        assert time_embedding(t, dim).tobytes() == expected.tobytes()
+
+    def test_writing_into_a_returned_embedding_leaves_the_next_call_alone(self):
+        t = np.linspace(0, 1, 5)
+        first = time_embedding(t, 16)
+        expected = first.copy()
+        first[...] = 7.0
+        assert time_embedding(t, 16).tobytes() == expected.tobytes()
+        row = time_embedding(np.float64(0.5), 16)
+        row[...] = -1.0
+        assert time_embedding(np.float64(0.5), 16)[0, 0] != -1.0
+
 
 class TestForward:
     """Forward-pass contract."""

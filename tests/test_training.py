@@ -1,15 +1,24 @@
 """Training loop: loss contract, optimizers, EMA, LR decay, determinism."""
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noiselab.cli import main as cli_main
 from noiselab.core import Rng
 from noiselab.datasets import DatasetSpec, make_dataset
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
+    _layout,
     clone_params,
     init_params,
+    mlp_backward,
+    mlp_forward_cached,
 )
 from noiselab.forward import CompoundSchedule
 from noiselab.schedules import ScheduleSpec
@@ -17,6 +26,7 @@ from noiselab.training import (
     LossResult,
     TrainConfig,
     TrainingDiverged,
+    _norm,
     adam_step,
     ema_update,
     init_optimizer_state,
@@ -259,6 +269,86 @@ class TestWholeVectorMatchesPerArrayLoop:
             np.testing.assert_array_equal(a, b)
 
 
+@st.composite
+def archs(draw):
+    """Small architectures, conditional and self-conditioning ones included."""
+    hidden = tuple(draw(st.lists(st.integers(1, 9), max_size=3)))
+    return MlpArch(
+        in_dim=draw(st.integers(1, 4)),
+        hidden_dims=hidden,
+        time_embed_dim=draw(st.sampled_from([2, 4, 6])),
+        cond_classes=draw(st.none() | st.integers(1, 4)) if hidden else None,
+        self_cond=draw(st.booleans()),
+    )
+
+
+def random_params(arch: MlpArch, seed: int) -> DenoiserParams:
+    """Entries on mixed scales, with every third array left at zero."""
+    rng = Rng(seed)
+    p = DenoiserParams(arch, rng.normal((_layout(arch)[1],)))
+    for k, a in enumerate(p.arrays):
+        a *= 0.0 if k % 3 == 2 else 10.0 ** (4.0 * rng.uniform() - 2.0)
+    return p
+
+
+class TestStepPiecesBitwise:
+    """The reworked training step against references kept here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=archs(), seed=st.integers(0, 2**32 - 1))
+    def test_dot_norm_equals_linalg_norm(self, arch, seed):
+        p = random_params(arch, seed)
+        for (start, stop, _), a in zip(_layout(arch)[0], p.arrays):
+            assert _norm(p.flat[start:stop]) == float(np.linalg.norm(a))
+
+    @settings(max_examples=40, deadline=None)
+    @given(arch=archs(), seed=st.integers(0, 2**32 - 1), wd=st.sampled_from([0.0, 0.01, 0.3]))
+    def test_whole_vector_trust_update_equals_per_array_loop(self, arch, seed, wd):
+        params = random_params(arch, seed)
+        ref = [a.copy() for a in params.arrays]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        state = init_optimizer_state(params)
+        cfg = tiny_cfg(weight_decay=wd)
+        for t in range(1, 4):
+            grads = random_params(arch, seed + 1 + t)
+            lamb_step(params, grads, state, cfg, lr=0.01 * t)
+            per_array_step("lamb", ref, grads.arrays, m, v, t, cfg, 0.01 * t)
+            assert params.flat.tobytes() == np.concatenate([a.ravel() for a in ref]).tobytes()
+
+    def test_reused_gradient_buffer_equals_fresh(self):
+        """Three steps on a conditional arch: the class rows used change each step."""
+        arch = MlpArch(in_dim=2, hidden_dims=(8, 5), time_embed_dim=4, cond_classes=3,
+                       self_cond=True)
+        data = Rng(50).normal((64, 2))
+        params = {k: init_params(arch, Rng(51)) for k in ("fresh", "reused")}
+        rngs = {k: Rng(52) for k in params}
+        states = {k: init_optimizer_state(params[k]) for k in params}
+        buffer = DenoiserParams(arch)
+        cfg = tiny_cfg()
+        for step, labels in enumerate([[0, 1, 1, 0, 3, 3], [2, 2, 2, 2, 2, 2], [1, 3, 0, 1, 3, 0]]):
+            labels = np.array(labels)
+            out = {}
+            for k in params:
+                res = train_loss(data[step::8][:6], labels, params[k], LINEAR_OFF, rngs[k],
+                                 label_dropout=0.3, self_cond_rate=0.5,
+                                 out=buffer if k == "reused" else None)
+                out[k] = res
+                lamb_step(params[k], res.grads, states[k], cfg, lr=0.05)
+            assert out["reused"].grads is buffer
+            assert out["reused"].loss == out["fresh"].loss
+            assert buffer.flat.tobytes() == out["fresh"].grads.flat.tobytes()
+            assert params["reused"].flat.tobytes() == params["fresh"].flat.tobytes()
+
+    def test_backward_out_must_match_layout(self):
+        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2, cond_classes=2)
+        p = init_params(arch, Rng(60))
+        _, cache = mlp_forward_cached(p, Rng(61).normal((5, 2)), 0.5, np.arange(5) % 2)
+        other = DenoiserParams(MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2))
+        with pytest.raises(ValueError, match="layout"):
+            mlp_backward(p, cache, np.ones((5, 2)), out=other)
+
+
 class TestLayoutMismatch:
     """Arrays of another architecture are rejected, not zipped and truncated."""
 
@@ -491,3 +581,85 @@ class TestTrainingQuality:
         k = max(1, len(losses) // 10)
         assert float(np.mean(losses[-k:])) < 0.5  # zero net scores ~1.0
         assert float(np.mean(losses[-k:])) < float(np.mean(losses[:k]))
+
+
+GOLDEN_DATASET = """
+[dataset]
+kind = mixture2d
+n_train = 8192
+seed = 101
+modes = 8
+radius = 1.0
+std = 0.2
+"""
+
+# The criterion-08 recipe cut to 200 steps, and a self-conditioning Adam
+# variant on a scaled, normalized cosine schedule.
+GOLDEN_RUNS = {
+    "criterion08_200": GOLDEN_DATASET + """
+[compound]
+schedule = linear
+input_scale = 1.0
+normalize = off
+
+[train]
+steps = 200
+batch_size = 128
+lr = 0.003
+seed = 7
+optimizer = lamb
+ema_decay = 0.999
+log_every = 50
+hidden = 64 64
+time_embed = 16
+""",
+    "self_cond_adam_100": GOLDEN_DATASET + """
+[compound]
+schedule = cosine:0.2,1,1
+input_scale = 0.5
+normalize = analytic
+
+[train]
+steps = 100
+batch_size = 128
+lr = 0.003
+seed = 7
+optimizer = adam
+ema_decay = 0.999
+log_every = 50
+hidden = 64 64
+time_embed = 16
+self_cond = true
+""",
+}
+
+# sha256 of each artifact, recorded before the training step was reworked
+# to reuse its buffers. A change here means training moved by at least
+# one bit.
+GOLDEN_DIGESTS = {
+    "criterion08_200": {
+        "params.bin": "0af3728b25caf34de310531be2dd7f0a8188a96617349173362ba9a0bf2ce34d",
+        "ema.bin": "f4e6e5b79ea6eb25e0cc542e2b98e0e79388f72074e54166b16630b1a5c667f4",
+        "loss.csv": "f5850d19d0c0a81053043c54205acb167e94db4f7a15feaeda63f93b8cab2d9b",
+    },
+    "self_cond_adam_100": {
+        "params.bin": "d751f21abd00309c127653597783f6277c452b63d78a7a1deb01218ece418c4b",
+        "ema.bin": "42c0a2c5ae658d20e2bae13617cd1236e8ae2dbdb4d763affa73bb59f5bc8b53",
+        "loss.csv": "3af560146aaefcb619595f52cdd60c7ab1bd2997ffbe304d44e14ddb89954c96",
+    },
+}
+
+
+class TestGoldenTrainingBits:
+    """`noiselab train` reproduces recorded artifacts byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_artifact_digests(self, name, tmp_path):
+        cfg = tmp_path / "run.txt"
+        cfg.write_text(GOLDEN_RUNS[name])
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg), "--out-dir", str(out)],
+                        stdout=io.StringIO()) == 0
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in GOLDEN_DIGESTS[name]}
+        assert digests == GOLDEN_DIGESTS[name]
