@@ -48,7 +48,12 @@ def ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def check_seed(seed: int, what: str = "seed") -> None:
-    """Raise ValueError unless seed lies in [0, 2**64), the range Rng accepts."""
+    """Raise unless seed is an int in [0, 2**64), the seeds Rng accepts.
+
+    TypeError for a bool or a non-integer, ValueError for one out of range.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise TypeError(f"{what} must be an int, got {type(seed).__name__}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
 
@@ -87,8 +92,6 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         check_seed(seed)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))

@@ -200,8 +200,8 @@ def _frequencies(k: int) -> np.ndarray:
 def _silu_grad(z: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
     """da * d/dz z*sigmoid(z), given s = sigmoid(z) from the forward pass.
 
-    Evaluates da * (s * (1 + z * (1 - s))) in one new array; each step
-    keeps the operands of that expression, so the bits are the same.
+    Evaluates da * (s * (1 + z * (1 - s))) in one new array. Each in-place
+    step has the operands of that expression, so it rounds the same way.
     """
     dz = np.subtract(1.0, s)
     dz *= z

@@ -1,5 +1,6 @@
 """Config parsing, validation errors with line numbers, and round trips."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -266,7 +267,13 @@ class TestSeedRange:
             self.BUILDERS[section](seed)
 
     @pytest.mark.parametrize("section", sorted(BUILDERS))
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7"])
+    def test_non_integer_rejected(self, section, seed):
+        with pytest.raises(TypeError, match="must be an int"):
+            self.BUILDERS[section](seed)
+
+    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_endpoints_accepted(self, section, seed):
         self.BUILDERS[section](seed)
 
