@@ -252,7 +252,7 @@ class TestSweepSettingsValidation:
 class TestSeedRange:
     """Every seed key takes exactly the range Rng accepts, [0, 2**64)."""
 
-    BUILDERS = {
+    CONSTRUCTORS = {
         "train": lambda seed: TrainConfig(steps=1, batch_size=1, lr=0.1, seed=seed),
         "sampler": lambda seed: SamplerConfig(steps=1, seed=seed),
         "dataset": lambda seed: DatasetSpec(kind="checkerboard", n_train=1, seed=seed),
@@ -260,22 +260,22 @@ class TestSeedRange:
                                             metric="covariance_error", base_seed=seed),
     }
 
-    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("section", sorted(CONSTRUCTORS))
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
     def test_out_of_range_rejected(self, section, seed):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-            self.BUILDERS[section](seed)
+            self.CONSTRUCTORS[section](seed)
 
-    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("section", sorted(CONSTRUCTORS))
     @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7"])
     def test_non_integer_rejected(self, section, seed):
         with pytest.raises(TypeError, match="must be an int"):
-            self.BUILDERS[section](seed)
+            self.CONSTRUCTORS[section](seed)
 
-    @pytest.mark.parametrize("section", sorted(BUILDERS))
+    @pytest.mark.parametrize("section", sorted(CONSTRUCTORS))
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_endpoints_accepted(self, section, seed):
-        self.BUILDERS[section](seed)
+        self.CONSTRUCTORS[section](seed)
 
     @pytest.mark.parametrize("section, line", [("dataset", "seed = 3"), ("train", "seed = 11"),
                                                ("sampler", "seed = 21"),
