@@ -1,8 +1,11 @@
 """Deterministic numerics: seeded random draws and small dense linear algebra.
 
 All tensors in this package are C-contiguous float64 numpy arrays (flat
-row-major storage plus an explicit shape). Operations here either return
-all-finite values or raise; nothing silently produces NaN or Inf.
+row-major storage plus an explicit shape), except the oracle sampling
+chain's state, which generate() keeps in column order. Public operations
+here either return all-finite values or raise; nothing silently produces
+NaN or Inf. The private kernels skip the input checks for callers that
+have made them already.
 
 Randomness comes from a Philox 4x64 counter-based bit generator. Normal
 deviates are produced by a Box-Muller transform of the generator's 53-bit
@@ -160,10 +163,15 @@ def cholesky_factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
     a = as_f64(a, "cholesky input")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"cholesky needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > 1e-9 * scale:
         raise ValueError("cholesky needs a symmetric matrix")
+    return _factor(a, pivot_tol)
+
+
+def _factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
+    """cholesky_factor without the input checks; the pivot check stays."""
+    n = a.shape[0]
     L = np.zeros((n, n))
     for j in range(n):
         d = a[j, j] - L[j, :j] @ L[j, :j]
@@ -177,16 +185,28 @@ def cholesky_factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
     return L
 
 
-def _solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+def _solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool, out: np.ndarray) -> np.ndarray:
+    """Solve L x = b (lower) or L^T x = b (upper) row by row into ``out``.
+
+    ``out`` may be ``b`` itself: row i reads b[i] before writing it, and
+    otherwise only rows already solved.
+    """
     n = L.shape[0]
-    x = np.empty_like(b)
     if lower:
         for i in range(n):
-            x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+            np.subtract(b[i], L[i, :i] @ out[:i], out=out[i])
+            out[i] /= L[i, i]
     else:
         for i in range(n - 1, -1, -1):
-            x[i] = (b[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
-    return x
+            np.subtract(b[i], L[i + 1 :, i] @ out[i + 1 :], out=out[i])
+            out[i] /= L[i, i]
+    return out
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for a C-contiguous (n, k) b into one new buffer."""
+    y = _solve_triangular(L, b, lower=True, out=np.empty_like(b))
+    return _solve_triangular(L, y, lower=False, out=y)
 
 
 def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,7 +226,6 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = b[:, None]
     if b.ndim != 2 or b.shape[0] != L.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {L.shape}")
-    y = _solve_triangular(L, b, lower=True)
-    x = _solve_triangular(L, y, lower=False)
+    x = _cho_solve(L, b)
     ensure_finite(x, "cholesky_solve result")
     return x[:, 0] if vector else x

@@ -157,6 +157,21 @@ def normalize_input(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarra
     x_t = as_f64(x_t, "normalize_input x_t")
     if x_t.ndim < 2:
         raise ValueError("normalize_input expects a batched x_t with ndim >= 2")
+    if cs.normalize == "analytic":
+        gamma_t = np.asarray(gamma_t, dtype=np.float64)
+        if gamma_t.ndim == 0:
+            gamma_t = np.full(x_t.shape[0], float(gamma_t))
+        if gamma_t.shape != (x_t.shape[0],):
+            raise ValueError(f"gamma_t has shape {gamma_t.shape}, expected ({x_t.shape[0]},)")
+    return _normalize(x_t, gamma_t, cs)
+
+
+def _normalize(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarray:
+    """normalize_input without the input checks.
+
+    gamma_t is one float or a (batch,) array; analytic_variance still
+    checks its range.
+    """
     if cs.normalize == "off":
         return x_t
     if cs.normalize == "empirical":
@@ -166,13 +181,8 @@ def normalize_input(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarra
                 "empirical normalization hit a near-constant example (std < 1e-12)"
             )
         return x_t / _per_example(std, x_t)
-    g = np.asarray(gamma_t, dtype=np.float64)
-    if g.ndim == 0:
-        g = np.full(x_t.shape[0], float(g))
-    if g.shape != (x_t.shape[0],):
-        raise ValueError(f"gamma_t has shape {g.shape}, expected ({x_t.shape[0]},)")
-    std = np.sqrt(analytic_variance(g, cs.input_scale))
-    return x_t / _per_example(std, x_t)
+    std = np.sqrt(analytic_variance(gamma_t, cs.input_scale))
+    return x_t / (_per_example(std, x_t) if np.ndim(std) else std)
 
 
 def signal_estimate(x_t, gamma_t, eps_hat) -> np.ndarray:
@@ -194,5 +204,16 @@ def signal_estimate(x_t, gamma_t, eps_hat) -> np.ndarray:
         raise ValueError(f"gamma_t has shape {g.shape}, expected ({x_t.shape[0]},)")
     if np.any(g < 0.0) or np.any(g > 1.0):
         raise ValueError("gamma_t must lie in [0, 1]")
-    gb = _per_example(g, x_t)
-    return (x_t - np.sqrt(1.0 - gb) * eps_hat) / np.sqrt(np.maximum(gb, 1e-12))
+    return _signal_estimate(x_t, _per_example(g, x_t), eps_hat)
+
+
+def _signal_estimate(x_t: np.ndarray, gamma_t, eps_hat: np.ndarray) -> np.ndarray:
+    """signal_estimate without the input checks.
+
+    gamma_t is one float or broadcasts over x_t. The result is a new
+    array in x_t's memory order.
+    """
+    est = np.multiply(np.sqrt(1.0 - gamma_t), eps_hat, out=np.empty_like(x_t))
+    np.subtract(x_t, est, out=est)
+    est /= np.sqrt(np.maximum(gamma_t, 1e-12))
+    return est

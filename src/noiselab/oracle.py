@@ -18,6 +18,13 @@ of the noising strategy: no training error, only discretization.
 Sigma may be symmetric positive SEMIdefinite (replicated-coordinate
 covariances are exactly singular); only x0 sampling requires strict
 positive definiteness, since denoising factors a^2 Sigma + s^2 I instead.
+
+``denoise`` checks its inputs and the finiteness of eps_hat. The sampling
+loop calls the unchecked kernel ``_eps`` instead: it takes the chain
+state as a C-contiguous (dim, n) array (the transpose of the sampler's
+column-order state), computes only eps_hat, and leaves the finiteness
+check to the loop. At gamma = 1, where denoise refuses, it returns 0:
+x_t = b x0 then carries no information about eps.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import numpy as np
 from noiselab.core import (
     DecompositionError,
     Rng,
+    _cho_solve,
+    _factor,
     as_f64,
     cholesky_factor,
     cholesky_solve,
@@ -82,6 +91,33 @@ class GaussianOracle:
             raise ValueError(f"scale must be positive, got {scale}")
         return g, float(scale)
 
+    def _signal(self, x_cols: np.ndarray, a2: float, s2: float) -> np.ndarray:
+        """Sigma (a2 Sigma + s2 I)^{-1} x_cols for a C-contiguous (dim, n) x_cols.
+
+        Unchecked: Sigma was validated when the oracle was built, and
+        the factorization keeps its pivot check.
+        """
+        L = _factor(a2 * self.sigma + s2 * np.eye(self.dim))
+        return self.sigma @ _cho_solve(L, x_cols)
+
+    def _eps(self, x_cols: np.ndarray, gamma_t: float, scale: float) -> np.ndarray:
+        """Noise prediction for a C-contiguous (dim, n) state, unchecked.
+
+        The sampling loop's kernel. At gamma = 1 the state b x0 carries no
+        information about eps, so its posterior mean is 0.
+        """
+        s2 = 1.0 - gamma_t
+        if s2 == 0.0:
+            return np.zeros_like(x_cols)
+        a2 = gamma_t * scale * scale
+        if a2 == 0.0:
+            return x_cols / math.sqrt(s2)
+        eps = self._signal(x_cols, a2, s2)
+        eps *= a2
+        np.subtract(x_cols, eps, out=eps)
+        eps /= math.sqrt(s2)
+        return eps
+
     def denoise(self, x_t: np.ndarray, gamma_t: float, scale: float = 1.0):
         """Posterior signal mean and implied noise prediction.
 
@@ -103,11 +139,8 @@ class GaussianOracle:
         s2 = 1.0 - g
         if a2 == 0.0:
             return np.zeros_like(x_t), x_t / math.sqrt(s2)
-        system = a2 * self.sigma + s2 * np.eye(self.dim)
-        y = cholesky_solve(system, x_t.T)
-        sigma_y = (self.sigma @ y).T
-        x_signal = a2 * sigma_y
-        eps_hat = (x_t - x_signal) / math.sqrt(s2)
+        sigma_y = self._signal(np.ascontiguousarray(x_t.T), a2, s2).T
+        eps_hat = (x_t - a2 * sigma_y) / math.sqrt(s2)
         # x_signal / sqrt(gamma), computed without the 1/sqrt(gamma) blowup
         x0_scaled_hat = (b * b * math.sqrt(g)) * sigma_y
         ensure_finite(eps_hat, "oracle eps_hat")

@@ -9,7 +9,27 @@ Noise predictors are callables with three introspection attributes:
 ``dim`` (data dimensionality), ``self_conditioning`` (whether the
 previous signal estimate should be threaded back in), and
 ``requires_raw_input`` (True when the predictor must see the
-unnormalized chain state, as the closed-form oracle does).
+unnormalized chain state, as the closed-form oracle does). An optional
+fourth, ``state_order``, fixes the memory order of the chain state:
+"C" when absent.
+
+Checks sit at the boundary of the loop. generate() validates its
+arguments and every (gamma_now, gamma_next) pair of the inference grid
+before the first step; the loop then calls unchecked kernels
+(``_normalize``, ``_ddim``, ``_ddpm``, the oracle's ``_eps``), and the
+public ddim_step, ddpm_step and normalize_input are the same kernels
+behind their checks. Two finiteness checks stay: each step, the
+predictor's output is converted to float64 (without forcing C order)
+and checked, because the predictor may be any callable and
+``signal_clamp`` would clip a +inf into a finite value; and the samples
+are checked once at the end.
+
+The oracle keeps the state in column order: the transpose of an
+F-ordered (n, dim) array is the C-contiguous (dim, n) block that its
+triangular solves and Sigma @ y read without a copy. The elementwise
+kernels write in the state's order, so the layout changes no bit of the
+chain. Reductions such as np.cov do sum in a layout-dependent order, so
+generate() returns the samples C-contiguous.
 """
 
 from __future__ import annotations
@@ -20,13 +40,13 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed, ensure_finite, gaussian
+from noiselab.core import Rng, as_f64, check_seed, ensure_finite
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
     CompoundSchedule,
-    normalize_input,
-    signal_estimate,
+    _normalize,
+    _signal_estimate,
 )
 from noiselab.oracle import GaussianOracle
 from noiselab.schedules import ScheduleSpec, gamma, time_grid
@@ -76,11 +96,7 @@ class SamplerConfig:
             raise ValueError(f"signal_clamp must be positive, got {self.signal_clamp}")
 
 
-def _check_step_args(x_t, eps_pred, gamma_now: float, gamma_next: float):
-    x_t = as_f64(x_t, "step x_t")
-    eps_pred = as_f64(eps_pred, "step eps_pred")
-    if x_t.shape != eps_pred.shape:
-        raise ValueError(f"eps_pred shape {eps_pred.shape} does not match x_t {x_t.shape}")
+def _check_gammas(gamma_now: float, gamma_next: float) -> None:
     if not 0.0 < gamma_now <= 1.0:
         raise ValueError(f"gamma_now must lie in (0, 1], got {gamma_now}")
     if not 0.0 <= gamma_next <= 1.0:
@@ -89,6 +105,14 @@ def _check_step_args(x_t, eps_pred, gamma_now: float, gamma_next: float):
         raise ValueError(
             f"gamma must not decrease along a denoising step: {gamma_now} -> {gamma_next}"
         )
+
+
+def _check_step_args(x_t, eps_pred, gamma_now: float, gamma_next: float):
+    x_t = as_f64(x_t, "step x_t")
+    eps_pred = as_f64(eps_pred, "step eps_pred")
+    if x_t.shape != eps_pred.shape:
+        raise ValueError(f"eps_pred shape {eps_pred.shape} does not match x_t {x_t.shape}")
+    _check_gammas(gamma_now, gamma_next)
     return x_t, eps_pred
 
 
@@ -100,8 +124,7 @@ def ddim_step(x_t, eps_pred, gamma_now: float, gamma_next: float) -> np.ndarray:
     the target level with the same predicted noise.
     """
     x_t, eps_pred = _check_step_args(x_t, eps_pred, gamma_now, gamma_next)
-    sig = (x_t - math.sqrt(1.0 - gamma_now) * eps_pred) / math.sqrt(gamma_now)
-    return math.sqrt(gamma_next) * sig + math.sqrt(1.0 - gamma_next) * eps_pred
+    return _ddim(x_t, eps_pred, gamma_now, gamma_next)
 
 
 def ddpm_step(x_t, eps_pred, gamma_now: float, gamma_next: float, rng: Rng) -> np.ndarray:
@@ -115,14 +138,38 @@ def ddpm_step(x_t, eps_pred, gamma_now: float, gamma_next: float, rng: Rng) -> n
     0) so sampling consumes the stream identically at all steps.
     """
     x_t, eps_pred = _check_step_args(x_t, eps_pred, gamma_now, gamma_next)
-    sig = (x_t - math.sqrt(1.0 - gamma_now) * eps_pred) / math.sqrt(gamma_now)
-    if gamma_now == 1.0:
+    return _ddpm(x_t, eps_pred, gamma_now, gamma_next, rng)
+
+
+def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
+    """sqrt(g_next) times the signal estimate, as a new array in x_t's order."""
+    out = np.multiply(eps, math.sqrt(1.0 - g_now), out=np.empty_like(x_t))
+    np.subtract(x_t, out, out=out)
+    out /= math.sqrt(g_now)
+    out *= math.sqrt(g_next)
+    return out
+
+
+def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
+    """ddim_step without the input checks."""
+    out = _scaled_signal(x_t, eps, g_now, g_next)
+    out += eps * math.sqrt(1.0 - g_next)
+    return out
+
+
+def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
+          rng: Rng) -> np.ndarray:
+    """ddpm_step without the input checks."""
+    if g_now == 1.0:
         var = 0.0
     else:
-        var = (1.0 - gamma_now / gamma_next) * (1.0 - gamma_next) / (1.0 - gamma_now)
-    z = gaussian(rng, x_t.shape)
-    eps_coeff = math.sqrt(max(1.0 - gamma_next - var, 0.0))
-    return math.sqrt(gamma_next) * sig + eps_coeff * eps_pred + math.sqrt(var) * z
+        var = (1.0 - g_now / g_next) * (1.0 - g_next) / (1.0 - g_now)
+    z = rng.normal(x_t.shape)
+    out = _scaled_signal(x_t, eps, g_now, g_next)
+    out += eps * math.sqrt(max(1.0 - g_next - var, 0.0))
+    z *= math.sqrt(var)
+    out += z
+    return out
 
 
 def cfg_combine(eps_cond, eps_uncond, w: float) -> np.ndarray:
@@ -142,6 +189,7 @@ class MlpPredictor:
     """Adapts trained DenoiserParams to the predictor protocol."""
 
     requires_raw_input = False
+    state_order = "C"
 
     def __init__(self, params: DenoiserParams):
         self.params = params
@@ -163,11 +211,13 @@ class OraclePredictor:
 
     Needs the raw (unnormalized) chain state: its posterior algebra is
     written for x_t = sqrt(gamma) b x0 + sqrt(1-gamma) eps directly, so
-    generate() refuses compound schedules with normalization on.
+    generate() refuses compound schedules with normalization on. At
+    gamma = 1 it predicts zero noise, which makes that step the identity.
     """
 
     requires_raw_input = True
     self_conditioning = False
+    state_order = "F"  # x_t.T is then the C-contiguous block the solve reads
 
     def __init__(self, oracle: GaussianOracle):
         self.oracle = oracle
@@ -177,7 +227,7 @@ class OraclePredictor:
         return self.oracle.dim
 
     def __call__(self, x_in, *, gamma, t, scale, labels, self_cond):
-        return self.oracle.denoise(x_in, gamma, scale)[1]
+        return self.oracle._eps(np.ascontiguousarray(x_in.T), gamma, scale).T
 
 
 def as_predictor(model):
@@ -204,7 +254,8 @@ def generate(
     normalizing the network input per cs at every step, and divides by
     the input scale b at the end so outputs live in data space.
     Guidance runs when guidance_weight > 0 and labels are given: the
-    unconditional pass uses the null class. Returns (n_samples, dim).
+    unconditional pass uses the null class. Returns a C-contiguous
+    (n_samples, dim) array.
     """
     predictor = as_predictor(model)
     if n_samples < 1:
@@ -218,23 +269,28 @@ def generate(
         labels = np.asarray(labels)
         if labels.shape != (n_samples,):
             raise ValueError(f"labels must have shape ({n_samples},), got {labels.shape}")
-
-    dim = predictor.dim
-    rng = Rng(sc.seed)
-    x_t = rng.normal((n_samples, dim))
-    prev_est = np.zeros((n_samples, dim))
-    guided = sc.guidance_weight > 0.0 and labels is not None
-
+    grid = []
     for t_now, t_next in time_grid(sc.steps):
         g_now = float(gamma(sc.inference_schedule, t_now))
         g_next = float(gamma(sc.inference_schedule, t_next))
-        x_in = normalize_input(x_t, g_now, cs)
+        _check_gammas(g_now, g_next)
+        grid.append((t_now, g_now, g_next))
+
+    dim = predictor.dim
+    rng = Rng(sc.seed)
+    x_t = np.asarray(rng.normal((n_samples, dim)), order=getattr(predictor, "state_order", "C"))
+    prev_est = np.zeros((n_samples, dim))
+    guided = sc.guidance_weight > 0.0 and labels is not None
+
+    for t_now, g_now, g_next in grid:
+        x_in = _normalize(x_t, g_now, cs)
         self_cond = prev_est if predictor.self_conditioning else None
         eps = predictor(
             x_in, gamma=g_now, t=t_now, scale=cs.input_scale,
             labels=labels, self_cond=self_cond,
         )
-        eps = as_f64(eps, "predicted noise")
+        # any callable may predict; signal_clamp would hide a +inf
+        eps = ensure_finite(np.asarray(eps, dtype=np.float64), "predicted noise")
         if eps.shape != x_t.shape:
             raise ValueError(f"predictor returned shape {eps.shape}, expected {x_t.shape}")
         if guided:
@@ -245,14 +301,20 @@ def generate(
             eps = cfg_combine(eps, eps_uncond, sc.guidance_weight)
         if predictor.self_conditioning:
             prev_est = np.clip(
-                signal_estimate(x_t, g_now, eps), -SELF_COND_CLAMP, SELF_COND_CLAMP
+                _signal_estimate(x_t, g_now, eps), -SELF_COND_CLAMP, SELF_COND_CLAMP
             )
         if sc.signal_clamp is not None and g_now < 1.0:
-            est = np.clip(signal_estimate(x_t, g_now, eps), -sc.signal_clamp, sc.signal_clamp)
-            eps = (x_t - math.sqrt(g_now) * est) / math.sqrt(1.0 - g_now)
+            est = _signal_estimate(x_t, g_now, eps)
+            np.clip(est, -sc.signal_clamp, sc.signal_clamp, out=est)
+            est *= math.sqrt(g_now)
+            np.subtract(x_t, est, out=est)
+            est /= math.sqrt(1.0 - g_now)
+            eps = est
         if sc.step_kind == "ddim":
-            x_t = ddim_step(x_t, eps, g_now, g_next)
+            x_t = _ddim(x_t, eps, g_now, g_next)
         else:
-            x_t = ddpm_step(x_t, eps, g_now, g_next, rng)
+            x_t = _ddpm(x_t, eps, g_now, g_next, rng)
+    # np.cov sums in an order that depends on the layout
+    x_t = np.ascontiguousarray(x_t)
     ensure_finite(x_t, "generated samples")
     return x_t / cs.input_scale

@@ -12,7 +12,7 @@ histories bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import math
 
@@ -131,10 +131,22 @@ class OptimizerState:
     step: int = 0
 
 
-class LossResult(NamedTuple):
+@dataclass(frozen=True)
+class LossResult:
+    """One batch's loss and gradients; unpacks as (loss, grads, gamma_stats)."""
+
     loss: float
     grads: DenoiserParams
-    gamma_stats: tuple  # (min, mean, max) of the batch's gamma_t
+    gamma_t: np.ndarray  # the batch's per-example gamma
+
+    @property
+    def gamma_stats(self) -> tuple:
+        """(min, mean, max) of the batch's gamma_t, computed on request."""
+        g = self.gamma_t
+        return (float(g.min()), float(g.mean()), float(g.max()))
+
+    def __iter__(self):
+        return iter((self.loss, self.grads, self.gamma_stats))
 
 
 def init_optimizer_state(params: DenoiserParams) -> OptimizerState:
@@ -289,9 +301,7 @@ def train_loss(
     diff = pred - sample.eps
     loss = float((diff * diff).mean())
     grads = mlp_backward(params, cache, 2.0 * diff / diff.size, out=out)
-    g = sample.gamma_t
-    stats = (float(g.min()), float(g.mean()), float(g.max()))
-    return LossResult(loss=loss, grads=grads, gamma_stats=stats)
+    return LossResult(loss=loss, grads=grads, gamma_t=sample.gamma_t)
 
 
 def train(
@@ -331,7 +341,7 @@ def train(
         idx = rng.integers(n, (cfg.batch_size,))
         x0 = dataset.take(idx, axis=0)
         batch_labels = None if labels is None else labels[idx]
-        loss, _, gamma_stats = train_loss(
+        result = train_loss(
             x0,
             batch_labels,
             params,
@@ -341,8 +351,9 @@ def train(
             self_cond_rate=cfg.self_cond_rate,
             out=grads,
         )
+        loss = result.loss
         if not math.isfinite(loss):
-            g_min, g_mean, g_max = gamma_stats
+            g_min, g_mean, g_max = result.gamma_stats
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
                 f"min {g_min:.6g} mean {g_mean:.6g} max {g_max:.6g})"

@@ -224,6 +224,13 @@ class TestRunSweep:
         assert good.status == 0 and math.isfinite(good.metric)
         assert res.n_failed == 1 and not res.ok
 
+    def test_oracle_cells_run_through_saturated_gamma(self):
+        """gamma reaches 1.0 at 18 of 100 steps before t = 0 on this schedule."""
+        res = run_sweep(oracle_cfg(schedules=("sigmoid:-3,3,0.05",), scales=(0.5, 1.0),
+                                   n_eval=2000))
+        assert [(r.status, r.error) for r in res.rows] == [(0, ""), (0, "")]
+        assert all(math.isfinite(r.metric) for r in res.rows)
+
     def test_writes_csv(self, tmp_path):
         res = run_sweep(oracle_cfg(n_eval=400, steps=10, dataset=AR1_4))
         write_sweep_csv(tmp_path / "sweep.csv", res.rows)
