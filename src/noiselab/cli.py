@@ -25,6 +25,7 @@ from .io import (
     write_pgm,
     write_samples_csv,
     write_sweep_csv,
+    write_sweep_errors_csv,
 )
 from .metrics import redundancy_curve
 from .sampler import generate
@@ -194,6 +195,11 @@ def _cmd_sweep(args, stdout) -> int:
     result = run_sweep(cfg)
     write_sweep_csv(out / "sweep.csv", result.rows)
     write_config(out / "config.txt", cfg)
+    errors = out / "sweep_errors.csv"
+    if result.ok:
+        errors.unlink(missing_ok=True)  # left by an earlier run into this directory
+    else:
+        write_sweep_errors_csv(errors, result.rows)
     for row in result.rows:
         if row.status != 0:
             stdout.write(f"cell ({row.schedule}, {row.scale}) failed: {row.error}\n")
@@ -201,6 +207,7 @@ def _cmd_sweep(args, stdout) -> int:
         f"{len(result.rows)} cells, {result.n_failed} failed; wrote {out / 'sweep.csv'}\n"
     )
     if not result.ok:
+        stdout.write(f"wrote the failed cells to {errors}\n")
         return _RUNTIME_ERROR
     if args.check is not None:
         worst = max(row.metric for row in result.rows)

@@ -11,12 +11,19 @@ Randomness comes from a Philox 4x64 counter-based bit generator. Normal
 deviates are produced by a Box-Muller transform of the generator's 53-bit
 uniform stream, so for a given seed the stream of draws is bit-identical
 across platforms, processes, and library versions.
+
+A matrix product can round differently with the number of BLAS threads,
+so code that must give the same bits on every machine runs inside
+``one_blas_thread``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import os
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +36,7 @@ __all__ = [
     "cholesky_solve",
     "ensure_finite",
     "gaussian",
+    "one_blas_thread",
     "sigmoid",
 ]
 
@@ -229,3 +237,57 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = _cho_solve(L, b)
     ensure_finite(x, "cholesky_solve result")
     return x[:, 0] if vector else x
+
+
+# (get, set) thread-count functions, newest OpenBLAS naming first
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_funcs():
+    """(get, set) of the OpenBLAS bundled with numpy, or None without one.
+
+    The library is looked up in the ``numpy.libs`` directory of a wheel
+    install; loading it again returns the copy numpy already uses.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Run the body with OpenBLAS on one thread, then restore the old count.
+
+    Yields True when the count was set and False when numpy's BLAS
+    cannot be reached, in which case nothing changes. Processes forked
+    inside the body inherit the setting.
+    """
+    funcs = _openblas_thread_funcs()
+    if funcs is None:
+        yield False
+        return
+    get, set_ = funcs
+    old = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(old)

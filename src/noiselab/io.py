@@ -15,6 +15,7 @@ import numpy as np
 from .core import as_f64
 
 SWEEP_HEADER = "schedule,scale,metric,wall_ms,seed,status"
+SWEEP_ERRORS_HEADER = "schedule,scale,seed,error"
 
 
 def _fmt(v: float) -> str:
@@ -26,7 +27,8 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
     x = as_f64(samples, "samples")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"samples must be a nonempty 2-D array, got shape {x.shape}")
-    lines = [",".join(_fmt(v) for v in row) for row in x]
+    # tolist() gives Python floats, whose repr is _fmt's text
+    lines = [",".join(map(repr, row)) for row in x.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -81,6 +83,16 @@ def write_sweep_csv(path, rows) -> None:
                 r.schedule, _fmt(r.scale), _fmt(r.metric),
                 str(int(r.wall_ms)), str(int(r.seed)), str(int(r.status)),
             ])
+
+
+def write_sweep_errors_csv(path, rows) -> None:
+    """The failed cells of a sweep with their error messages, quoted as CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_ERRORS_HEADER.split(","))
+        for r in rows:
+            if r.status != 0:
+                writer.writerow([r.schedule, _fmt(r.scale), str(int(r.seed)), r.error])
 
 
 def read_sweep_csv(path):

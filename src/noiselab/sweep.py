@@ -12,13 +12,14 @@ fit-then-sample loop on the configured dataset.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .config import Config, ConfigError, _check_normalize, check_label_keys
+from .core import one_blas_thread
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
@@ -95,19 +96,19 @@ def check_sweep(cfg: Config) -> None:
     check_label_keys(cfg, "sampler", "train")
 
 
-def _score(cfg: Config, samples: np.ndarray, data: Optional[np.ndarray]) -> float:
-    metric = cfg.sweep.metric
+def _score(metric: str, samples: np.ndarray, reference: np.ndarray) -> float:
+    """Metric of the samples against the covariance or the data set."""
     if metric == "covariance_error":
-        return covariance_error(samples, dataset_covariance(cfg.dataset))
+        return covariance_error(samples, reference)
     if metric == "sliced_wasserstein":
-        return sliced_wasserstein(samples, data)
+        return sliced_wasserstein(samples, reference)
     if metric == "mmd_rbf":
-        return mmd_rbf(samples, data)
+        return mmd_rbf(samples, reference)
     raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
 
-def _cell(cfg: Config, model, data, sched_str, scale, seed) -> float:
-    """Score one grid cell.
+def _cell(cfg: Config, model, data, sched_str, scale, seed) -> np.ndarray:
+    """Samples of one grid cell.
 
     An oracle cell has nothing to train, so the swept schedule drives
     sampling. A trained cell trains with the swept schedule, and
@@ -122,31 +123,88 @@ def _cell(cfg: Config, model, data, sched_str, scale, seed) -> float:
         arch = cfg.net.build_arch(data.shape[1])
         _, model, _ = train(data, arch, cs, replace(cfg.train, seed=seed))
         sc = replace(cfg.sampler, seed=seed + 1)
-    return _score(cfg, generate(model, cs, sc, s.n_eval), data)
+    return generate(model, cs, sc, s.n_eval)
+
+
+def _row(cfg: Config, model, data, reference, sched_str, scale, seed) -> SweepRow:
+    """Run and score one cell, timed; a failure becomes a status-1 row."""
+    t0 = time.perf_counter()
+    try:
+        samples = _cell(cfg, model, data, sched_str, scale, seed)
+        value = float(_score(cfg.sweep.metric, samples, reference))
+        status, error = 0, ""
+    except Exception as e:  # noqa: BLE001 - cell isolation is the contract
+        value, status, error = float("nan"), 1, f"{type(e).__name__}: {e}"
+    wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
+    return SweepRow(sched_str, scale, value, wall_ms, seed, status, error)
+
+
+def _workers(n_cells: int) -> int:
+    """One worker process per usable CPU, and no more than there are cells."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_cells)
+
+
+_shared: tuple = ()  # a worker's (cfg, model, data, reference), inherited at fork
+
+
+def _init_worker(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _worker_row(cell) -> SweepRow:
+    return _row(*_shared, *cell)
+
+
+def _run_parallel(shared: tuple, cells: list, workers: int) -> list:
+    """Rows of the cells from forked worker processes, in grid order.
+
+    A worker that dies takes the pool with it; that raises
+    ChildProcessError instead of leaving the sweep waiting.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=shared) as pool:
+            return list(pool.map(_worker_row, cells))
+    except BrokenProcessPool as e:
+        raise ChildProcessError(f"a sweep worker process died: {e}") from None
 
 
 def run_sweep(cfg: Config) -> SweepResult:
-    """Run every grid cell; failures record an error row and continue."""
+    """Run every grid cell; failures record an error row and continue.
+
+    Cells run with OpenBLAS on one thread, so their bits do not depend
+    on the machine's core count, and they run in forked worker
+    processes, one per usable CPU. The sweep stays in this process for
+    a single cell or CPU, without fork, or when the BLAS thread count
+    cannot be set. The rows are the same either way, apart from wall_ms.
+    """
     check_sweep(cfg)
     s = cfg.sweep
-    if s.oracle:
-        model, data = GaussianOracle(dataset_covariance(cfg.dataset)), None
-    else:
-        model, data = None, make_dataset(cfg.dataset)
+    data = None if s.oracle else make_dataset(cfg.dataset)
+    # built once, then shared by the scoring, the oracle (which scores
+    # covariance_error only) and, inherited at fork, the workers
+    reference = dataset_covariance(cfg.dataset) if s.metric == "covariance_error" else data
+    model = GaussianOracle(reference) if s.oracle else None
+    shared = (cfg, model, data, reference)
+    cells = [(sched_str, scale, cell_seed(s.base_seed, i, j))
+             for i, sched_str in enumerate(s.schedules)
+             for j, scale in enumerate(s.scales)]
 
-    rows = []
-    for i, sched_str in enumerate(s.schedules):
-        for j, scale in enumerate(s.scales):
-            seed = cell_seed(s.base_seed, i, j)
-            t0 = time.perf_counter()
-            try:
-                value = float(_cell(cfg, model, data, sched_str, scale, seed))
-                status, error = 0, ""
-            except Exception as e:  # noqa: BLE001 - cell isolation is the contract
-                value, status, error = float("nan"), 1, f"{type(e).__name__}: {e}"
-            wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
-            rows.append(SweepRow(sched_str, scale, value, wall_ms, seed, status, error))
-
+    with one_blas_thread() as pinned:
+        workers = _workers(len(cells)) if pinned and hasattr(os, "fork") else 1
+        if workers > 1:
+            rows = _run_parallel(shared, cells, workers)
+        else:
+            rows = [_row(*shared, *cell) for cell in cells]
     return SweepResult(rows=tuple(rows), metric_name=s.metric)
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, reruns, and exit codes."""
 
+import csv
 import io
 
 import numpy as np
@@ -287,6 +288,7 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert all(status == 0 for *_, status in rows)
         assert (out_dir / "config.txt").exists()
+        assert not (out_dir / "sweep_errors.csv").exists()
 
     def test_rerun_from_resolved_copy_matches(self, sweep_cfg, tmp_path):
         first, second = tmp_path / "one", tmp_path / "two"
@@ -321,6 +323,28 @@ class TestSweepCommand:
         rows = read_sweep_csv(out_dir / "sweep.csv")
         assert all(status == 1 for *_, status in rows)
         assert all(np.isnan(metric) for _, _, metric, _, _, _ in rows)
+
+    def test_failed_cells_persisted(self, sweep_cfg, tmp_path):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(ORACLE_SWEEP.replace("n_eval = 400", "n_eval = 3"))
+        out_dir = tmp_path / "sw"
+        rc, out = run(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert f"wrote the failed cells to {out_dir / 'sweep_errors.csv'}" in out
+        with open(out_dir / "sweep_errors.csv", newline="") as fh:
+            header, *errors = list(csv.reader(fh))
+        assert header == ["schedule", "scale", "seed", "error"]
+        rows = read_sweep_csv(out_dir / "sweep.csv")
+        assert [(e[0], float(e[1]), int(e[2])) for e in errors] == [
+            (sched, scale, seed) for sched, scale, _, _, seed, _ in rows]
+        message = "ValueError: need at least dim+1 = 5 samples, got 3"
+        assert all(e[3] == message for e in errors)
+        assert out.count(f"failed: {message}") == 4
+
+        # a clean rerun into the same directory leaves no stale error file
+        rc, out = run(["sweep", "--config", str(sweep_cfg), "--out-dir", str(out_dir)])
+        assert rc == 0 and "sweep_errors.csv" not in out
+        assert not (out_dir / "sweep_errors.csv").exists()
 
     def test_seed_override(self, sweep_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -14,6 +14,7 @@ from noiselab.io import (
     write_pgm,
     write_samples_csv,
     write_sweep_csv,
+    write_sweep_errors_csv,
 )
 from noiselab.sweep import SweepRow
 
@@ -39,6 +40,21 @@ class TestSamplesCsv:
         out = read_samples_csv(path)
         assert out.shape == (2, 1)
         np.testing.assert_array_equal(out, x)
+
+    def test_golden_bytes(self, tmp_path):
+        # repr text: signed zero, exponent forms, shortest round-trip digits
+        x = np.array([[-0.0, 1e-7, 1e17], [0.1, -2.5, 123456.789]])
+        path = tmp_path / "g.csv"
+        write_samples_csv(path, x)
+        assert path.read_bytes() == b"-0.0,1e-07,1e+17\n0.1,-2.5,123456.789\n"
+
+    def test_float32_and_int_inputs_write_float64_text(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_samples_csv(a, np.array([[0.1, 3.0]], dtype=np.float32))
+        write_samples_csv(b, np.array([[np.float64(np.float32(0.1)), 3.0]]))
+        assert a.read_bytes() == b.read_bytes()
+        write_samples_csv(a, np.array([[1, -2]]))
+        assert a.read_bytes() == b"1.0,-2.0\n"
 
     def test_rejects_bad_shapes(self, tmp_path):
         with pytest.raises(ValueError):
@@ -103,6 +119,21 @@ class TestSweepCsv:
         path.write_text("step,loss,lr\n1,1.0,0.1\n")
         with pytest.raises(ValueError):
             read_sweep_csv(path)
+
+
+class TestSweepErrorsCsv:
+    def test_failed_rows_only(self, tmp_path):
+        rows = TestSweepCsv.ROWS + (
+            SweepRow("sigmoid:-3,3,1", 0.25, float("nan"), 7, 101, 1,
+                     'ValueError: bad "value", on\ntwo lines'),
+        )
+        path = tmp_path / "sweep_errors.csv"
+        write_sweep_errors_csv(path, rows)
+        assert path.read_text() == (
+            "schedule,scale,seed,error\n"
+            '"cosine:0,1,1",0.5,100,boom\n'
+            '"sigmoid:-3,3,1",0.25,101,"ValueError: bad ""value"", on\ntwo lines"\n'
+        )
 
 
 class TestTileImages:

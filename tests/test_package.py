@@ -53,3 +53,18 @@ def test_imports_load_numpy_and_stdlib_only():
     loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert "noiselab" in loaded and "numpy" in loaded
     assert loaded & {"scipy", "numba", "torch"} == set()
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # sweeps import the process pool when they first fork; train and sample never do
+    code = (
+        "import sys\n"
+        "import noiselab.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n"
+    )
+    src = str(Path(noiselab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

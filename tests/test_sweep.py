@@ -1,12 +1,20 @@
 """Grid runner: cell seeding, isolation, argmin rules, oracle trends."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noiselab
 import noiselab.sweep as sweep_mod
+from noiselab.cli import main
+from noiselab.core import _openblas_thread_funcs, one_blas_thread
 from noiselab.config import (
     Config,
     ConfigError,
@@ -239,6 +247,28 @@ class TestRunSweep:
         assert rows[0][0] == "cosine:0,1,1"
         assert rows[0][2] == res.rows[0].metric
 
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_covariance_built_once_per_sweep(self, monkeypatch, oracle):
+        calls = []
+        real = sweep_mod.dataset_covariance
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(sweep_mod, "dataset_covariance", counted)
+        if oracle:
+            cfg = oracle_cfg(schedules=("linear", "cosine:0,1,1"), scales=(0.5, 1.0),
+                             n_eval=400, steps=10, dataset=AR1_4)
+        else:
+            cfg = trained_cfg()
+            cfg = replace(cfg, dataset=DatasetSpec(kind="gaussian_ar1", n_train=256, seed=0,
+                                                   dim=2, rho=0.5),
+                          sweep=replace(cfg.sweep, scales=(0.5, 1.0), metric="covariance_error"),
+                          train=replace(cfg.train, steps=5))
+        res = run_sweep(cfg)
+        assert res.ok and len(calls) == 1
+
     def test_trained_cells_run(self):
         res = run_sweep(trained_cfg())
         assert res.ok
@@ -270,6 +300,243 @@ class TestGoldenRows:
         assert self.strip(run_sweep(trained_cfg())) == [
             ("linear", 1.0, 2.1341764346531313, 5305169700752127899, 0, ""),
         ]
+
+
+def strip_wall(result):
+    """Rows without wall_ms; the metric as repr, so that NaN rows compare equal."""
+    return [(r.schedule, r.scale, repr(r.metric), r.seed, r.status, r.error)
+            for r in result.rows]
+
+
+def src_env(**extra):
+    """Environment for a fresh interpreter that imports this noiselab."""
+    src = str(Path(noiselab.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+needs_pin = pytest.mark.skipif(_openblas_thread_funcs() is None,
+                               reason="numpy's OpenBLAS is not reachable, so sweeps stay serial")
+
+
+@pytest.fixture
+def pool_runs(monkeypatch):
+    """Force two workers; returns the list of worker counts the pool ran with."""
+    calls = []
+    real = sweep_mod._run_parallel
+
+    def spy(shared, cells, workers):
+        calls.append(workers)
+        return real(shared, cells, workers)
+
+    monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: min(2, n_cells))
+    monkeypatch.setattr(sweep_mod, "_run_parallel", spy)
+    return calls
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep started a worker pool")
+
+    monkeypatch.setattr(sweep_mod, "_run_parallel", refuse)
+
+
+def pid_cells(monkeypatch):
+    """Patch _cell to fail with the pid of the process that ran it."""
+    def report_pid(cfg, model, data, sched_str, scale, seed):
+        raise RuntimeError(f"pid {os.getpid()}")
+
+    monkeypatch.setattr(sweep_mod, "_cell", report_pid)
+
+
+@needs_pin
+class TestParallelCells:
+    GRID = dict(schedules=("linear", "cosine:0,1,1"), scales=(0.4, 0.6, 0.8), n_eval=400,
+                steps=10, dataset=AR1_4)
+
+    def test_oracle_rows_match_serial(self, monkeypatch, pool_runs):
+        cfg = oracle_cfg(**self.GRID)
+        parallel = run_sweep(cfg)
+        assert pool_runs == [2]
+        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        serial = run_sweep(cfg)
+        assert pool_runs == [2]
+        assert strip_wall(parallel) == strip_wall(serial)
+        assert parallel.ok and all(r.wall_ms >= 0 for r in parallel.rows)
+
+    def test_golden_oracle_rows_in_workers(self, pool_runs):
+        cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
+                         steps=10, dataset=AR1_4)
+        assert TestGoldenRows.strip(run_sweep(cfg)) == [
+            ("linear", 0.4, 0.3748643176491698, 3844543151005203059, 0, ""),
+            ("linear", 0.8, 0.3251518253843905, 5186481466807218631, 0, ""),
+        ]
+        assert pool_runs == [2]
+
+    def test_trained_rows_match_serial(self, monkeypatch, pool_runs):
+        cfg = trained_cfg()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, scales=(1.0, 0.5)))
+        parallel = run_sweep(cfg)
+        assert pool_runs == [2]
+        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        serial = run_sweep(cfg)
+        assert strip_wall(parallel) == strip_wall(serial)
+        # the first cell is TestGoldenRows' trained cell
+        assert TestGoldenRows.strip(parallel)[0] == (
+            "linear", 1.0, 2.1341764346531313, 5305169700752127899, 0, "")
+
+    def test_cells_run_in_other_processes(self, monkeypatch, pool_runs):
+        pid_cells(monkeypatch)
+        res = run_sweep(oracle_cfg(**self.GRID))
+        pids = {r.error for r in res.rows}
+        assert f"RuntimeError: pid {os.getpid()}" not in pids
+        assert 1 <= len(pids) <= 2 and res.n_failed == 6
+
+    def test_failed_cell_row_matches_serial(self, monkeypatch, pool_runs):
+        real = sweep_mod._cell
+
+        def flaky(cfg, model, data, sched_str, scale, seed):
+            if scale == 0.6:
+                raise FloatingPointError(f"injected at {sched_str}")
+            return real(cfg, model, data, sched_str, scale, seed)
+
+        monkeypatch.setattr(sweep_mod, "_cell", flaky)
+        cfg = oracle_cfg(**self.GRID)
+        parallel = run_sweep(cfg)
+        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        serial = run_sweep(cfg)
+        assert pool_runs == [2]
+        assert strip_wall(parallel) == strip_wall(serial)
+        bad = [r for r in parallel.rows if r.status != 0]
+        assert [r.error for r in bad] == ["FloatingPointError: injected at linear",
+                                          "FloatingPointError: injected at cosine:0,1,1"]
+        assert all(math.isnan(r.metric) for r in bad) and parallel.n_failed == 2
+
+    def test_dead_worker_raises_promptly(self):
+        # a fresh interpreter, so a hang shows as a timeout and not a stuck suite
+        code = (
+            "import os, time\n"
+            "import noiselab.sweep as sw\n"
+            "from noiselab.config import Config, SweepSettings\n"
+            "from noiselab.datasets import DatasetSpec\n"
+            "from noiselab.sampler import SamplerConfig\n"
+            "sw._workers = lambda n_cells: 2\n"
+            "sw._cell = lambda *args: os._exit(3)\n"
+            "cfg = Config(sweep=SweepSettings(schedules=('linear',), scales=(0.5, 1.0),\n"
+            "             metric='covariance_error', base_seed=0, oracle=True, n_eval=50),\n"
+            "             dataset=DatasetSpec(kind='gaussian_ar1', n_train=2, seed=0, dim=4,\n"
+            "                                 rho=0.5),\n"
+            "             sampler=SamplerConfig(steps=5, seed=0))\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    sw.run_sweep(cfg)\n"
+            "except ChildProcessError as e:\n"
+            "    print('raised', round(time.perf_counter() - t0, 3), e)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=60, check=True)
+        out = proc.stdout.strip()
+        assert out.startswith("raised") and "worker process died" in out, proc
+        assert float(out.split()[1]) < 10.0
+
+    def test_dead_worker_is_cli_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
+        monkeypatch.setattr(sweep_mod, "_cell", lambda *args: os._exit(3))
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(TestSpecFromConfig.ORACLE_TEXT.replace("scales = 1.0",
+                                                              "scales = 0.5 1.0"))
+        rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sweep worker process died" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_one_cell_runs_in_process(self, monkeypatch, no_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        pid_cells(monkeypatch)
+        res = run_sweep(oracle_cfg(n_eval=400, steps=10, dataset=AR1_4))
+        assert [r.error for r in res.rows] == [f"RuntimeError: pid {os.getpid()}"]
+
+    def test_one_cpu_affinity_runs_in_process(self, monkeypatch, no_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pid_cells(monkeypatch)
+        res = run_sweep(oracle_cfg(**self.GRID))
+        assert {r.error for r in res.rows} == {f"RuntimeError: pid {os.getpid()}"}
+
+    @pytest.mark.parametrize("n_scales", [1, 2])
+    def test_blas_pinned_in_cells_and_restored(self, monkeypatch, pool_runs, n_scales):
+        get, set_ = _openblas_thread_funcs()
+
+        def report_threads(*args):
+            raise RuntimeError(f"threads {get()}")
+
+        monkeypatch.setattr(sweep_mod, "_cell", report_threads)
+        cfg = oracle_cfg(scales=(0.5, 1.0)[:n_scales], n_eval=400, steps=10, dataset=AR1_4)
+        before = get()
+        set_(2)
+        try:
+            expected = get()
+            res = run_sweep(cfg)
+            after = get()
+        finally:
+            set_(before)
+        assert [r.error for r in res.rows] == ["RuntimeError: threads 1"] * n_scales
+        assert pool_runs == ([2] if n_scales == 2 else [])
+        assert after == expected
+
+
+class TestWorkerCount:
+    def test_usable_cpus_capped_by_cells(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert [sweep_mod._workers(n) for n in (1, 2, 3, 30)] == [1, 2, 3, 3]
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [sweep_mod._workers(n) for n in (1, 3, 30)] == [1, 3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep_mod._workers(30) == 1
+
+    def test_unreachable_blas_stays_serial(self, monkeypatch, no_pool):
+        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
+        monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
+        pid_cells(monkeypatch)
+        with one_blas_thread() as pinned:
+            assert pinned is False
+        res = run_sweep(oracle_cfg(schedules=("linear",), scales=(0.5, 1.0), n_eval=400,
+                                   steps=10, dataset=AR1_4))
+        assert {r.error for r in res.rows} == {f"RuntimeError: pid {os.getpid()}"}
+
+
+class TestBlasThreadIndependence:
+    """Rows of a dim-64 oracle sweep, whose Sigma @ y rounds differently with
+    the BLAS thread count unless the cells pin it (on hosts with 2+ CPUs)."""
+
+    CODE = (
+        "import json\n"
+        "from noiselab.config import Config, SweepSettings\n"
+        "from noiselab.datasets import DatasetSpec\n"
+        "from noiselab.sampler import SamplerConfig\n"
+        "from noiselab.sweep import run_sweep\n"
+        "cfg = Config(sweep=SweepSettings(schedules=('linear',), scales=(0.3, 0.5, 1.0),\n"
+        "             metric='covariance_error', base_seed=0, oracle=True, n_eval=500),\n"
+        "             dataset=DatasetSpec(kind='toy_image', n_train=1, seed=0, base_res=4,\n"
+        "                                 rho=0.8, upsample=2),\n"
+        "             sampler=SamplerConfig(steps=50, seed=0))\n"
+        "print(json.dumps([(r.schedule, r.scale, repr(r.metric), r.seed, r.status, r.error)\n"
+        "                  for r in run_sweep(cfg).rows]))\n"
+    )
+
+    def rows(self, threads):
+        env = src_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_rows_equal_for_one_and_two_threads(self):
+        one, two = self.rows(1), self.rows(2)
+        assert one == two
+        assert [row[4] for row in one] == [0, 0, 0]
 
 
 class TestBestScale:
