@@ -14,7 +14,8 @@ across platforms, processes, and library versions.
 
 A matrix product can round differently with the number of BLAS threads,
 so code that must give the same bits on every machine runs inside
-``one_blas_thread``.
+``one_blas_thread``. Work that forks processes sizes itself by
+``usable_cpus``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "DecompositionError",
     "NonFiniteError",
     "Rng",
+    "become_worker",
     "check_seed",
     "cholesky_factor",
     "cholesky_solve",
@@ -38,6 +40,7 @@ __all__ = [
     "gaussian",
     "one_blas_thread",
     "sigmoid",
+    "usable_cpus",
 ]
 
 _PIVOT_TOL = 1e-12
@@ -291,3 +294,29 @@ def one_blas_thread() -> Iterator[bool]:
         yield True
     finally:
         set_(old)
+
+
+_worker = False  # set by become_worker in a forked worker process
+
+
+def become_worker() -> None:
+    """Mark this process as a forked worker: usable_cpus() is 1 from now on.
+
+    A worker already holds one of the CPUs its parent counted, so the work
+    it runs (a sweep cell's sampling, say) must not fork further processes.
+    """
+    global _worker
+    _worker = True
+
+
+def usable_cpus() -> int:
+    """CPUs this process may compute on: 1 in a worker, else its affinity set.
+
+    Without an affinity call on the platform, the CPU count (1 if unknown).
+    """
+    if _worker:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

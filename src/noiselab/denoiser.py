@@ -221,22 +221,23 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
+def _inputs(p: DenoiserParams, x, t, labels, self_cond):
+    """The checked parts of the input layer: (x, emb, self_cond, idx).
+
+    emb holds one time-feature row per example, or a single row when one
+    time serves the whole batch; self_cond is None for an arch without
+    that input; idx holds the class of each row, or None.
+    """
     arch = p.arch
     x = as_f64(x, "mlp input")
     if x.ndim != 2 or x.shape[1] != arch.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim {arch.in_dim}")
     n = x.shape[0]
     tt = np.asarray(t, dtype=np.float64)
-    dim = arch.time_embed_dim
-    if tt.ndim == 0:
-        # one time for the whole batch: embed it once and broadcast the row
-        emb = np.broadcast_to(time_embedding(tt, dim), (n, dim))
-    elif tt.shape != (n,):
+    if tt.ndim != 0 and tt.shape != (n,):
         raise ValueError(f"t shape {tt.shape}, expected ({n},)")
-    else:
-        emb = time_embedding(tt, dim)
-    parts = [x, emb]
+    # one time for the whole batch is embedded once and broadcast per block
+    emb = time_embedding(tt, arch.time_embed_dim)
     if arch.self_cond:
         if self_cond is None:
             self_cond = np.zeros_like(x)
@@ -244,12 +245,8 @@ def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
             self_cond = as_f64(self_cond, "self_cond input")
             if self_cond.shape != x.shape:
                 raise ValueError(f"self_cond shape {self_cond.shape} != x shape {x.shape}")
-        parts.append(self_cond)
     elif self_cond is not None:
         raise ValueError("arch has no self-conditioning input")
-    # out= keeps a0 C-ordered: with a broadcast row among the parts, concatenate
-    # may pick Fortran order, and BLAS rounds that layout differently
-    a0 = np.concatenate(parts, axis=1, out=np.empty((n, arch.input_width)))
 
     idx = None
     if arch.cond_classes is not None:
@@ -266,38 +263,79 @@ def _assemble_input(p: DenoiserParams, x, t, labels, self_cond):
             idx = idx.astype(np.int64)
     elif labels is not None:
         raise ValueError("arch is unconditional but labels were given")
-    return a0, idx
+    return x, emb, self_cond, idx
 
 
-def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict]) -> np.ndarray:
-    """The one layer loop behind mlp_forward and mlp_forward_cached.
+def _input_rows(x, emb, self_cond, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    """Rows r0:r1 of the input layer, [x, time features, self_cond], into out.
 
-    Hidden layers (matmul, bias, SiLU) run block by block, so a block's
-    activations stay in cache, and only the last hidden layer's output is
-    held for the whole batch. With a cache dict the whole batch is one
-    block and every layer's pre-activation, sigmoid and activation are
-    kept. The output layer runs on the whole batch: for a narrow output,
-    BLAS picks a kernel by row count, and blocks would move its last ulp.
+    out= keeps the rows C-ordered: with a broadcast row among the parts,
+    concatenate may pick Fortran order, and BLAS rounds that layout
+    differently.
     """
-    a0, idx = _assemble_input(p, x, t, labels, self_cond)
-    n = a0.shape[0]
+    rows = emb[r0:r1] if len(emb) > 1 else np.broadcast_to(emb, (r1 - r0, emb.shape[1]))
+    parts = [x[r0:r1], rows] + ([] if self_cond is None else [self_cond[r0:r1]])
+    return np.concatenate(parts, axis=1, out=out)
+
+
+def _hidden(p: DenoiserParams, a: np.ndarray, idx, out: np.ndarray,
+            cache: Optional[dict] = None) -> None:
+    """The hidden layers (matmul, bias, SiLU) of input rows a; the last one fills out."""
     n_hidden = len(p.arch.hidden_dims)
-    last = np.empty((n, p.arch.hidden_dims[-1])) if n_hidden else a0
+    for i in range(n_hidden):
+        z = a @ p.weights[i]
+        z += p.biases[i]
+        if i == 0 and p.class_embed is not None:
+            z += p.class_embed[idx]
+        s = sigmoid(z)
+        a = np.multiply(z, s, out=out if i == n_hidden - 1 else None)
+        if cache is not None:
+            cache["pres"].append(z)
+            cache["sigs"].append(s)
+            cache["acts"].append(a)
+
+
+def _block(p: DenoiserParams, x, emb, self_cond, idx, r0: int, r1: int,
+           last: np.ndarray) -> None:
+    """Rows r0:r1 of the last hidden layer (of the input, with no hidden layer).
+
+    The one block kernel of the uncached forward pass, run over
+    _row_blocks(n) in this process or split across a RowSplit's
+    processes; the rows are written into last[r0:r1].
+    """
+    out = last[r0:r1]
+    a = np.empty((r1 - r0, p.arch.input_width)) if p.arch.hidden_dims else out
+    _input_rows(x, emb, self_cond, r0, r1, a)
+    _hidden(p, a, None if idx is None else idx[r0:r1], out)
+
+
+def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict],
+             split=None) -> np.ndarray:
+    """The forward pass behind mlp_forward and mlp_forward_cached.
+
+    Without a cache the hidden layers run block by block, so a block's
+    activations stay in cache, and only the last hidden layer's output is
+    held for the whole batch; a split runs the blocks in several
+    processes. With a cache dict the whole batch is one block and every
+    layer's pre-activation, sigmoid and activation are kept. The output
+    layer runs on the whole batch: for a narrow output, BLAS picks a
+    kernel by row count, and blocks would move its last ulp.
+    """
+    x, emb, self_cond, idx = _inputs(p, x, t, labels, self_cond)
+    arch = p.arch
+    n = x.shape[0]
+    n_hidden = len(arch.hidden_dims)
     if cache is not None:
+        a0 = _input_rows(x, emb, self_cond, 0, n, np.empty((n, arch.input_width)))
         cache.update(acts=[a0], pres=[], sigs=[], labels=idx)
-    for r0, r1 in [(0, n)] if cache is not None else _row_blocks(n):
-        a = a0[r0:r1]
-        for i in range(n_hidden):
-            z = a @ p.weights[i]
-            z += p.biases[i]
-            if i == 0 and p.class_embed is not None:
-                z += p.class_embed[idx[r0:r1]]
-            s = sigmoid(z)
-            a = np.multiply(z, s, out=last[r0:r1] if i == n_hidden - 1 else None)
-            if cache is not None:
-                cache["pres"].append(z)
-                cache["sigs"].append(s)
-                cache["acts"].append(a)
+        last = np.empty((n, arch.hidden_dims[-1])) if n_hidden else a0
+        _hidden(p, a0, idx, last, cache)
+    elif split is not None:
+        last = split.hidden(x, emb, self_cond)
+    else:
+        last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
+        for r0, r1 in _row_blocks(n):
+            _block(p, x, emb, self_cond, idx, r0, r1, last)
     out = last @ p.weights[n_hidden] + p.biases[n_hidden]
     return ensure_finite(out, "mlp output")
 
@@ -308,9 +346,14 @@ def mlp_forward_cached(p: DenoiserParams, x, t, labels=None, self_cond=None):
     return _forward(p, x, t, labels, self_cond, cache), cache
 
 
-def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None) -> np.ndarray:
-    """Predicted noise for a batch; t is a scalar or one time per row."""
-    return _forward(p, x, t, labels, self_cond, None)
+def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None, *,
+                split=None) -> np.ndarray:
+    """Predicted noise for a batch; t is a scalar or one time per row.
+
+    ``split``, a RowSplit opened on p for this batch size, runs the hidden
+    layers in its processes; the output is the same to the last bit.
+    """
+    return _forward(p, x, t, labels, self_cond, None, split)
 
 
 def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,

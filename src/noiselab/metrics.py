@@ -26,6 +26,7 @@ __all__ = [
 METRIC_NAMES = ("sliced_wasserstein", "mmd_rbf", "covariance_error")
 
 DEFAULT_PROJECTION_SEED = 19
+_SW_CHUNK = 8  # directions projected and sorted together
 
 
 def _two_sample_args(a, b, min_each: int):
@@ -69,13 +70,17 @@ def sliced_wasserstein(a, b, n_proj: int = 64, rng: Rng | None = None) -> float:
 
     m = max(a.shape[0], b.shape[0])
     probs = (np.arange(m) + 0.5) / m
-    proj_a = np.sort(a @ dirs.T, axis=0)
-    proj_b = np.sort(b @ dirs.T, axis=0)
     total = 0.0
-    for j in range(n_proj):
-        qa = _quantiles(proj_a[:, j], probs)
-        qb = _quantiles(proj_b[:, j], probs)
-        total += float(np.sqrt(np.mean((qa - qb) ** 2)))
+    # a few directions at a time: the projections of every direction at
+    # once, with their sorted copies, were the largest arrays of a run
+    for j0 in range(0, n_proj, _SW_CHUNK):
+        chunk = dirs[j0:j0 + _SW_CHUNK].T
+        proj_a = np.sort(a @ chunk, axis=0)
+        proj_b = np.sort(b @ chunk, axis=0)
+        for j in range(chunk.shape[1]):
+            qa = _quantiles(proj_a[:, j], probs)
+            qb = _quantiles(proj_b[:, j], probs)
+            total += float(np.sqrt(np.mean((qa - qb) ** 2)))
     out = total / n_proj
     ensure_finite(np.asarray(out), "sliced_wasserstein")
     return out

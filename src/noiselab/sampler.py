@@ -30,17 +30,26 @@ triangular solves and Sigma @ y read without a copy. The elementwise
 kernels write in the state's order, so the layout changes no bit of the
 chain. Reductions such as np.cov do sum in a layout-dependent order, so
 generate() returns the samples C-contiguous.
+
+The chain runs with OpenBLAS on one thread, so its bits do not depend on
+the machine's core count. An unguided MLP chain on a large batch splits
+its hidden layers by rows across forked processes (rowsplit.RowSplit),
+one per usable CPU; the output layer, the step arithmetic and every
+check stay whole-batch in this process, and the samples are the same to
+the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed, ensure_finite
+from noiselab.core import Rng, as_f64, check_seed, ensure_finite, one_blas_thread, usable_cpus
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -49,6 +58,7 @@ from noiselab.forward import (
     _signal_estimate,
 )
 from noiselab.oracle import GaussianOracle
+from noiselab.rowsplit import RowSplit, split_processes
 from noiselab.schedules import ScheduleSpec, gamma, time_grid
 
 __all__ = [
@@ -186,13 +196,18 @@ def cfg_combine(eps_cond, eps_uncond, w: float) -> np.ndarray:
 
 
 class MlpPredictor:
-    """Adapts trained DenoiserParams to the predictor protocol."""
+    """Adapts trained DenoiserParams to the predictor protocol.
+
+    With a RowSplit, its forward passes run the hidden layers split by
+    rows across the split's processes.
+    """
 
     requires_raw_input = False
     state_order = "C"
 
-    def __init__(self, params: DenoiserParams):
+    def __init__(self, params: DenoiserParams, split: Optional[RowSplit] = None):
         self.params = params
+        self.split = split
 
     @property
     def dim(self) -> int:
@@ -203,7 +218,7 @@ class MlpPredictor:
         return self.params.arch.self_cond
 
     def __call__(self, x_in, *, gamma, t, scale, labels, self_cond):
-        return mlp_forward(self.params, x_in, t, labels, self_cond)
+        return mlp_forward(self.params, x_in, t, labels, self_cond, split=self.split)
 
 
 class OraclePredictor:
@@ -241,41 +256,26 @@ def as_predictor(model):
     raise TypeError(f"cannot build a noise predictor from {type(model).__name__}")
 
 
-def generate(
-    model,
-    cs: CompoundSchedule,
-    sc: SamplerConfig,
-    n_samples: int,
-    labels: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Draw samples by iterating the reverse process.
+@contextmanager
+def _row_split(predictor, n_samples: int, labels, pinned: bool):
+    """The predictor, with its hidden layers split across processes if that pays.
 
-    Starts from x ~ N(0, I), walks the inference schedule's time grid,
-    normalizing the network input per cs at every step, and divides by
-    the input scale b at the end so outputs live in data space.
-    Guidance runs when guidance_weight > 0 and labels are given: the
-    unconditional pass uses the null class. Returns a C-contiguous
-    (n_samples, dim) array.
+    An unguided MLP chain splits when BLAS is pinned to one thread and fork
+    exists, over one process per usable CPU, each with at least 2 row
+    blocks. Everything else stays in this process.
     """
-    predictor = as_predictor(model)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if predictor.requires_raw_input and cs.normalize != "off":
-        raise ValueError(
-            "this predictor needs raw chain state; use a compound schedule "
-            "with normalize='off'"
-        )
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n_samples,):
-            raise ValueError(f"labels must have shape ({n_samples},), got {labels.shape}")
-    grid = []
-    for t_now, t_next in time_grid(sc.steps):
-        g_now = float(gamma(sc.inference_schedule, t_now))
-        g_next = float(gamma(sc.inference_schedule, t_next))
-        _check_gammas(g_now, g_next)
-        grid.append((t_now, g_now, g_next))
+    processes = split_processes(n_samples, usable_cpus())
+    if (isinstance(predictor, MlpPredictor) and predictor.params.arch.hidden_dims
+            and labels is None and pinned and hasattr(os, "fork") and processes > 1):
+        with RowSplit(predictor.params, n_samples, processes) as split:
+            yield MlpPredictor(predictor.params, split)
+    else:
+        yield predictor
 
+
+def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid, n_samples: int,
+           labels) -> np.ndarray:
+    """The reverse process over the checked grid; the final state, unscaled."""
     dim = predictor.dim
     rng = Rng(sc.seed)
     x_t = np.asarray(rng.normal((n_samples, dim)), order=getattr(predictor, "state_order", "C"))
@@ -314,6 +314,48 @@ def generate(
             x_t = _ddim(x_t, eps, g_now, g_next)
         else:
             x_t = _ddpm(x_t, eps, g_now, g_next, rng)
+    return x_t
+
+
+def generate(
+    model,
+    cs: CompoundSchedule,
+    sc: SamplerConfig,
+    n_samples: int,
+    labels: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Draw samples by iterating the reverse process.
+
+    Starts from x ~ N(0, I), walks the inference schedule's time grid,
+    normalizing the network input per cs at every step, and divides by
+    the input scale b at the end so outputs live in data space.
+    Guidance runs when guidance_weight > 0 and labels are given: the
+    unconditional pass uses the null class. Returns a C-contiguous
+    (n_samples, dim) array.
+    """
+    predictor = as_predictor(model)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if predictor.requires_raw_input and cs.normalize != "off":
+        raise ValueError(
+            "this predictor needs raw chain state; use a compound schedule "
+            "with normalize='off'"
+        )
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (n_samples,):
+            raise ValueError(f"labels must have shape ({n_samples},), got {labels.shape}")
+    grid = []
+    for t_now, t_next in time_grid(sc.steps):
+        g_now = float(gamma(sc.inference_schedule, t_now))
+        g_next = float(gamma(sc.inference_schedule, t_next))
+        _check_gammas(g_now, g_next)
+        grid.append((t_now, g_now, g_next))
+
+    # pinned, the bits do not depend on the BLAS thread count
+    with one_blas_thread() as pinned:
+        with _row_split(predictor, n_samples, labels, pinned) as predictor:
+            x_t = _chain(predictor, cs, sc, grid, n_samples, labels)
     # np.cov sums in an order that depends on the layout
     x_t = np.ascontiguousarray(x_t)
     ensure_finite(x_t, "generated samples")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Config, ConfigError, _check_normalize, check_label_keys
-from .core import one_blas_thread
+from .core import become_worker, one_blas_thread, usable_cpus
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
@@ -141,11 +141,7 @@ def _row(cfg: Config, model, data, reference, sched_str, scale, seed) -> SweepRo
 
 def _workers(n_cells: int) -> int:
     """One worker process per usable CPU, and no more than there are cells."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_cells)
+    return min(usable_cpus(), n_cells)
 
 
 _shared: tuple = ()  # a worker's (cfg, model, data, reference), inherited at fork
@@ -154,6 +150,7 @@ _shared: tuple = ()  # a worker's (cfg, model, data, reference), inherited at fo
 def _init_worker(*shared) -> None:
     global _shared
     _shared = shared
+    become_worker()
 
 
 def _worker_row(cell) -> SweepRow:

@@ -1,6 +1,10 @@
-"""Prints a one-line PASS/FAIL verdict per acceptance criterion."""
+"""Prints a one-line PASS/FAIL verdict per acceptance criterion, and fails any
+test that leaves a child process behind."""
 
+import os
 import re
+
+import pytest
 
 CRITERIA = {
     "01": "schedule endpoints, monotonicity, cosine closed form",
@@ -16,6 +20,23 @@ CRITERIA = {
 }
 
 _PATTERN = re.compile(r"test_criterion_(\d\d)")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child of this process runs on or is unreaped.
+
+    Sweep workers and the sampler's row split fork; both must end and
+    reap every child before they return, also when they raise.
+    """
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    if pid == 0:
+        pytest.fail("the test left a child process running")
+    pytest.fail(f"the test left child process {pid} unreaped (status {status})")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,12 +1,14 @@
-"""Deterministic RNG, Cholesky solve and the shared sigmoid."""
+"""Deterministic RNG, Cholesky solve, the shared sigmoid and the CPU count."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import noiselab.core
 from noiselab.core import (
     DecompositionError,
     NonFiniteError,
@@ -16,6 +18,7 @@ from noiselab.core import (
     ensure_finite,
     gaussian,
     sigmoid,
+    usable_cpus,
 )
 
 # First four draws and digest of the first 1000 draws for seed 42,
@@ -186,3 +189,21 @@ class TestSigmoid:
         x = np.array([-3.0, 0.0, 2.0])
         sigmoid(x)
         np.testing.assert_array_equal(x, [-3.0, 0.0, 2.0])
+
+
+class TestUsableCpus:
+    def test_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert usable_cpus() == 3
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    def test_one_in_a_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(noiselab.core, "_worker", True)
+        assert usable_cpus() == 1

@@ -2,16 +2,38 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiselab.core import Rng, gaussian
 from noiselab.datasets import ar1_covariance
 from noiselab.metrics import (
+    DEFAULT_PROJECTION_SEED,
     METRIC_NAMES,
+    _quantiles,
     covariance_error,
     mmd_rbf,
     redundancy_curve,
     sliced_wasserstein,
 )
+
+
+def sliced_wasserstein_whole(a, b, n_proj=64):
+    """sliced_wasserstein projecting and sorting every direction at once."""
+    dirs = Rng(DEFAULT_PROJECTION_SEED).normal((n_proj, a.shape[1]))
+    norms = np.sqrt(np.sum(dirs**2, axis=1, keepdims=True))
+    norms[norms < 1e-12] = 1.0
+    dirs /= norms
+    m = max(a.shape[0], b.shape[0])
+    probs = (np.arange(m) + 0.5) / m
+    proj_a = np.sort(a @ dirs.T, axis=0)
+    proj_b = np.sort(b @ dirs.T, axis=0)
+    total = 0.0
+    for j in range(n_proj):
+        qa = _quantiles(proj_a[:, j], probs)
+        qb = _quantiles(proj_b[:, j], probs)
+        total += float(np.sqrt(np.mean((qa - qb) ** 2)))
+    return total / n_proj
 
 
 class TestSlicedWasserstein:
@@ -71,6 +93,20 @@ class TestSlicedWasserstein:
         a = sliced_wasserstein(x, y, n_proj=4, rng=Rng(1))
         b = sliced_wasserstein(x, y, n_proj=4, rng=Rng(2))
         assert a != b
+
+    def test_chunks_match_whole_matrix_bitwise(self):
+        a = Rng(13).normal((16384, 2))
+        b = 0.8 * Rng(14).normal((16384, 2)) + 0.1
+        assert sliced_wasserstein(a, b) == sliced_wasserstein_whole(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_a=st.integers(2, 300), n_b=st.integers(2, 300), dim=st.integers(1, 64),
+           n_proj=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_chunks_match_whole_matrix(self, n_a, n_b, dim, n_proj, seed):
+        a = Rng(seed).normal((n_a, dim))
+        b = Rng(seed + 1).normal((n_b, dim)) + 0.25
+        assert sliced_wasserstein(a, b, n_proj=n_proj) == pytest.approx(
+            sliced_wasserstein_whole(a, b, n_proj), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

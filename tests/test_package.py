@@ -56,12 +56,13 @@ def test_imports_load_numpy_and_stdlib_only():
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # sweeps import the process pool when they first fork; train and sample never do
+    # sweeps import the process pool when they first fork, and a row split
+    # imports mmap when it opens; train never does
     code = (
         "import sys\n"
         "import noiselab.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('multiprocessing', 'concurrent.futures.process', 'mmap'))))\n"
     )
     src = str(Path(noiselab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -2,9 +2,15 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import noiselab
 
 from noiselab.core import NonFiniteError, Rng, gaussian
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
@@ -518,8 +524,9 @@ def _golden_case(name: str) -> np.ndarray:
         cs = CompoundSchedule(schedule=linear, input_scale=0.3, normalize="off")
         sc = SamplerConfig(steps=50, seed=17, step_kind=kind, inference_schedule=linear)
         return generate(oracle, cs, sc, 2000)
-    if name == "oracle_ddim_toy_image_clamp":
-        spec = DatasetSpec(kind="toy_image", n_train=1, seed=0, base_res=3, rho=0.8,
+    if name in ("oracle_ddim_toy_image_clamp", "oracle_ddim_toy_image64_clamp"):
+        base_res = 4 if name == "oracle_ddim_toy_image64_clamp" else 3
+        spec = DatasetSpec(kind="toy_image", n_train=1, seed=0, base_res=base_res, rho=0.8,
                            upsample=2)
         oracle = GaussianOracle(dataset_covariance(spec))
         cs = CompoundSchedule(schedule=linear, input_scale=0.5, normalize="off")
@@ -534,13 +541,16 @@ def _golden_case(name: str) -> np.ndarray:
 # sha256 of the bytes generate() returns, recorded before the oracle chain
 # was reworked to run unchecked kernels on a column-ordered state. A change
 # here means a sampling chain moved by at least one bit. Recorded with the
-# bundled OpenBLAS on x86-64, with one and with two BLAS threads; at dim 64
-# the Sigma @ y gemm already rounds differently across thread counts, so
-# the image case stays at dim 36.
+# bundled OpenBLAS on x86-64, with one and with two BLAS threads. The dim-64
+# image case was recorded with OPENBLAS_NUM_THREADS=1 before generate()
+# pinned BLAS: unpinned, its Sigma @ y gemm rounds differently with two
+# threads.
 GOLDEN_SAMPLING_DIGESTS = {
     "oracle_ddim_ar1": "c73e76afeae16e7bbaf69540d7546c960980f5e9c4f02a8e7893e8c04b4b6212",
     "oracle_ddpm_ar1": "e91764a60fcd91bd8dbb1b7b001f6dcfc2adaea5e47fc90795f210d44fd7f0ea",
     "oracle_ddim_toy_image_clamp": "71ce72ca95fb77d7dd0b55e26fc4cfc22da8a6c6aa8c1ba3a50928fbc91c2682",
+    "oracle_ddim_toy_image64_clamp":
+        "dfb9e97286b0429fb8482bb06a785487777c8d820fc6bf1c3667326a792dcd9a",
     "mlp_ddim_clamp": "578df4bfee81d6ccc1a492bd42c0269036722a3094649ff617d92ce6da2acba0",
 }
 
@@ -553,3 +563,21 @@ class TestGoldenSamplingBits:
         out = _golden_case(name)
         assert out.flags.c_contiguous
         assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_SAMPLING_DIGESTS[name]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_thread_count_moves_no_bit(self, threads):
+        # a fresh interpreter, since OpenBLAS reads its thread count at load
+        name = "oracle_ddim_toy_image64_clamp"
+        code = (
+            "import hashlib, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_sampler import _golden_case\n"
+            f"print(hashlib.sha256(_golden_case({name!r}).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(noiselab.__file__).resolve().parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == GOLDEN_SAMPLING_DIGESTS[name]

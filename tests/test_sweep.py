@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import noiselab
+import noiselab.sampler as sampler_mod
 import noiselab.sweep as sweep_mod
 from noiselab.cli import main
 from noiselab.core import _openblas_thread_funcs, one_blas_thread
@@ -462,6 +463,20 @@ class TestParallelCells:
         pid_cells(monkeypatch)
         res = run_sweep(oracle_cfg(**self.GRID))
         assert {r.error for r in res.rows} == {f"RuntimeError: pid {os.getpid()}"}
+
+    def test_trained_cells_sample_in_their_worker(self, monkeypatch, pool_runs):
+        # on 2 CPUs, 2 workers that each split their sampling would run 4
+        # compute processes; a split opened in a worker fails its cell
+        def refuse(*args):
+            raise AssertionError("a sweep worker opened a row split")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sampler_mod, "RowSplit", refuse)
+        cfg = trained_cfg()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, scales=(1.0, 0.5), n_eval=2048))
+        res = run_sweep(cfg)
+        assert pool_runs == [2]
+        assert [r.error for r in res.rows] == ["", ""]
 
     @pytest.mark.parametrize("n_scales", [1, 2])
     def test_blas_pinned_in_cells_and_restored(self, monkeypatch, pool_runs, n_scales):
