@@ -331,6 +331,10 @@ def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict],
         last = np.empty((n, arch.hidden_dims[-1])) if n_hidden else a0
         _hidden(p, a0, idx, last, cache)
     elif split is not None:
+        # the split's processes run its own params on null-class rows
+        if split.p is not p or labels is not None:
+            raise ValueError("a row split runs only the unguided pass of the params "
+                             "it was opened on")
         last = split.hidden(x, emb, self_cond)
     else:
         last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
@@ -351,7 +355,8 @@ def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None, *,
     """Predicted noise for a batch; t is a scalar or one time per row.
 
     ``split``, a RowSplit opened on p for this batch size, runs the hidden
-    layers in its processes; the output is the same to the last bit.
+    layers in its processes; the output is the same to the last bit. It
+    takes no labels: the split's rows are all of the null class.
     """
     return _forward(p, x, t, labels, self_cond, None, split)
 

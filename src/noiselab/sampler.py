@@ -42,14 +42,13 @@ the last bit.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed, ensure_finite, one_blas_thread, usable_cpus
+from noiselab.core import Rng, as_f64, check_seed, ensure_finite, one_blas_thread
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -196,18 +195,15 @@ def cfg_combine(eps_cond, eps_uncond, w: float) -> np.ndarray:
 
 
 class MlpPredictor:
-    """Adapts trained DenoiserParams to the predictor protocol.
-
-    With a RowSplit, its forward passes run the hidden layers split by
-    rows across the split's processes.
-    """
+    """Adapts trained DenoiserParams to the predictor protocol."""
 
     requires_raw_input = False
     state_order = "C"
+    # set by generate() on its own predictor while a row split is open
+    split: Optional[RowSplit] = None
 
-    def __init__(self, params: DenoiserParams, split: Optional[RowSplit] = None):
+    def __init__(self, params: DenoiserParams):
         self.params = params
-        self.split = split
 
     @property
     def dim(self) -> int:
@@ -260,16 +256,18 @@ def as_predictor(model):
 def _row_split(predictor, n_samples: int, labels, pinned: bool):
     """The predictor, with its hidden layers split across processes if that pays.
 
-    An unguided MLP chain splits when BLAS is pinned to one thread and fork
-    exists, over one process per usable CPU, each with at least 2 row
-    blocks. Everything else stays in this process.
+    Only a trained MLP with BLAS pinned to one thread can split;
+    rowsplit.split_processes decides whether it does. Everything else
+    stays in this process.
     """
-    processes = split_processes(n_samples, usable_cpus())
-    if (isinstance(predictor, MlpPredictor) and predictor.params.arch.hidden_dims
-            and labels is None and pinned and hasattr(os, "fork") and processes > 1):
-        with RowSplit(predictor.params, n_samples, processes) as split:
-            yield MlpPredictor(predictor.params, split)
-    else:
+    processes = (split_processes(predictor.params, n_samples, labels)
+                 if isinstance(predictor, MlpPredictor) and pinned else None)
+    if processes is None:
+        yield predictor
+        return
+    with RowSplit(predictor.params, n_samples, processes) as split:
+        predictor = MlpPredictor(predictor.params)
+        predictor.split = split
         yield predictor
 
 

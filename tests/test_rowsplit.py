@@ -1,5 +1,6 @@
 """The row split of sampling's hidden layers: byte-identical to the serial
-pass, opened only where it pays, and no child process outlives generate()."""
+pass, opened only for an unguided MLP chain of at least two row blocks,
+and no child process outlives generate()."""
 
 import os
 import signal
@@ -132,15 +133,28 @@ class TestStaysInProcess:
         cpus(monkeypatch, 1)
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 16384)
 
-    @pytest.mark.parametrize("n, opens", [(1023, False), (1024, True)])
-    def test_two_blocks_per_process(self, monkeypatch, splits, n, opens):
+    @pytest.mark.parametrize("n, opens", [(511, False), (512, True)])
+    def test_one_block_per_process(self, monkeypatch, splits, n, opens):
         cpus(monkeypatch, 2)
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), n)
         assert splits == ([2] if opens else [])
 
-    def test_processes_capped_by_cpus_and_blocks(self):
-        assert [split_processes(n, 4) for n in (1023, 1024, 1536, 2048, 4096)] == [1, 2, 3, 4, 4]
-        assert split_processes(16384, 1) == 1
+    def test_processes_capped_by_cpus_and_blocks(self, monkeypatch):
+        p = mlp(16, False)
+        cpus(monkeypatch, 4)
+        assert [split_processes(p, n) for n in (511, 512, 768, 1024, 4096)] \
+            == [None, 2, 3, 4, 4]
+        cpus(monkeypatch, 1)
+        assert split_processes(p, 16384) is None
+
+    def test_no_split_without_hidden_layers_labels_or_fork(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        p = mlp(16, False, cond_classes=3)
+        assert split_processes(p, 4096) == 2
+        assert split_processes(p, 4096, labels=np.zeros(4096, dtype=np.int64)) is None
+        assert split_processes(randomized(MlpArch(in_dim=2, hidden_dims=()), 0), 4096) is None
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert split_processes(p, 4096) is None
 
     def test_labels(self, monkeypatch, no_split):
         cpus(monkeypatch, 2)
@@ -177,12 +191,18 @@ class TestStaysInProcess:
 
 
 class TestRowSplitArgs:
-    @pytest.mark.parametrize("hidden, n, processes", [((), 4096, 2), ((16,), 1023, 2),
-                                                       ((16,), 4096, 1), ((16,), 1536, 4)])
-    def test_rejects_a_split_that_does_not_pay(self, hidden, n, processes):
-        p = randomized(MlpArch(in_dim=2, hidden_dims=hidden), 0)
-        with pytest.raises(ValueError, match="cannot split"):
-            RowSplit(p, n, processes)
+    def test_other_params(self):
+        p, q = mlp(16, False), mlp(16, False)
+        with RowSplit(p, 2048, 2) as split:
+            with pytest.raises(ValueError, match="params it was opened on"):
+                mlp_forward(q, np.zeros((2048, 2)), 0.5, split=split)
+
+    def test_labels(self):
+        p = mlp(16, False, cond_classes=3)
+        with RowSplit(p, 2048, 2) as split:
+            with pytest.raises(ValueError, match="only the unguided pass"):
+                mlp_forward(p, np.zeros((2048, 2)), 0.5, labels=np.ones(2048, dtype=np.int64),
+                            split=split)
 
     def test_one_time_and_the_opened_batch_size(self):
         p = mlp(16, False)
