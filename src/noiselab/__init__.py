@@ -28,7 +28,7 @@ from noiselab.oracle import GaussianOracle, oracle_denoise_mse
 from noiselab.denoiser import MlpArch, DenoiserParams, init_params, load_params, save_params
 from noiselab.metrics import covariance_error, mmd_rbf, redundancy_curve, sliced_wasserstein
 from noiselab.training import TrainConfig, TrainingDiverged, train
-from noiselab.sampler import SamplerConfig, cfg_combine, ddim_step, ddpm_step, generate
+from noiselab.sampler import SamplerConfig, ddim_step, ddpm_step, generate
 from noiselab.config import Config, ConfigError, parse_config, serialize_config
 from noiselab.sweep import best_scale, check_sweep, run_sweep
 
@@ -68,7 +68,6 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "SamplerConfig",
-    "cfg_combine",
     "ddim_step",
     "ddpm_step",
     "generate",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, check_label_keys, parse_config, write_config
+from .config import Config, ConfigError, parse_config, write_config
 from .core import NonFiniteError
 from .datasets import make_dataset
 from .denoiser import load_params, save_params
@@ -140,7 +140,6 @@ def _cmd_train(args, stdout) -> int:
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
     tcfg = _with_seed(_require(cfg, "train"), "seed", args.seed)
-    check_label_keys(cfg, "train")
 
     out = _ensure_dir(args.out_dir)
     data = make_dataset(dspec)
@@ -161,7 +160,6 @@ def _cmd_sample(args, stdout) -> int:
     dspec = _require(cfg, "dataset")
     compound = _require(cfg, "compound")
     scfg = _with_seed(_require(cfg, "sampler"), "seed", args.seed)
-    check_label_keys(cfg, "sampler")
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
 

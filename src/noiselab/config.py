@@ -32,21 +32,17 @@ class NetSettings:
 
     hidden_dims: tuple = (64, 64)
     time_embed_dim: int = 16
-    cond_classes: int = 0
     self_cond: bool = False
 
     def __post_init__(self):
         if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_dims}")
-        if self.cond_classes < 0:
-            raise ValueError(f"classes must be >= 0, got {self.cond_classes}")
 
     def build_arch(self, in_dim: int) -> MlpArch:
         return MlpArch(
             in_dim=in_dim,
             hidden_dims=tuple(self.hidden_dims),
             time_embed_dim=self.time_embed_dim,
-            cond_classes=self.cond_classes if self.cond_classes > 0 else None,
             self_cond=self.self_cond,
         )
 
@@ -107,7 +103,7 @@ class Config:
 # The only declaration of the run-file keys: one table per section,
 # mapping each key to its value type, in the order serialize_config
 # writes them. A key is named after the field it sets unless it is in
-# _RENAMES.
+# _RENAMES or _RETIRED.
 _SECTION_KEYS = {
     "dataset": {
         "kind": "str", "n_train": "int", "seed": "int", "dim": "int",
@@ -141,9 +137,18 @@ _SECTION_KEYS = {
 _RENAMES = {
     ("train", "hidden"): ("net", "hidden_dims"),
     ("train", "time_embed"): ("net", "time_embed_dim"),
-    ("train", "classes"): ("net", "cond_classes"),
     ("train", "self_cond"): ("net", "self_cond"),
     ("sampler", "schedule"): ("sampler", "inference_schedule"),
+}
+
+# Keys of the class conditioning the package no longer has, with their
+# neutral value: the only value they accept, and the one they are written
+# with, so every config.txt keeps the bytes of the earlier runs. They set
+# no field.
+_RETIRED = {
+    ("train", "label_dropout"): 0.0,
+    ("train", "classes"): 0,
+    ("sampler", "guidance_weight"): 0.0,
 }
 
 # The Config attributes each section builds, in build order. A present
@@ -248,20 +253,6 @@ def _check_normalize(cfg: Config) -> None:
             )
 
 
-def check_label_keys(cfg: Config, *sections: str) -> None:
-    """Reject label-only keys: no command passes class labels, so they would do nothing.
-
-    A command calls this with the sections it reads; parsing accepts the keys.
-    """
-    for sect, key in (("sampler", "guidance_weight"), ("train", "label_dropout")):
-        settings = getattr(cfg, sect)
-        if sect in sections and settings is not None and getattr(settings, key) > 0.0:
-            raise ConfigError(
-                f"[{sect}]: {key} = {getattr(settings, key)!r} needs class labels, "
-                f"which no command passes; set it to 0"
-            )
-
-
 def _check_dataset_keys(cfg: Config, lines: dict) -> None:
     """A [dataset] key of another kind would be dropped from config.txt."""
     if cfg.dataset is None:
@@ -274,15 +265,22 @@ def _check_dataset_keys(cfg: Config, lines: dict) -> None:
 
 def parse_config_text(text: str) -> Config:
     # values[section][attribute] holds the fields set by that section's keys;
-    # a section is present once it has a key, whichever class the key sets
+    # a section is present once it has a key, even one that sets no field
     values: dict = {}
     lines: dict = {}
     for lineno, sect, key, raw in _section_lines(text):
         lines[sect, key] = lineno
+        value = _convert(raw, _SECTION_KEYS[sect][key], lineno, key)
+        section = values.setdefault(sect, {})
+        if (sect, key) in _RETIRED:
+            if value != _RETIRED[sect, key]:
+                raise ConfigError(
+                    f"line {lineno}: '{key}' in [{sect}] takes only "
+                    f"{_RETIRED[sect, key]!r}: class conditioning was removed"
+                )
+            continue
         attr, name = _RENAMES.get((sect, key), (sect, key))
-        values.setdefault(sect, {}).setdefault(attr, {})[name] = _convert(
-            raw, _SECTION_KEYS[sect][key], lineno, key
-        )
+        section.setdefault(attr, {})[name] = value
 
     cfg = Config()
     for sect, classes in _SECTION_CLASSES.items():
@@ -334,8 +332,12 @@ def serialize_config(cfg: Config) -> str:
                 for attr, ctor in classes.items()}
         out.append(f"[{sect}]")
         for key in _written_keys(sect, objs[sect]):
-            attr, name = _RENAMES.get((sect, key), (sect, key))
-            out.append(f"{key} = {_fmt(getattr(objs[attr], name))}")
+            if (sect, key) in _RETIRED:
+                value = _RETIRED[sect, key]
+            else:
+                attr, name = _RENAMES.get((sect, key), (sect, key))
+                value = getattr(objs[attr], name)
+            out.append(f"{key} = {_fmt(value)}")
         out.append("")
     return "\n".join(out)
 

@@ -2,17 +2,15 @@
 
 The network maps a (batch, in_dim) input plus a scalar time per example to
 a predicted noise tensor of the input's shape. Time enters through
-sinusoidal features; an optional class label is embedded and added to the
-first hidden pre-activation (the last embedding row is reserved for the
-null class used by label dropout and classifier-free guidance); optional
-self-conditioning concatenates the previous signal estimate to the input.
+sinusoidal features; optional self-conditioning concatenates the previous
+signal estimate to the input.
 
 All parameters live in one contiguous float64 vector, ``flat``, laid out
-in layer order: weights (fan_in, fan_out) then bias per layer, the class
-embedding last. The per-array names are views into it, so gradients,
-optimizer moments and the EMA copy use the same type and update as
-whole-vector numpy ops. ``save_params`` writes one ASCII header line
-naming the architecture, then ``flat`` as little-endian float64.
+in layer order: weights (fan_in, fan_out) then bias per layer. The
+per-array names are views into it, so gradients, optimizer moments and
+the EMA copy use the same type and update as whole-vector numpy ops.
+``save_params`` writes one ASCII header line naming the architecture,
+then ``flat`` as little-endian float64.
 """
 
 from __future__ import annotations
@@ -41,6 +39,9 @@ __all__ = [
 
 _EMBED_MAX_PERIOD = 1.0e4
 _FORMAT_TAG = "mlp1"
+# The header's classes field: every checkpoint this package writes or
+# reads is unconditional.
+_NO_CLASSES = "-"
 # Rows per block of the hidden layers: at width 64 a block's activations
 # take 128 KiB and stay in cache through matmul, bias and SiLU.
 _BLOCK_ROWS = 256
@@ -50,15 +51,12 @@ _BLOCK_ROWS = 256
 class MlpArch:
     """Architecture descriptor.
 
-    input layer width = in_dim + time_embed_dim + (in_dim if self_cond);
-    the class embedding does not widen the input, it is added to the
-    first hidden pre-activation.
+    input layer width = in_dim + time_embed_dim + (in_dim if self_cond).
     """
 
     in_dim: int
     hidden_dims: tuple[int, ...]
     time_embed_dim: int = 16
-    cond_classes: Optional[int] = None
     self_cond: bool = False
 
     def __post_init__(self):
@@ -69,22 +67,10 @@ class MlpArch:
             raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
         if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
             raise ValueError(f"time_embed_dim must be even and >= 2, got {self.time_embed_dim}")
-        if self.cond_classes is not None:
-            if self.cond_classes < 1:
-                raise ValueError(f"cond_classes must be >= 1, got {self.cond_classes}")
-            if not self.hidden_dims:
-                raise ValueError("class conditioning needs at least one hidden layer")
 
     @property
     def input_width(self) -> int:
         return self.in_dim + self.time_embed_dim + (self.in_dim if self.self_cond else 0)
-
-    @property
-    def null_class(self) -> int:
-        """Embedding row used for 'no label' (dropout and unguided passes)."""
-        if self.cond_classes is None:
-            raise ValueError("arch is unconditional")
-        return self.cond_classes
 
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = [self.input_width, *self.hidden_dims, self.in_dim]
@@ -100,8 +86,6 @@ def _layout(arch: MlpArch) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...]
     shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in arch.layer_dims():
         shapes += [(fan_in, fan_out), (fan_out,)]
-    if arch.cond_classes is not None:
-        shapes.append((arch.cond_classes + 1, arch.hidden_dims[0]))
     spans, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -126,7 +110,6 @@ class DenoiserParams:
     arrays: tuple = field(init=False, repr=False)
     weights: tuple = field(init=False, repr=False)
     biases: tuple = field(init=False, repr=False)
-    class_embed: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         spans, size = _layout(self.arch)
@@ -137,13 +120,11 @@ class DenoiserParams:
             if flat.shape != (size,):
                 raise ValueError(f"flat has shape {flat.shape}, the arch needs ({size},)")
         arrays = tuple(flat[start:stop].reshape(shape) for start, stop, shape in spans)
-        n_layers = len(self.arch.hidden_dims) + 1
         setattr_ = object.__setattr__
         setattr_(self, "flat", flat)
         setattr_(self, "arrays", arrays)
-        setattr_(self, "weights", arrays[0 : 2 * n_layers : 2])
-        setattr_(self, "biases", arrays[1 : 2 * n_layers : 2])
-        setattr_(self, "class_embed", arrays[-1] if self.arch.cond_classes is not None else None)
+        setattr_(self, "weights", arrays[0::2])
+        setattr_(self, "biases", arrays[1::2])
 
 
 def clone_params(p: DenoiserParams) -> DenoiserParams:
@@ -155,10 +136,9 @@ def init_params(arch: MlpArch, rng: Rng) -> DenoiserParams:
     """Scaled-uniform init preserving unit activation variance.
 
     Hidden weights are uniform on +-sqrt(3/fan_in); the output layer is
-    zero so training starts from an all-zero noise prediction; the class
-    table starts at zero so a fresh conditional net matches the
-    unconditional one; the first-layer rows fed by the self-conditioning
-    slice start at zero so a zero estimate is a true no-op.
+    zero so training starts from an all-zero noise prediction; the
+    first-layer rows fed by the self-conditioning slice start at zero so
+    a zero estimate is a true no-op.
     """
     p = DenoiserParams(arch)
     for w in p.weights[:-1]:
@@ -221,12 +201,12 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _inputs(p: DenoiserParams, x, t, labels, self_cond):
-    """The checked parts of the input layer: (x, emb, self_cond, idx).
+def _inputs(p: DenoiserParams, x, t, self_cond):
+    """The checked parts of the input layer: (x, emb, self_cond).
 
     emb holds one time-feature row per example, or a single row when one
     time serves the whole batch; self_cond is None for an arch without
-    that input; idx holds the class of each row, or None.
+    that input.
     """
     arch = p.arch
     x = as_f64(x, "mlp input")
@@ -247,23 +227,7 @@ def _inputs(p: DenoiserParams, x, t, labels, self_cond):
                 raise ValueError(f"self_cond shape {self_cond.shape} != x shape {x.shape}")
     elif self_cond is not None:
         raise ValueError("arch has no self-conditioning input")
-
-    idx = None
-    if arch.cond_classes is not None:
-        if labels is None:
-            idx = np.full(n, arch.null_class, dtype=np.int64)
-        else:
-            idx = np.asarray(labels)
-            if idx.shape != (n,):
-                raise ValueError(f"labels shape {idx.shape}, expected ({n},)")
-            if not np.issubdtype(idx.dtype, np.integer):
-                raise ValueError("labels must be integers")
-            if idx.min() < 0 or idx.max() > arch.null_class:
-                raise ValueError(f"labels must lie in [0, {arch.null_class}]")
-            idx = idx.astype(np.int64)
-    elif labels is not None:
-        raise ValueError("arch is unconditional but labels were given")
-    return x, emb, self_cond, idx
+    return x, emb, self_cond
 
 
 def _input_rows(x, emb, self_cond, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
@@ -278,15 +242,13 @@ def _input_rows(x, emb, self_cond, r0: int, r1: int, out: np.ndarray) -> np.ndar
     return np.concatenate(parts, axis=1, out=out)
 
 
-def _hidden(p: DenoiserParams, a: np.ndarray, idx, out: np.ndarray,
+def _hidden(p: DenoiserParams, a: np.ndarray, out: np.ndarray,
             cache: Optional[dict] = None) -> None:
     """The hidden layers (matmul, bias, SiLU) of input rows a; the last one fills out."""
     n_hidden = len(p.arch.hidden_dims)
     for i in range(n_hidden):
         z = a @ p.weights[i]
         z += p.biases[i]
-        if i == 0 and p.class_embed is not None:
-            z += p.class_embed[idx]
         s = sigmoid(z)
         a = np.multiply(z, s, out=out if i == n_hidden - 1 else None)
         if cache is not None:
@@ -295,7 +257,7 @@ def _hidden(p: DenoiserParams, a: np.ndarray, idx, out: np.ndarray,
             cache["acts"].append(a)
 
 
-def _block(p: DenoiserParams, x, emb, self_cond, idx, r0: int, r1: int,
+def _block(p: DenoiserParams, x, emb, self_cond, r0: int, r1: int,
            last: np.ndarray) -> None:
     """Rows r0:r1 of the last hidden layer (of the input, with no hidden layer).
 
@@ -306,10 +268,10 @@ def _block(p: DenoiserParams, x, emb, self_cond, idx, r0: int, r1: int,
     out = last[r0:r1]
     a = np.empty((r1 - r0, p.arch.input_width)) if p.arch.hidden_dims else out
     _input_rows(x, emb, self_cond, r0, r1, a)
-    _hidden(p, a, None if idx is None else idx[r0:r1], out)
+    _hidden(p, a, out)
 
 
-def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict],
+def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict],
              split=None) -> np.ndarray:
     """The forward pass behind mlp_forward and mlp_forward_cached.
 
@@ -321,44 +283,40 @@ def _forward(p: DenoiserParams, x, t, labels, self_cond, cache: Optional[dict],
     layer runs on the whole batch: for a narrow output, BLAS picks a
     kernel by row count, and blocks would move its last ulp.
     """
-    x, emb, self_cond, idx = _inputs(p, x, t, labels, self_cond)
+    x, emb, self_cond = _inputs(p, x, t, self_cond)
     arch = p.arch
     n = x.shape[0]
     n_hidden = len(arch.hidden_dims)
     if cache is not None:
         a0 = _input_rows(x, emb, self_cond, 0, n, np.empty((n, arch.input_width)))
-        cache.update(acts=[a0], pres=[], sigs=[], labels=idx)
+        cache.update(acts=[a0], pres=[], sigs=[])
         last = np.empty((n, arch.hidden_dims[-1])) if n_hidden else a0
-        _hidden(p, a0, idx, last, cache)
+        _hidden(p, a0, last, cache)
     elif split is not None:
-        # the split's processes run its own params on null-class rows
-        if split.p is not p or labels is not None:
-            raise ValueError("a row split runs only the unguided pass of the params "
-                             "it was opened on")
+        if split.p is not p:
+            raise ValueError("a row split runs only the params it was opened on")
         last = split.hidden(x, emb, self_cond)
     else:
         last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
         for r0, r1 in _row_blocks(n):
-            _block(p, x, emb, self_cond, idx, r0, r1, last)
+            _block(p, x, emb, self_cond, r0, r1, last)
     out = last @ p.weights[n_hidden] + p.biases[n_hidden]
     return ensure_finite(out, "mlp output")
 
 
-def mlp_forward_cached(p: DenoiserParams, x, t, labels=None, self_cond=None):
+def mlp_forward_cached(p: DenoiserParams, x, t, self_cond=None):
     """Forward pass returning (eps_pred, cache) for mlp_backward."""
     cache: dict = {}
-    return _forward(p, x, t, labels, self_cond, cache), cache
+    return _forward(p, x, t, self_cond, cache), cache
 
 
-def mlp_forward(p: DenoiserParams, x, t, labels=None, self_cond=None, *,
-                split=None) -> np.ndarray:
+def mlp_forward(p: DenoiserParams, x, t, self_cond=None, *, split=None) -> np.ndarray:
     """Predicted noise for a batch; t is a scalar or one time per row.
 
     ``split``, a RowSplit opened on p for this batch size, runs the hidden
-    layers in its processes; the output is the same to the last bit. It
-    takes no labels: the split's rows are all of the null class.
+    layers in its processes; the output is the same to the last bit.
     """
-    return _forward(p, x, t, labels, self_cond, None, split)
+    return _forward(p, x, t, self_cond, None, split)
 
 
 def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
@@ -375,7 +333,7 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
     Returns:
         The gradients, in p's layout.
     """
-    acts, pres, sigs, idx = cache["acts"], cache["pres"], cache["sigs"], cache["labels"]
+    acts, pres, sigs = cache["acts"], cache["pres"], cache["sigs"]
     d = as_f64(grad_out, "grad_out")
     n_hidden = len(p.arch.hidden_dims)
     if out is None:
@@ -393,10 +351,6 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
             dz = _silu_grad(pres[i], sigs[i], da)
             np.matmul(acts[i].T, dz, out=g_w[i])
             dz.sum(axis=0, out=g_b[i])
-            if i == 0 and grads.class_embed is not None:
-                # add.at accumulates, and every other array is overwritten
-                grads.class_embed[...] = 0.0
-                np.add.at(grads.class_embed, idx, dz)
             if i > 0:
                 da = dz @ p.weights[i].T
     return grads
@@ -404,10 +358,9 @@ def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
 
 def _arch_header(arch: MlpArch) -> str:
     hidden = ",".join(str(h) for h in arch.hidden_dims) if arch.hidden_dims else "-"
-    classes = "-" if arch.cond_classes is None else str(arch.cond_classes)
     return (
         f"{_FORMAT_TAG} in={arch.in_dim} hidden={hidden} "
-        f"time_embed={arch.time_embed_dim} classes={classes} "
+        f"time_embed={arch.time_embed_dim} classes={_NO_CLASSES} "
         f"self_cond={int(arch.self_cond)}"
     )
 
@@ -424,15 +377,19 @@ def _parse_header(line: str) -> MlpArch:
         kv[key] = val
     try:
         hidden = () if kv["hidden"] == "-" else tuple(int(h) for h in kv["hidden"].split(","))
-        return MlpArch(
+        classes = kv["classes"]
+        arch = MlpArch(
             in_dim=int(kv["in"]),
             hidden_dims=hidden,
             time_embed_dim=int(kv["time_embed"]),
-            cond_classes=None if kv["classes"] == "-" else int(kv["classes"]),
             self_cond=bool(int(kv["self_cond"])),
         )
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad params header: {line!r}") from exc
+    if classes != _NO_CLASSES:
+        raise ValueError(f"params header {line!r} has classes={classes}: "
+                         "class-conditional checkpoints are no longer supported")
+    return arch
 
 
 def save_params(path, p: DenoiserParams) -> None:

@@ -138,11 +138,12 @@ def effective_gamma(gamma_t, scale: float):
 
     gamma_eff = b^2 gamma / ((b^2 - 1) gamma + 1); dividing the scaled
     process by its analytic std reproduces the unit-scale process run at
-    gamma_eff with the same noise draw.
+    gamma_eff with the same noise draw. Capped at 1: at gamma = 1 the
+    rounded quotient can exceed it by a few ulps.
     """
     g = np.asarray(gamma_t, dtype=np.float64)
     var = analytic_variance(g, scale)
-    out = (scale * scale) * g / np.asarray(var)
+    out = np.minimum((scale * scale) * g / np.asarray(var), 1.0)
     return float(out) if np.ndim(gamma_t) == 0 else out
 
 

@@ -29,16 +29,15 @@ __all__ = ["RowSplit", "split_processes"]
 _GO = b"g"
 
 
-def split_processes(p: DenoiserParams, n_rows: int, labels=None) -> Optional[int]:
+def split_processes(p: DenoiserParams, n_rows: int) -> Optional[int]:
     """Processes to split the hidden layers of p on n_rows over, or None.
 
     One per usable CPU, each with at least one row block, where fork
-    exists, the arch has hidden layers and no labels are given (a guided
-    chain's two passes per step stay in this process). None means no
-    split. On two CPUs a 100-step chain of 512 rows, two blocks, already
-    runs faster split; forking and reaping cost about 2.5 ms a call.
+    exists and the arch has hidden layers. None means no split. On two
+    CPUs a 100-step chain of 512 rows, two blocks, already runs faster
+    split; forking and reaping cost about 2.5 ms a call.
     """
-    if not p.arch.hidden_dims or labels is not None or not hasattr(os, "fork"):
+    if not p.arch.hidden_dims or not hasattr(os, "fork"):
         return None
     processes = min(usable_cpus(), len(_row_blocks(n_rows)))
     return processes if processes > 1 else None
@@ -73,7 +72,6 @@ class RowSplit:
         self._x, self._emb, self._self_cond, self._last = views
         if not arch.self_cond:
             self._self_cond = None
-        self._idx = None if arch.cond_classes is None else np.full(n, arch.null_class)
         self._run = runs[0]
         self._children = []  # (pid, go_fd, ack_fd) of each live child
         try:
@@ -118,7 +116,7 @@ class RowSplit:
 
     def _compute(self, run) -> None:
         for r0, r1 in run:
-            _block(self.p, self._x, self._emb, self._self_cond, self._idx, r0, r1, self._last)
+            _block(self.p, self._x, self._emb, self._self_cond, r0, r1, self._last)
 
     def hidden(self, x: np.ndarray, emb: np.ndarray, self_cond) -> np.ndarray:
         """The last hidden layer of a pass, (n, width), in the shared buffer.

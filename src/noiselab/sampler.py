@@ -1,4 +1,4 @@
-"""Generation loop: DDIM/DDPM steps, decoupled inference schedule, guidance.
+"""Generation loop: DDIM/DDPM steps and a decoupled inference schedule.
 
 The chain runs in the scaled space (the signal is b x0) and divides by
 b once at the end, so the step formulas keep their standard
@@ -32,7 +32,7 @@ chain. Reductions such as np.cov do sum in a layout-dependent order, so
 generate() returns the samples C-contiguous.
 
 The chain runs with OpenBLAS on one thread, so its bits do not depend on
-the machine's core count. An unguided MLP chain on a large batch splits
+the machine's core count. An MLP chain on a large batch splits
 its hidden layers by rows across forked processes (rowsplit.RowSplit),
 one per usable CPU; the output layer, the step arithmetic and every
 check stay whole-batch in this process, and the samples are the same to
@@ -65,7 +65,6 @@ __all__ = [
     "MlpPredictor",
     "OraclePredictor",
     "SamplerConfig",
-    "cfg_combine",
     "ddim_step",
     "ddpm_step",
     "generate",
@@ -90,7 +89,6 @@ class SamplerConfig:
     inference_schedule: ScheduleSpec = field(
         default_factory=lambda: ScheduleSpec.cosine(0.0, 1.0, 1.0)
     )
-    guidance_weight: float = 0.0
     signal_clamp: Optional[float] = None
 
     def __post_init__(self):
@@ -99,8 +97,6 @@ class SamplerConfig:
         check_seed(self.seed)
         if self.step_kind not in STEP_KINDS:
             raise ValueError(f"step_kind must be one of {STEP_KINDS}, got {self.step_kind!r}")
-        if self.guidance_weight < 0.0:
-            raise ValueError(f"guidance_weight must be >= 0, got {self.guidance_weight}")
         if self.signal_clamp is not None and not self.signal_clamp > 0.0:
             raise ValueError(f"signal_clamp must be positive, got {self.signal_clamp}")
 
@@ -181,19 +177,6 @@ def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
     return out
 
 
-def cfg_combine(eps_cond, eps_uncond, w: float) -> np.ndarray:
-    """Classifier-free guidance: (1 + w) eps_cond - w eps_uncond."""
-    eps_cond = as_f64(eps_cond, "eps_cond")
-    eps_uncond = as_f64(eps_uncond, "eps_uncond")
-    if eps_cond.shape != eps_uncond.shape:
-        raise ValueError(
-            f"guidance shapes differ: {eps_cond.shape} vs {eps_uncond.shape}"
-        )
-    if w < 0.0:
-        raise ValueError(f"guidance weight must be >= 0, got {w}")
-    return (1.0 + w) * eps_cond - w * eps_uncond
-
-
 class MlpPredictor:
     """Adapts trained DenoiserParams to the predictor protocol."""
 
@@ -213,8 +196,8 @@ class MlpPredictor:
     def self_conditioning(self) -> bool:
         return self.params.arch.self_cond
 
-    def __call__(self, x_in, *, gamma, t, scale, labels, self_cond):
-        return mlp_forward(self.params, x_in, t, labels, self_cond, split=self.split)
+    def __call__(self, x_in, *, gamma, t, scale, self_cond):
+        return mlp_forward(self.params, x_in, t, self_cond, split=self.split)
 
 
 class OraclePredictor:
@@ -237,7 +220,7 @@ class OraclePredictor:
     def dim(self) -> int:
         return self.oracle.dim
 
-    def __call__(self, x_in, *, gamma, t, scale, labels, self_cond):
+    def __call__(self, x_in, *, gamma, t, scale, self_cond):
         return self.oracle._eps(np.ascontiguousarray(x_in.T), gamma, scale).T
 
 
@@ -253,14 +236,14 @@ def as_predictor(model):
 
 
 @contextmanager
-def _row_split(predictor, n_samples: int, labels, pinned: bool):
+def _row_split(predictor, n_samples: int, pinned: bool):
     """The predictor, with its hidden layers split across processes if that pays.
 
     Only a trained MLP with BLAS pinned to one thread can split;
     rowsplit.split_processes decides whether it does. Everything else
     stays in this process.
     """
-    processes = (split_processes(predictor.params, n_samples, labels)
+    processes = (split_processes(predictor.params, n_samples)
                  if isinstance(predictor, MlpPredictor) and pinned else None)
     if processes is None:
         yield predictor
@@ -271,32 +254,22 @@ def _row_split(predictor, n_samples: int, labels, pinned: bool):
         yield predictor
 
 
-def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid, n_samples: int,
-           labels) -> np.ndarray:
+def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
+           n_samples: int) -> np.ndarray:
     """The reverse process over the checked grid; the final state, unscaled."""
     dim = predictor.dim
     rng = Rng(sc.seed)
     x_t = np.asarray(rng.normal((n_samples, dim)), order=getattr(predictor, "state_order", "C"))
     prev_est = np.zeros((n_samples, dim))
-    guided = sc.guidance_weight > 0.0 and labels is not None
 
     for t_now, g_now, g_next in grid:
         x_in = _normalize(x_t, g_now, cs)
         self_cond = prev_est if predictor.self_conditioning else None
-        eps = predictor(
-            x_in, gamma=g_now, t=t_now, scale=cs.input_scale,
-            labels=labels, self_cond=self_cond,
-        )
+        eps = predictor(x_in, gamma=g_now, t=t_now, scale=cs.input_scale, self_cond=self_cond)
         # any callable may predict; signal_clamp would hide a +inf
         eps = ensure_finite(np.asarray(eps, dtype=np.float64), "predicted noise")
         if eps.shape != x_t.shape:
             raise ValueError(f"predictor returned shape {eps.shape}, expected {x_t.shape}")
-        if guided:
-            eps_uncond = predictor(
-                x_in, gamma=g_now, t=t_now, scale=cs.input_scale,
-                labels=None, self_cond=self_cond,
-            )
-            eps = cfg_combine(eps, eps_uncond, sc.guidance_weight)
         if predictor.self_conditioning:
             prev_est = np.clip(
                 _signal_estimate(x_t, g_now, eps), -SELF_COND_CLAMP, SELF_COND_CLAMP
@@ -315,21 +288,13 @@ def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid, n_samples: 
     return x_t
 
 
-def generate(
-    model,
-    cs: CompoundSchedule,
-    sc: SamplerConfig,
-    n_samples: int,
-    labels: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> np.ndarray:
     """Draw samples by iterating the reverse process.
 
     Starts from x ~ N(0, I), walks the inference schedule's time grid,
     normalizing the network input per cs at every step, and divides by
-    the input scale b at the end so outputs live in data space.
-    Guidance runs when guidance_weight > 0 and labels are given: the
-    unconditional pass uses the null class. Returns a C-contiguous
-    (n_samples, dim) array.
+    the input scale b at the end so outputs live in data space. Returns a
+    C-contiguous (n_samples, dim) array.
     """
     predictor = as_predictor(model)
     if n_samples < 1:
@@ -339,10 +304,6 @@ def generate(
             "this predictor needs raw chain state; use a compound schedule "
             "with normalize='off'"
         )
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n_samples,):
-            raise ValueError(f"labels must have shape ({n_samples},), got {labels.shape}")
     grid = []
     for t_now, t_next in time_grid(sc.steps):
         g_now = float(gamma(sc.inference_schedule, t_now))
@@ -352,8 +313,8 @@ def generate(
 
     # pinned, the bits do not depend on the BLAS thread count
     with one_blas_thread() as pinned:
-        with _row_split(predictor, n_samples, labels, pinned) as predictor:
-            x_t = _chain(predictor, cs, sc, grid, n_samples, labels)
+        with _row_split(predictor, n_samples, pinned) as predictor:
+            x_t = _chain(predictor, cs, sc, grid, n_samples)
     # np.cov sums in an order that depends on the layout
     x_t = np.ascontiguousarray(x_t)
     ensure_finite(x_t, "generated samples")

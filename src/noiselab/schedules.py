@@ -49,7 +49,9 @@ class ScheduleSpec:
 
     ``start``/``end``/``tau`` are unused by the linear family. Cosine
     requires 0 <= start < end <= 1; sigmoid requires start < end; both
-    require tau > 0. ``clip_min`` is the floor applied to gamma.
+    require finite values, tau > 0, and a curve that moves across the
+    window in float64, since gamma divides by that move. ``clip_min`` is
+    the floor applied to gamma.
     """
 
     kind: str
@@ -69,7 +71,11 @@ class ScheduleSpec:
             return
         if self.start is None or self.end is None or self.tau is None:
             raise ValueError(f"{self.kind} schedule needs start, end, tau")
-        if self.tau <= 0.0:
+        if not all(math.isfinite(v) for v in (self.start, self.end, self.tau)):
+            raise ValueError(
+                f"start, end and tau must be finite, got ({self.start}, {self.end}, {self.tau})"
+            )
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.kind == "cosine":
             if not (0.0 <= self.start < self.end <= 1.0):
@@ -78,6 +84,12 @@ class ScheduleSpec:
                 )
         elif self.start >= self.end:
             raise ValueError(f"sigmoid needs start < end, got ({self.start}, {self.end})")
+        v_start, v_end = _curve_ends(self)
+        if v_start == v_end:
+            raise ValueError(
+                f"{self.kind} curve is flat in float64 over ({self.start}, {self.end}) "
+                f"with tau {self.tau}: both ends are {v_start!r}"
+            )
 
     @classmethod
     def linear(cls, clip_min: float = 1e-9) -> "ScheduleSpec":
@@ -94,6 +106,16 @@ class ScheduleSpec:
         return cls("sigmoid", float(start), float(end), float(tau), clip_min)
 
 
+def _curve_ends(spec: ScheduleSpec) -> tuple[float, float]:
+    """The unnormalized cosine or sigmoid curve at t = 0 and at t = 1."""
+    ends = (spec.start, spec.end)
+    if spec.kind == "cosine":
+        v_start, v_end = (math.cos(v * math.pi / 2.0) ** (2.0 * spec.tau) for v in ends)
+    else:
+        v_start, v_end = (float(sigmoid(np.asarray([v / spec.tau]))[0]) for v in ends)
+    return v_start, v_end
+
+
 def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     """Evaluate gamma(t) for scalar or array ``t`` in [0, 1].
 
@@ -108,18 +130,13 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
         raise ValueError("t must lie in [0, 1]")
     if spec.kind == "linear":
         out = 1.0 - tt
-    elif spec.kind == "cosine":
-        s, e, tau = spec.start, spec.end, spec.tau
-        v_start = math.cos(s * math.pi / 2.0) ** (2.0 * tau)
-        v_end = math.cos(e * math.pi / 2.0) ** (2.0 * tau)
-        raw = np.cos((tt * (e - s) + s) * (math.pi / 2.0)) ** (2.0 * tau)
-        out = (v_end - raw) / (v_end - v_start)
     else:
         s, e, tau = spec.start, spec.end, spec.tau
-        v_start = float(sigmoid(np.asarray([s / tau]))[0])
-        v_end = float(sigmoid(np.asarray([e / tau]))[0])
-        raw = sigmoid(np.atleast_1d((tt * (e - s) + s) / tau))
-        raw = raw.reshape(tt.shape)
+        if spec.kind == "cosine":
+            raw = np.cos((tt * (e - s) + s) * (math.pi / 2.0)) ** (2.0 * tau)
+        else:
+            raw = sigmoid(np.atleast_1d((tt * (e - s) + s) / tau)).reshape(tt.shape)
+        v_start, v_end = _curve_ends(spec)
         out = (v_end - raw) / (v_end - v_start)
     out = np.minimum(np.maximum(out, spec.clip_min), 1.0)  # np.clip, without its wrapper
     return float(out) if np.ndim(t) == 0 else out

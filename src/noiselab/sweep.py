@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Config, ConfigError, _check_normalize, check_label_keys
+from .config import Config, ConfigError, _check_normalize
 from .core import become_worker, one_blas_thread, usable_cpus
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
@@ -93,7 +93,6 @@ def check_sweep(cfg: Config) -> None:
     if cfg.sweep.metric == "covariance_error" and not cfg.dataset.is_gaussian:
         raise ConfigError("covariance_error needs a dataset with a known covariance")
     _check_normalize(cfg)
-    check_label_keys(cfg, "sampler", "train")
 
 
 def _score(metric: str, samples: np.ndarray, reference: np.ndarray) -> float:

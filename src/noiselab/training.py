@@ -2,8 +2,7 @@
 
 The whole loop is a deterministic function of (dataset, arch, compound
 schedule, config). Per step the RNG stream is consumed in a fixed
-order: batch indices, per-example times t, noise eps, label-dropout
-uniforms (only when labels are present and dropout is on), then one
+order: batch indices, per-example times t, noise eps, then one
 self-conditioning coin (only when the architecture supports it and the
 rate is positive). Keeping that order stable is what makes loss
 histories bit-reproducible.
@@ -85,7 +84,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     ema_decay: float = 0.9999
     self_cond_rate: float = 0.9
-    label_dropout: float = 0.0
     log_every: int = 100
 
     def __post_init__(self):
@@ -93,8 +91,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         check_seed(self.seed)
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}, got {self.optimizer!r}")
@@ -108,16 +106,14 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if not self.eps_opt > 0.0:
-            raise ValueError(f"eps_opt must be positive, got {self.eps_opt}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.eps_opt < math.inf:
+            raise ValueError(f"eps_opt must be positive and finite, got {self.eps_opt}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
-        for name in ("self_cond_rate", "label_dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not 0.0 <= self.self_cond_rate <= 1.0:
+            raise ValueError(f"self_cond_rate must lie in [0, 1], got {self.self_cond_rate}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
@@ -256,23 +252,21 @@ def ema_update(ema_params: DenoiserParams, params: DenoiserParams, decay: float)
 
 def train_loss(
     x0_batch,
-    labels,
     params: DenoiserParams,
     cs: CompoundSchedule,
     rng: Rng,
     *,
-    label_dropout: float = 0.0,
     self_cond_rate: float = 0.0,
     out: Optional[DenoiserParams] = None,
 ) -> LossResult:
     """Diffusion loss and gradients for one batch.
 
     Draws t ~ U(0,1) per example, diffuses with the compound schedule,
-    normalizes the network input per cs.normalize, optionally replaces
-    labels with the null class (label dropout) and runs a gradient-free
-    first pass to build the self-conditioning signal estimate (clamped
-    to +-SELF_COND_CLAMP). The loss is mean((eps_hat - eps)^2). The
-    gradients overwrite ``out`` when it is given (see mlp_backward).
+    normalizes the network input per cs.normalize and, on a
+    self-conditioning coin, runs a gradient-free first pass to build the
+    signal estimate fed back as input (clamped to +-SELF_COND_CLAMP).
+    The loss is mean((eps_hat - eps)^2). The gradients overwrite ``out``
+    when it is given (see mlp_backward).
     """
     x0 = as_f64(x0_batch, "train_loss x0_batch")
     if x0.ndim != 2 or x0.shape[0] < 1:
@@ -284,33 +278,22 @@ def train_loss(
     sample = diffuse(x0, t, rng, cs)
     x_in = normalize_input(sample.x_t, sample.gamma_t, cs)
 
-    used_labels = labels
-    if labels is not None and label_dropout > 0.0:
-        drop = rng.uniform((n,)) < label_dropout
-        used_labels = np.where(drop, arch.null_class, np.asarray(labels))
-
     self_cond = None
     if arch.self_cond and self_cond_rate > 0.0:
         coin = float(rng.uniform((1,))[0])
         if coin < self_cond_rate:
-            eps_first = mlp_forward(params, x_in, t, used_labels, None)
+            eps_first = mlp_forward(params, x_in, t)
             est = signal_estimate(sample.x_t, sample.gamma_t, eps_first)
             self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
 
-    pred, cache = mlp_forward_cached(params, x_in, t, used_labels, self_cond)
+    pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
     diff = pred - sample.eps
     loss = float((diff * diff).mean())
     grads = mlp_backward(params, cache, 2.0 * diff / diff.size, out=out)
     return LossResult(loss=loss, grads=grads, gamma_t=sample.gamma_t)
 
 
-def train(
-    dataset: np.ndarray,
-    arch: MlpArch,
-    cs: CompoundSchedule,
-    cfg: TrainConfig,
-    labels: Optional[np.ndarray] = None,
-):
+def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainConfig):
     """Run the full training loop.
 
     Returns (params, ema_params, history) where history is a list of
@@ -322,10 +305,6 @@ def train(
         raise ValueError("dataset must be a nonempty (n, dim) array")
     if dataset.shape[1] != arch.in_dim:
         raise ValueError(f"dataset dim {dataset.shape[1]} does not match arch.in_dim {arch.in_dim}")
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (dataset.shape[0],):
-            raise ValueError("labels must be one int per dataset row")
 
     rng = Rng(cfg.seed)
     params = init_params(arch, rng)
@@ -340,17 +319,7 @@ def train(
         lr = lr_at(step, cfg)
         idx = rng.integers(n, (cfg.batch_size,))
         x0 = dataset.take(idx, axis=0)
-        batch_labels = None if labels is None else labels[idx]
-        result = train_loss(
-            x0,
-            batch_labels,
-            params,
-            cs,
-            rng,
-            label_dropout=cfg.label_dropout,
-            self_cond_rate=cfg.self_cond_rate,
-            out=grads,
-        )
+        result = train_loss(x0, params, cs, rng, self_cond_rate=cfg.self_cond_rate, out=grads)
         loss = result.loss
         if not math.isfinite(loss):
             g_min, g_mean, g_max = result.gamma_stats

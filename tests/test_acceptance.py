@@ -132,14 +132,13 @@ class TestCriterion04GradientCheck:
 
     ARCHS = [
         MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4),
-        MlpArch(in_dim=4, hidden_dims=(16, 8), time_embed_dim=6,
-                cond_classes=3, self_cond=True),
+        MlpArch(in_dim=4, hidden_dims=(16, 8), time_embed_dim=6, self_cond=True),
         MlpArch(in_dim=2, hidden_dims=(32,), time_embed_dim=8, self_cond=True),
     ]
 
     @staticmethod
-    def _loss_and_grads(p, x, t, target, labels, self_cond):
-        pred, cache = mlp_forward_cached(p, x, t, labels, self_cond)
+    def _loss_and_grads(p, x, t, target, self_cond):
+        pred, cache = mlp_forward_cached(p, x, t, self_cond)
         diff = pred - target
         return float(np.mean(diff**2)), mlp_backward(p, cache, 2.0 * diff / diff.size)
 
@@ -152,17 +151,12 @@ class TestCriterion04GradientCheck:
             w[...] = 0.5 * rng.normal(w.shape)
         for b in p.biases:
             b[...] = 0.1 * rng.normal(b.shape)
-        if p.class_embed is not None:
-            p.class_embed[...] = 0.3 * rng.normal(p.class_embed.shape)
 
         x = rng.normal((6, arch.in_dim))
         t = rng.uniform((6,))
         target = rng.normal((6, arch.in_dim))
-        labels = None
-        if arch.cond_classes is not None:
-            labels = rng.integers(arch.cond_classes + 1, (6,))
         sc = rng.normal((6, arch.in_dim)) if arch.self_cond else None
-        _, grads = self._loss_and_grads(p, x, t, target, labels, sc)
+        _, grads = self._loss_and_grads(p, x, t, target, sc)
 
         param_list = p.arrays
         grad_list = grads.arrays
@@ -174,9 +168,9 @@ class TestCriterion04GradientCheck:
                 idx = np.unravel_index(int(picker.integers(arr.size)), arr.shape)
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = self._loss_and_grads(p, x, t, target, labels, sc)[0]
+                lp = self._loss_and_grads(p, x, t, target, sc)[0]
                 arr[idx] = orig - h
-                lm = self._loss_and_grads(p, x, t, target, labels, sc)[0]
+                lm = self._loss_and_grads(p, x, t, target, sc)[0]
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 rel = abs(fd - g_arr[idx]) / max(1.0, abs(fd), abs(g_arr[idx]))

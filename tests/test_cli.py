@@ -175,6 +175,24 @@ class TestTrainCommand:
         assert "label_dropout" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section, line", [
+        ("[train]", "weight_decay = nan"),
+        ("[train]", "lr = inf"),
+        ("[compound]", "schedule = sigmoid:-3,3,nan"),
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, section, line):
+        # before, nan reached the first step and failed mid-run as a
+        # non-finite mlp or diffuse output, leaving an empty out dir
+        cfg = tmp_path / "bad.txt"
+        key = line.partition(" =")[0]
+        text = TRAIN_SAMPLE.replace(f"\n{key} = ", f"\n# {key} = ")
+        cfg.write_text(text.replace(section, f"{section}\n{line}"))
+        rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = tmp_path / "short.txt"
         cfg.write_text("[dataset]\nkind = checkerboard\nn_train = 64\nseed = 0\n")
@@ -271,6 +289,16 @@ class TestSampleCommand:
         assert rc == 1
         assert "guidance_weight" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_class_conditional_checkpoint_is_runtime_error(self, train_cfg, tmp_path, capsys):
+        ckpt = self.checkpoint(train_cfg, tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"classes=-", b"classes=3", 1))
+        out_dir = tmp_path / "x"
+        rc, _ = run(["sample", "--config", str(train_cfg), "--checkpoint", str(ckpt),
+                     "--n", "5", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "class-conditional checkpoints are no longer supported" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_checkpoint_is_runtime_error(self, train_cfg, tmp_path):
         rc, _ = run(["sample", "--config", str(train_cfg), "--checkpoint",

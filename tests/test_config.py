@@ -15,6 +15,7 @@ from noiselab.config import (
     serialize_config,
 )
 from noiselab.datasets import DatasetSpec
+from noiselab.denoiser import MlpArch
 from noiselab.forward import NORMALIZE_MODES, CompoundSchedule
 from noiselab.metrics import METRIC_NAMES
 from noiselab.sampler import STEP_KINDS, SamplerConfig
@@ -49,7 +50,7 @@ steps = 50
 seed = 21
 step_kind = ddpm
 schedule = cosine:0.2,1,1
-guidance_weight = 1.5
+guidance_weight = 0.0
 signal_clamp = 4.0
 
 [sweep]
@@ -364,7 +365,7 @@ steps = 50
 seed = 21
 step_kind = ddpm
 schedule = cosine:0.2,1,1
-guidance_weight = 1.5
+guidance_weight = 0.0
 signal_clamp = 4.0
 
 [sweep]
@@ -409,14 +410,20 @@ def _floats(lo, hi, **kw):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
 
 
+def _spec_or_none(kind, start, end, tau):
+    try:
+        return ScheduleSpec(kind, start, end, tau)
+    except ValueError:
+        return None
+
+
 _SCHEDULES = st.one_of(
     st.just(ScheduleSpec.linear()),
-    st.tuples(_floats(0.0, 1.0), _floats(0.0, 1.0), _floats(0.01, 10.0))
-    .filter(lambda v: v[0] < v[1])
-    .map(lambda v: ScheduleSpec.cosine(*v)),
-    st.tuples(_floats(-10.0, 10.0), _floats(-10.0, 10.0), _floats(0.01, 10.0))
-    .filter(lambda v: v[0] < v[1])
-    .map(lambda v: ScheduleSpec.sigmoid(*v)),
+    st.tuples(st.just("cosine"), _floats(0.0, 1.0), _floats(0.0, 1.0), _floats(0.01, 10.0))
+    .map(lambda v: _spec_or_none(*v)).filter(lambda spec: spec is not None),
+    st.tuples(st.just("sigmoid"), _floats(-10.0, 10.0), _floats(-10.0, 10.0),
+              _floats(0.01, 10.0))
+    .map(lambda v: _spec_or_none(*v)).filter(lambda spec: spec is not None),
 )
 _SEEDS = st.integers(0, 2**63 - 1)
 _UNIT = _floats(0.0, 1.0)
@@ -443,15 +450,13 @@ _TRAINS = st.builds(
     lr_decay_fraction=_floats(0.0, 1.0, exclude_min=True),
     beta1=_floats(0.0, 1.0, exclude_max=True), beta2=_floats(0.0, 1.0, exclude_max=True),
     eps_opt=_floats(1e-12, 1.0), weight_decay=_floats(0.0, 1.0), ema_decay=_UNIT,
-    self_cond_rate=_UNIT, label_dropout=_UNIT, log_every=st.integers(1, 10**4),
+    self_cond_rate=_UNIT, log_every=st.integers(1, 10**4),
 )
 _NETS = st.builds(NetSettings, hidden_dims=st.lists(st.integers(1, 512), min_size=1,
                                                     max_size=4).map(tuple),
-                  time_embed_dim=st.integers(1, 64), cond_classes=st.integers(0, 10),
-                  self_cond=st.booleans())
+                  time_embed_dim=st.integers(1, 64), self_cond=st.booleans())
 _SAMPLERS = st.builds(SamplerConfig, steps=st.integers(1, 10**4), seed=_SEEDS,
                       step_kind=st.sampled_from(STEP_KINDS), inference_schedule=_SCHEDULES,
-                      guidance_weight=_floats(0.0, 10.0),
                       signal_clamp=st.none() | _floats(1e-3, 10.0))
 
 
@@ -500,15 +505,51 @@ class TestRoundTripProperty:
 class TestNetSettings:
     def test_build_arch_unconditional(self):
         arch = NetSettings(hidden_dims=(8,), time_embed_dim=4).build_arch(3)
-        assert arch.in_dim == 3
-        assert arch.cond_classes is None
+        assert arch == MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4)
 
     def test_build_arch_conditional(self):
-        arch = NetSettings(cond_classes=5).build_arch(2)
-        assert arch.cond_classes == 5
+        # class conditioning was removed: no field can ask for a class table
+        with pytest.raises(TypeError, match="cond_classes"):
+            NetSettings(cond_classes=5)
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             NetSettings(hidden_dims=())
         with pytest.raises(ValueError):
             NetSettings(hidden_dims=(8, 0))
+
+
+class TestRetiredConditioningKeys:
+    """classes, label_dropout and guidance_weight take only their neutral value.
+
+    They are still written, so config.txt keeps the bytes of earlier runs,
+    and they set nothing.
+    """
+
+    @pytest.mark.parametrize("key, neutral", [
+        ("classes", "0"), ("label_dropout", "0.0"), ("guidance_weight", "0.0"),
+    ])
+    def test_neutral_value_writes_back_the_same_bytes(self, key, neutral):
+        lines = [line for line in FULL_RESOLVED.splitlines() if not line.startswith(key + " ")]
+        without = "\n".join(lines) + "\n"
+        cfg = parse_config_text(without)
+        assert serialize_config(cfg) == FULL_RESOLVED
+        assert parse_config_text(FULL_RESOLVED) == cfg
+        # another spelling of the neutral value reparses to the same settings
+        assert parse_config_text(FULL_RESOLVED.replace(f"{key} = {neutral}", f"{key} = -0")) == cfg
+
+    @pytest.mark.parametrize("section, key, neutral, value", [
+        ("train", "classes", "0", "3"), ("train", "label_dropout", "0.0", "0.1"),
+        ("sampler", "guidance_weight", "0.0", "4.0"),
+        ("sampler", "guidance_weight", "0.0", "nan"),
+    ])
+    def test_other_values_rejected(self, section, key, neutral, value):
+        text = FULL_RESOLVED.replace(f"{key} = {neutral}", f"{key} = {value}")
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError, match=rf"line {lineno}: '{key}' in \[{section}\] "
+                                              r"takes only .*conditioning was removed"):
+            parse_config_text(text)
+
+    def test_key_alone_still_opens_its_section(self):
+        with pytest.raises(ConfigError, match=r"\[sampler\]"):
+            parse_config_text("[sampler]\nguidance_weight = 0.0\n")

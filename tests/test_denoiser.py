@@ -24,7 +24,7 @@ from noiselab.denoiser import (
 
 GRAD_CHECK_ARCHS = [
     MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4),
-    MlpArch(in_dim=4, hidden_dims=(16, 8), time_embed_dim=6, cond_classes=3, self_cond=True),
+    MlpArch(in_dim=4, hidden_dims=(16, 8), time_embed_dim=6, self_cond=True),
     MlpArch(in_dim=2, hidden_dims=(32,), time_embed_dim=8, self_cond=True),
 ]
 
@@ -37,8 +37,6 @@ def randomized_params(arch: MlpArch, seed: int) -> DenoiserParams:
         w[...] = 0.5 * rng.normal(w.shape)
     for b in p.biases:
         b[...] = 0.1 * rng.normal(b.shape)
-    if p.class_embed is not None:
-        p.class_embed[...] = 0.3 * rng.normal(p.class_embed.shape)
     return p
 
 
@@ -47,15 +45,12 @@ def batch_for(arch: MlpArch, n: int, seed: int):
     x = rng.normal((n, arch.in_dim))
     t = rng.uniform((n,))
     target = rng.normal((n, arch.in_dim))
-    labels = None
-    if arch.cond_classes is not None:
-        labels = rng.integers(arch.cond_classes + 1, (n,))
     self_cond = rng.normal((n, arch.in_dim)) if arch.self_cond else None
-    return x, t, target, labels, self_cond
+    return x, t, target, self_cond
 
 
-def mse_loss_and_grads(p, x, t, target, labels, self_cond):
-    pred, cache = mlp_forward_cached(p, x, t, labels, self_cond)
+def mse_loss_and_grads(p, x, t, target, self_cond):
+    pred, cache = mlp_forward_cached(p, x, t, self_cond)
     diff = pred - target
     loss = float(np.mean(diff**2))
     grads = mlp_backward(p, cache, 2.0 * diff / diff.size)
@@ -144,9 +139,9 @@ class TestForward:
     def test_deterministic(self):
         arch = GRAD_CHECK_ARCHS[1]
         p = randomized_params(arch, 5)
-        x, t, _, labels, sc = batch_for(arch, 6, 11)
-        a = mlp_forward(p, x, t, labels, sc)
-        b = mlp_forward(p, x, t, labels, sc)
+        x, t, _, sc = batch_for(arch, 6, 11)
+        a = mlp_forward(p, x, t, sc)
+        b = mlp_forward(p, x, t, sc)
         np.testing.assert_array_equal(a, b)
 
     def test_single_weight_hand_gradient(self):
@@ -156,42 +151,18 @@ class TestForward:
         p = DenoiserParams(arch, np.array([1.0, 0.0, 0.0, 0.0]))
         x = np.array([[2.0]])
         target = np.array([[1.0]])
-        loss, grads = mse_loss_and_grads(p, x, 0.0, target, None, None)
+        loss, grads = mse_loss_and_grads(p, x, 0.0, target, None)
         assert loss == pytest.approx(1.0, abs=1e-15)
         assert grads.weights[0][0, 0] == pytest.approx(4.0, abs=1e-12)
-
-    def test_label_validation(self):
-        arch = GRAD_CHECK_ARCHS[1]
-        p = randomized_params(arch, 1)
-        x, t, _, _, sc = batch_for(arch, 4, 2)
-        with pytest.raises(ValueError):
-            mlp_forward(p, x, t, np.array([0, 1, 2, 99]), sc)
-        with pytest.raises(ValueError):
-            mlp_forward(p, x, t, np.array([0.0, 1.0, 2.0, 0.0]), sc)
 
     def test_unconditional_rejects_labels(self):
         arch = GRAD_CHECK_ARCHS[0]
         p = randomized_params(arch, 1)
-        x, t, _, _, _ = batch_for(arch, 4, 2)
-        with pytest.raises(ValueError):
+        x, t, _, _ = batch_for(arch, 4, 2)
+        with pytest.raises(TypeError):
             mlp_forward(p, x, t, labels=np.array([0, 0, 0, 0]))
-
-    def test_null_label_matches_explicit_null(self):
-        arch = GRAD_CHECK_ARCHS[1]
-        p = randomized_params(arch, 7)
-        x, t, _, _, sc = batch_for(arch, 6, 8)
-        null = np.full(6, arch.null_class, dtype=np.int64)
-        np.testing.assert_array_equal(
-            mlp_forward(p, x, t, None, sc), mlp_forward(p, x, t, null, sc)
-        )
-
-    def test_class_embedding_shifts_output(self):
-        arch = GRAD_CHECK_ARCHS[1]
-        p = randomized_params(arch, 9)
-        x, t, _, _, sc = batch_for(arch, 6, 10)
-        a = mlp_forward(p, x, t, np.zeros(6, dtype=np.int64), sc)
-        b = mlp_forward(p, x, t, np.ones(6, dtype=np.int64), sc)
-        assert np.max(np.abs(a - b)) > 1e-8
+        with pytest.raises(TypeError):
+            mlp_forward_cached(p, x, t, labels=np.array([0, 0, 0, 0]))
 
 
 class TestSelfConditioning:
@@ -250,8 +221,8 @@ class TestGradientCheck:
     @pytest.mark.parametrize("batch_seed", [0, 1, 2, 3, 4])
     def test_finite_differences(self, arch, batch_seed):
         p = randomized_params(arch, 100 + batch_seed)
-        x, t, target, labels, sc = batch_for(arch, 6, 200 + batch_seed)
-        _, grads = mse_loss_and_grads(p, x, t, target, labels, sc)
+        x, t, target, sc = batch_for(arch, 6, 200 + batch_seed)
+        _, grads = mse_loss_and_grads(p, x, t, target, sc)
 
         param_list = p.arrays
         grad_list = grads.arrays
@@ -264,25 +235,15 @@ class TestGradientCheck:
                 idx = np.unravel_index(flat_idx, arr.shape)
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = mse_loss_and_grads(p, x, t, target, labels, sc)[0]
+                lp = mse_loss_and_grads(p, x, t, target, sc)[0]
                 arr[idx] = orig - h
-                lm = mse_loss_and_grads(p, x, t, target, labels, sc)[0]
+                lm = mse_loss_and_grads(p, x, t, target, sc)[0]
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 bp = g_arr[idx]
                 rel = abs(fd - bp) / max(1.0, abs(fd), abs(bp))
                 worst = max(worst, rel)
         assert worst < 1e-4
-
-    def test_empty_grad_for_unused_class(self):
-        """Rows of the class table untouched by the batch get zero gradient."""
-        arch = GRAD_CHECK_ARCHS[1]
-        p = randomized_params(arch, 31)
-        x, t, target, _, sc = batch_for(arch, 6, 32)
-        labels = np.zeros(6, dtype=np.int64)  # only class 0 used
-        _, grads = mse_loss_and_grads(p, x, t, target, labels, sc)
-        np.testing.assert_array_equal(grads.class_embed[1:], 0.0)
-        assert np.max(np.abs(grads.class_embed[0])) > 0.0
 
 
 class TestArchValidation:
@@ -293,10 +254,6 @@ class TestArchValidation:
             MlpArch(in_dim=2, hidden_dims=(0,))
         with pytest.raises(ValueError):
             MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=5)
-
-    def test_conditional_needs_hidden(self):
-        with pytest.raises(ValueError):
-            MlpArch(in_dim=2, hidden_dims=(), cond_classes=3)
 
     def test_input_width(self):
         arch = MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
@@ -338,19 +295,36 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_params(path)
 
+    @pytest.mark.parametrize("classes", ["3", "0", "x"])
+    def test_class_conditional_header_rejected(self, classes, tmp_path):
+        """A checkpoint with a class table is refused, whatever its payload."""
+        path = tmp_path / "params.bin"
+        save_params(path, randomized_params(GRAD_CHECK_ARCHS[0], 1))
+        blob = path.read_bytes().replace(b"classes=-", b"classes=" + classes.encode(), 1)
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="class-conditional checkpoints are no longer"):
+            load_params(path)
+
+    def test_header_without_classes_field_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_params(path, randomized_params(GRAD_CHECK_ARCHS[0], 1))
+        path.write_bytes(path.read_bytes().replace(b" classes=-", b"", 1))
+        with pytest.raises(ValueError, match="bad params header"):
+            load_params(path)
+
 
 GOLDEN_HEADERS = [
     (MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4),
      "mlp1 in=3 hidden=8 time_embed=4 classes=- self_cond=0"),
-    (MlpArch(in_dim=2, hidden_dims=(16, 8), time_embed_dim=6, cond_classes=3),
-     "mlp1 in=2 hidden=16,8 time_embed=6 classes=3 self_cond=0"),
+    (MlpArch(in_dim=2, hidden_dims=(16, 8), time_embed_dim=6),
+     "mlp1 in=2 hidden=16,8 time_embed=6 classes=- self_cond=0"),
     (MlpArch(in_dim=2, hidden_dims=(32,), time_embed_dim=8, self_cond=True),
      "mlp1 in=2 hidden=32 time_embed=8 classes=- self_cond=1"),
 ]
 
 
 class TestFileFormat:
-    """params.bin is the header line, then weights and bias per layer, class table last."""
+    """params.bin is the header line, then weights and bias per layer."""
 
     @pytest.mark.parametrize("arch, header", GOLDEN_HEADERS, ids=["plain", "cond", "sc"])
     def test_golden_bytes(self, arch, header, tmp_path):
@@ -364,10 +338,6 @@ class TestFileFormat:
             p.weights[i][...] = w
             p.biases[i][...] = b
             expected += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
-        if arch.cond_classes is not None:
-            table = rng.normal((arch.cond_classes + 1, arch.hidden_dims[0]))
-            p.class_embed[...] = table
-            expected.append(table.astype("<f8").tobytes())
         path = tmp_path / "params.bin"
         save_params(path, p)
         assert path.read_bytes() == b"".join(expected)
@@ -375,13 +345,10 @@ class TestFileFormat:
 
 @st.composite
 def mlp_archs(draw, max_width=6):
-    hidden = tuple(draw(st.lists(st.integers(1, max_width), max_size=3)))
-    classes = draw(st.none() | st.integers(1, 4)) if hidden else None
     return MlpArch(
         in_dim=draw(st.integers(1, 4)),
-        hidden_dims=hidden,
+        hidden_dims=tuple(draw(st.lists(st.integers(1, max_width), max_size=3))),
         time_embed_dim=draw(st.sampled_from([2, 4, 6])),
-        cond_classes=classes,
         self_cond=draw(st.booleans()),
     )
 
@@ -394,8 +361,7 @@ class TestFlatLayoutProperties:
         p = DenoiserParams(arch)
         p.flat[:] = np.arange(p.flat.size)
         pairs = [a for wb in zip(p.weights, p.biases) for a in wb]
-        tail = [] if p.class_embed is None else [p.class_embed]
-        assert [id(a) for a in p.arrays] == [id(a) for a in pairs + tail]
+        assert [id(a) for a in p.arrays] == [id(a) for a in pairs]
         assert all(np.shares_memory(a, p.flat) for a in p.arrays)
         np.testing.assert_array_equal(
             np.concatenate([a.ravel() for a in p.arrays]), np.arange(p.flat.size)
@@ -444,13 +410,12 @@ class TestFlatLayoutProperties:
 
 BENCH_ARCHS = {
     "plain": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16),
-    "conditional": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16, cond_classes=8),
     "self_cond": MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16, self_cond=True),
 }
 B = denoiser._BLOCK_ROWS
 
 
-def whole_batch_forward(p, x, t, labels=None, self_cond=None):
+def whole_batch_forward(p, x, t, self_cond=None):
     """Every layer on the whole batch and a per-row time embedding: the
     forward pass before blocking, kept as the reference."""
     arch = p.arch
@@ -462,8 +427,6 @@ def whole_batch_forward(p, x, t, labels=None, self_cond=None):
     a = np.concatenate(parts, axis=1)
     for i in range(len(arch.hidden_dims)):
         z = a @ p.weights[i] + p.biases[i]
-        if i == 0 and p.class_embed is not None:
-            z = z + p.class_embed[np.full(n, arch.null_class) if labels is None else labels]
         a = z * sigmoid(z)
     return a @ p.weights[-1] + p.biases[-1]
 
@@ -471,22 +434,17 @@ def whole_batch_forward(p, x, t, labels=None, self_cond=None):
 def recomputing_backward(p, cache, d):
     """Gradient arrays in layout order, each sigmoid recomputed from the
     cached pre-activation: the backward pass before the cache kept it."""
-    acts, pres, idx = cache["acts"], cache["pres"], cache["labels"]
+    acts, pres = cache["acts"], cache["pres"]
     n_hidden = len(p.arch.hidden_dims)
     g_w, g_b = [acts[-1].T @ d], [d.sum(axis=0)]
     da = d @ p.weights[-1].T
-    class_grad = None
     for i in range(n_hidden - 1, -1, -1):
         s = sigmoid(pres[i])
         dz = da * (s * (1.0 + pres[i] * (1.0 - s)))
         g_w.insert(0, acts[i].T @ dz)
         g_b.insert(0, dz.sum(axis=0))
-        if i == 0 and p.class_embed is not None:
-            class_grad = np.zeros_like(p.class_embed)
-            np.add.at(class_grad, idx, dz)
         da = dz @ p.weights[i].T
-    pairs = [a for wb in zip(g_w, g_b) for a in wb]
-    return pairs + ([] if class_grad is None else [class_grad])
+    return [a for wb in zip(g_w, g_b) for a in wb]
 
 
 class TestBlockedForward:
@@ -508,13 +466,13 @@ class TestBlockedForward:
     def test_benchmark_arch_bit_identical(self, kind, n, per_row_t):
         arch = BENCH_ARCHS[kind]
         p = randomized_params(arch, 21)
-        x, t, _, labels, sc = batch_for(arch, n, n)
+        x, t, _, sc = batch_for(arch, n, n)
         if not per_row_t:
             t = 0.37
-        blocked = mlp_forward(p, x, t, labels, sc)
-        whole, _ = mlp_forward_cached(p, x, t, labels, sc)
+        blocked = mlp_forward(p, x, t, sc)
+        whole, _ = mlp_forward_cached(p, x, t, sc)
         assert blocked.tobytes() == whole.tobytes()
-        assert blocked.tobytes() == whole_batch_forward(p, x, t, labels, sc).tobytes()
+        assert blocked.tobytes() == whole_batch_forward(p, x, t, sc).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -525,14 +483,14 @@ class TestBlockedForward:
     )
     def test_random_archs_agree(self, arch, n, seed, per_row_t):
         p = randomized_params(arch, seed)
-        x, t, _, labels, sc = batch_for(arch, n, seed + 1)
+        x, t, _, sc = batch_for(arch, n, seed + 1)
         if not per_row_t:
             t = float(t[0])
-        blocked = mlp_forward(p, x, t, labels, sc)
-        reference = whole_batch_forward(p, x, t, labels, sc)
+        blocked = mlp_forward(p, x, t, sc)
+        reference = whole_batch_forward(p, x, t, sc)
         np.testing.assert_allclose(blocked, reference, rtol=1e-12, atol=1e-300)
-        assert mlp_forward(p, x, t, labels, sc).tobytes() == blocked.tobytes()
-        assert mlp_forward_cached(p, x, t, labels, sc)[0].tobytes() == reference.tobytes()
+        assert mlp_forward(p, x, t, sc).tobytes() == blocked.tobytes()
+        assert mlp_forward_cached(p, x, t, sc)[0].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 0.999, 1.0])
     @pytest.mark.parametrize("n", [1, 3, 8, 11, 257, 16385])
@@ -548,11 +506,11 @@ class TestBlockedForward:
             expected = mlp_forward(p, x, np.full(n, t)).tobytes()
             assert mlp_forward(p, x, t).tobytes() == expected
 
-    @pytest.mark.parametrize("arch", GRAD_CHECK_ARCHS + [BENCH_ARCHS["conditional"]])
+    @pytest.mark.parametrize("arch", GRAD_CHECK_ARCHS + [BENCH_ARCHS["self_cond"]])
     def test_backward_with_cached_sigmoid_bit_identical(self, arch):
         p = randomized_params(arch, 13)
-        x, t, target, labels, sc = batch_for(arch, 128, 5)
-        pred, cache = mlp_forward_cached(p, x, t, labels, sc)
+        x, t, target, sc = batch_for(arch, 128, 5)
+        pred, cache = mlp_forward_cached(p, x, t, sc)
         d = 2.0 * (pred - target) / pred.size
         grads = mlp_backward(p, cache, d)
         reference = recomputing_backward(p, cache, d)
@@ -561,8 +519,8 @@ class TestBlockedForward:
     def test_cache_keeps_the_forward_sigmoid(self):
         arch = GRAD_CHECK_ARCHS[1]
         p = randomized_params(arch, 9)
-        x, t, _, labels, sc = batch_for(arch, 7, 3)
-        _, cache = mlp_forward_cached(p, x, t, labels, sc)
+        x, t, _, sc = batch_for(arch, 7, 3)
+        _, cache = mlp_forward_cached(p, x, t, sc)
         assert len(cache["sigs"]) == len(cache["pres"]) == len(arch.hidden_dims)
         for z, s, a in zip(cache["pres"], cache["sigs"], cache["acts"][1:]):
             assert s.tobytes() == sigmoid(z).tobytes()

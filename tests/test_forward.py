@@ -1,7 +1,11 @@
 """Forward diffusion, the variance law, and input normalization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noiselab.core import Rng
 from noiselab.forward import (
@@ -12,7 +16,7 @@ from noiselab.forward import (
     effective_gamma,
     normalize_input,
 )
-from noiselab.schedules import ScheduleSpec
+from noiselab.schedules import ScheduleSpec, gamma
 
 LINEAR = ScheduleSpec.linear()
 
@@ -167,6 +171,13 @@ class TestScalingScheduleEquivalence:
         # b = 0.5, gamma = 0.7: 0.25*0.7 / 0.475
         assert effective_gamma(0.7, 0.5) == pytest.approx(0.175 / 0.475, rel=1e-14)
 
+    @pytest.mark.parametrize("b", [0.01, 0.1, 0.3, 0.61, 0.7, 0.9, 1.0])
+    def test_effective_gamma_stays_in_range_at_one(self, b):
+        # the rounded b^2 / ((b^2 - 1) + 1) exceeded 1 for about a quarter of b
+        assert effective_gamma(1.0, b) == pytest.approx(1.0, rel=1e-12)
+        assert effective_gamma(1.0, b) <= 1.0
+        assert np.all(effective_gamma(np.array([0.0, 0.5, 1.0]), b) <= 1.0)
+
     def test_effective_gamma_logsnr_shift(self):
         """gamma_eff realizes exactly the 2 ln b logSNR shift."""
         g = np.linspace(0.01, 0.99, 57)
@@ -193,3 +204,49 @@ class TestCompoundValidation:
         for b in (1.0, 0.6, 0.5, 0.2, 0.1):
             compound(scale=b)
         compound(scale=0.2, schedule=ScheduleSpec.cosine(0.2, 1.0, 1.0))
+
+
+_SPECS = st.sampled_from([ScheduleSpec.linear(), ScheduleSpec.cosine(0.0, 1.0, 1.0),
+                          ScheduleSpec.cosine(0.2, 1.0, 3.0), ScheduleSpec.sigmoid(-3.0, 3.0, 0.9),
+                          ScheduleSpec.sigmoid(0.0, 3.0, 0.3)])
+_T = st.floats(0.0, 1.0)
+# The paper's scales are 0.1-1. Below about 0.02 the analytic variance
+# (b^2 - 1) gamma + 1 cancels near gamma = 1 and loses more than 1e-12.
+_B = st.floats(0.05, 1.0)
+
+
+class TestForwardProperties:
+    """The variance law and finding 3 over random schedules, times and scales."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_SPECS, t=_T, b=_B, signs=st.lists(st.sampled_from([-1.0, 1.0]),
+                                                    min_size=4, max_size=4))
+    def test_second_moment_is_the_variance_law(self, spec, t, b, signs):
+        # unit-variance x0 and eps that are exactly uncorrelated: the mean
+        # square of x_t has no cross term, so it is the law up to rounding
+        sign = np.array(signs)[:, None]
+        x0 = sign * np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        eps = sign * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        out = diffuse(x0, t, None, compound(scale=b, schedule=spec), eps=eps)
+        g = gamma(spec, t)
+        assert float(np.mean(out.x_t**2)) == pytest.approx(analytic_variance(g, b),
+                                                          rel=1e-12, abs=0.0)
+        assert analytic_variance(g, b) == pytest.approx(b * b * g + (1.0 - g), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_SPECS, t=_T, b=_B, seed=st.integers(0, 2**32 - 1))
+    def test_finding_3_scaling_is_a_schedule_change(self, spec, t, b, seed):
+        """normalize = analytic at scale b is the unit-scale process at effective_gamma."""
+        g = gamma(spec, t)
+        # sqrt(1 - gamma_eff) turns the last ulp of gamma_eff into more
+        # than 1e-12 once 1 - gamma_eff is below about 1e-6
+        assume(g <= 1.0 - 1e-6)
+        rng = Rng(seed)
+        x0, eps = rng.normal((6, 3)), rng.normal((6, 3))
+        scaled = diffuse(x0, t, None, compound(scale=b, schedule=spec), eps=eps)
+        lhs = normalize_input(scaled.x_t, scaled.gamma_t,
+                              compound(scale=b, normalize="analytic", schedule=spec))
+        g_eff = effective_gamma(g, b)
+        unit = diffuse(x0, 0.0, None, compound(), eps=eps)  # x_t = x0 at t = 0
+        rhs = math.sqrt(g_eff) * unit.x_t + math.sqrt(1.0 - g_eff) * eps
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)

@@ -74,9 +74,8 @@ def randomized(arch, seed):
     return p
 
 
-def mlp(width, self_cond, seed=0, cond_classes=None):
-    arch = MlpArch(in_dim=2, hidden_dims=(width, width), time_embed_dim=8,
-                   self_cond=self_cond, cond_classes=cond_classes)
+def mlp(width, self_cond, seed=0):
+    arch = MlpArch(in_dim=2, hidden_dims=(width, width), time_embed_dim=8, self_cond=self_cond)
     return randomized(arch, seed)
 
 
@@ -110,12 +109,6 @@ class TestSplitEqualsSerial:
                                          LINEAR_OFF, sc, 2049)
         assert split.tobytes() == serial.tobytes()
 
-    def test_unguided_conditional_arch(self, monkeypatch, splits):
-        p = mlp(64, True, cond_classes=3)
-        sc = SamplerConfig(steps=3, seed=1)
-        split, serial = split_and_serial(monkeypatch, splits, p, LINEAR_OFF, sc, 2048)
-        assert split.tobytes() == serial.tobytes()
-
     def test_forward_pass_equals_serial(self):
         p = mlp(100, True, seed=4)
         x, sc = Rng(1).normal((5000, 2)), Rng(2).normal((5000, 2))
@@ -147,20 +140,13 @@ class TestStaysInProcess:
         cpus(monkeypatch, 1)
         assert split_processes(p, 16384) is None
 
-    def test_no_split_without_hidden_layers_labels_or_fork(self, monkeypatch):
+    def test_no_split_without_hidden_layers_or_fork(self, monkeypatch):
         cpus(monkeypatch, 2)
-        p = mlp(16, False, cond_classes=3)
+        p = mlp(16, False)
         assert split_processes(p, 4096) == 2
-        assert split_processes(p, 4096, labels=np.zeros(4096, dtype=np.int64)) is None
         assert split_processes(randomized(MlpArch(in_dim=2, hidden_dims=()), 0), 4096) is None
         monkeypatch.delattr(os, "fork", raising=False)
         assert split_processes(p, 4096) is None
-
-    def test_labels(self, monkeypatch, no_split):
-        cpus(monkeypatch, 2)
-        sc = SamplerConfig(steps=2, seed=0, guidance_weight=1.0)
-        generate(mlp(64, False, cond_classes=3), LINEAR_OFF, sc, 2048,
-                 labels=np.zeros(2048, dtype=np.int64))
 
     def test_oracle(self, monkeypatch, no_split):
         cpus(monkeypatch, 2)
@@ -196,13 +182,6 @@ class TestRowSplitArgs:
         with RowSplit(p, 2048, 2) as split:
             with pytest.raises(ValueError, match="params it was opened on"):
                 mlp_forward(q, np.zeros((2048, 2)), 0.5, split=split)
-
-    def test_labels(self):
-        p = mlp(16, False, cond_classes=3)
-        with RowSplit(p, 2048, 2) as split:
-            with pytest.raises(ValueError, match="only the unguided pass"):
-                mlp_forward(p, np.zeros((2048, 2)), 0.5, labels=np.ones(2048, dtype=np.int64),
-                            split=split)
 
     def test_one_time_and_the_opened_batch_size(self):
         p = mlp(16, False)

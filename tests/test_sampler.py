@@ -1,4 +1,4 @@
-"""Sampling steps, guidance, and full-loop closure against the oracle."""
+"""Sampling steps and full-loop closure against the oracle."""
 
 import hashlib
 import math
@@ -24,7 +24,6 @@ from noiselab.sampler import (
     OraclePredictor,
     SamplerConfig,
     as_predictor,
-    cfg_combine,
     ddim_step,
     ddpm_step,
     generate,
@@ -42,8 +41,6 @@ def randomized_params(arch: MlpArch, seed: int):
         w[...] = 0.3 * rng.normal(w.shape)
     for b in p.biases:
         b[...] = 0.05 * rng.normal(b.shape)
-    if p.class_embed is not None:
-        p.class_embed[...] = 0.2 * rng.normal(p.class_embed.shape)
     return p
 
 
@@ -127,25 +124,6 @@ class TestDdpmStep:
         assert after_boundary == after_interior
 
 
-class TestCfgCombine:
-    def test_w_zero_is_conditional(self):
-        c = Rng(0).normal((3, 2))
-        u = Rng(1).normal((3, 2))
-        np.testing.assert_array_equal(cfg_combine(c, u, 0.0), c)
-
-    def test_equal_inputs_any_weight(self):
-        c = Rng(2).normal((3, 2))
-        np.testing.assert_allclose(cfg_combine(c, c.copy(), 3.0), c, atol=1e-12)
-
-    def test_hand_value(self):
-        out = cfg_combine(np.array([[1.0]]), np.array([[0.0]]), 3.0)
-        assert out[0, 0] == 4.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            cfg_combine(np.zeros((1, 1)), np.zeros((1, 1)), -0.5)
-
-
 class TestPredictorProtocol:
     def test_mlp_predictor_attrs(self):
         arch = MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
@@ -209,11 +187,13 @@ class TestGenerate:
         oracle = GaussianOracle(np.eye(3))
         with pytest.raises(ValueError):
             generate(oracle, LINEAR_OFF, SamplerConfig(steps=5, seed=0), 0)
-        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2, cond_classes=2)
+        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
         params = init_params(arch, Rng(0))
         with pytest.raises(ValueError):
+            generate(params, LINEAR_OFF, SamplerConfig(steps=2, seed=0), -1)
+        with pytest.raises(TypeError):
             generate(params, LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4,
-                     labels=np.zeros(3, dtype=np.int64))
+                     labels=np.zeros(4, dtype=np.int64))
 
     def test_predictor_shape_checked(self):
         class Bad:
@@ -226,37 +206,6 @@ class TestGenerate:
 
         with pytest.raises(ValueError):
             generate(Bad(), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4)
-
-    def test_null_labels_with_zero_weight_match_unlabeled(self):
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=3)
-        params = randomized_params(arch, 40)
-        sc = SamplerConfig(steps=8, seed=4)
-        nulls = np.full(10, arch.null_class, dtype=np.int64)
-        a = generate(params, LINEAR_OFF, sc, 10, labels=nulls)
-        b = generate(params, LINEAR_OFF, sc, 10, labels=None)
-        np.testing.assert_array_equal(a, b)
-
-    def test_guidance_no_op_when_label_is_ignored(self):
-        """Zeroed class table: cond and uncond passes agree, any weight."""
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=3)
-        params = randomized_params(arch, 41)
-        params.class_embed[:] = 0.0
-        labels = Rng(42).integers(3, (10,))
-        unguided = generate(params, LINEAR_OFF, SamplerConfig(steps=8, seed=5), 10,
-                            labels=labels)
-        guided = generate(params, LINEAR_OFF,
-                          SamplerConfig(steps=8, seed=5, guidance_weight=3.0), 10,
-                          labels=labels)
-        np.testing.assert_allclose(guided, unguided, atol=1e-10)
-
-    def test_guidance_changes_output_when_labels_matter(self):
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=3)
-        params = randomized_params(arch, 43)
-        labels = Rng(44).integers(3, (10,))
-        a = generate(params, LINEAR_OFF, SamplerConfig(steps=8, seed=6), 10, labels=labels)
-        b = generate(params, LINEAR_OFF,
-                     SamplerConfig(steps=8, seed=6, guidance_weight=2.0), 10, labels=labels)
-        assert np.max(np.abs(a - b)) > 1e-9
 
     def test_self_cond_estimates_are_threaded(self):
         """Nonzero feedback weights must change the sample path."""
@@ -405,7 +354,7 @@ class TestSaturatedGamma:
     def test_oracle_predicts_zero_noise(self):
         pred = OraclePredictor(GaussianOracle(ar1_covariance(4, 0.5)))
         x = Rng(0).normal((9, 4))
-        eps = pred(x, gamma=1.0, t=0.05, scale=0.5, labels=None, self_cond=None)
+        eps = pred(x, gamma=1.0, t=0.05, scale=0.5, self_cond=None)
         np.testing.assert_array_equal(eps, np.zeros((9, 4)))
 
     @pytest.mark.parametrize("step_kind", STEP_KINDS)
@@ -430,7 +379,6 @@ class TestSamplerConfigValidation:
         sc = SamplerConfig(steps=10, seed=0)
         assert sc.inference_schedule == ScheduleSpec.cosine(0.0, 1.0, 1.0)
         assert sc.step_kind == "ddim"
-        assert sc.guidance_weight == 0.0
 
     @pytest.mark.parametrize(
         "bad",
@@ -438,7 +386,7 @@ class TestSamplerConfigValidation:
             dict(steps=0),
             dict(seed=-1),
             dict(step_kind="euler"),
-            dict(guidance_weight=-1.0),
+            dict(signal_clamp=math.nan),
             dict(signal_clamp=0.0),
         ],
     )

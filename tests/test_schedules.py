@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noiselab.schedules import (
     REFERENCE_SPECS,
@@ -89,6 +91,26 @@ class TestSpecValidation:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             ScheduleSpec.cosine(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["cosine", "sigmoid"])
+    @pytest.mark.parametrize("field", ["start", "end", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, kind, field, value):
+        # nan passes every comparison-based check, and gamma was then nan
+        shape = dict(start=0.0, end=1.0, tau=1.0)
+        shape[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ScheduleSpec(kind, **shape)
+
+    @pytest.mark.parametrize("kind, start, end, tau", [
+        ("sigmoid", -4.0, -3.0, 2.0**-8),  # both ends underflow to 0
+        ("sigmoid", 5.0, 10.0, 0.01),  # both ends round to 1
+        ("cosine", 0.0, 1e-9, 1.0),  # both ends round to 1
+    ])
+    def test_flat_curve_rejected(self, kind, start, end, tau):
+        # gamma divides by the curve's move across the window: 0/0 = nan
+        with pytest.raises(ValueError, match="flat"):
+            ScheduleSpec(kind, start, end, tau)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -224,3 +246,38 @@ class TestStringForms:
     def test_bad_strings(self, text):
         with pytest.raises(ValueError):
             parse_schedule(text)
+
+
+@st.composite
+def valid_specs(draw):
+    """Any spec the constructor accepts, shapes well outside the reference set."""
+    kind = draw(st.sampled_from(["linear", "cosine", "sigmoid"]))
+    if kind == "linear":
+        return ScheduleSpec.linear(clip_min=draw(st.sampled_from([1e-9, 1e-4, 0.1])))
+    lo, hi = (0.0, 1.0) if kind == "cosine" else (-50.0, 50.0)
+    start, end = (draw(st.floats(lo, hi, allow_nan=False)) for _ in range(2))
+    tau = draw(st.floats(1e-3, 100.0))
+    try:
+        return ScheduleSpec(kind, start, end, tau)
+    except ValueError:
+        assume(False)
+
+
+class TestScheduleProperties:
+    """Invariants over random valid specs, not only REFERENCE_SPECS."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=valid_specs(), ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_exact_endpoints_and_non_increasing(self, spec, ts):
+        assert gamma(spec, 0.0) == 1.0
+        assert gamma(spec, 1.0) == spec.clip_min
+        grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 257), ts]))
+        g = gamma(spec, grid)
+        assert np.all(np.diff(g) <= 0.0)
+        assert np.all((g >= spec.clip_min) & (g <= 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=valid_specs())
+    def test_format_then_parse_is_identity(self, spec):
+        assume(spec.clip_min == 1e-9)  # the string form carries no clip_min
+        assert parse_schedule(format_schedule(spec)) == spec

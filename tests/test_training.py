@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestTrainLoss:
         arch = MlpArch(in_dim=4, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(1))  # zero output layer
         x0 = Rng(2).normal((4096, 4))
-        result = train_loss(x0, None, params, LINEAR_OFF, Rng(3))
+        result = train_loss(x0, params, LINEAR_OFF, Rng(3))
         assert result.loss == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
@@ -71,8 +72,8 @@ class TestTrainLoss:
         params = init_params(arch, Rng(4))
         params.weights[-1][...] = Rng(5).normal(params.weights[-1].shape) * 0.1
         x0 = Rng(6).normal((32, 3))
-        a = train_loss(x0, None, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
-        b = train_loss(x0, None, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
+        a = train_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
+        b = train_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
         assert a.loss == b.loss
         for ga, gb in zip(a.grads.arrays, b.grads.arrays):
             np.testing.assert_array_equal(ga, gb)
@@ -81,39 +82,20 @@ class TestTrainLoss:
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(8))
         for seed in range(3):
-            r = train_loss(Rng(seed).normal((16, 2)), None, params, LINEAR_OFF, Rng(seed + 50))
+            r = train_loss(Rng(seed).normal((16, 2)), params, LINEAR_OFF, Rng(seed + 50))
             assert r.loss >= 0.0
 
     def test_gamma_stats_ordered(self):
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(9))
-        r = train_loss(Rng(10).normal((64, 2)), None, params, LINEAR_OFF, Rng(11))
+        r = train_loss(Rng(10).normal((64, 2)), params, LINEAR_OFF, Rng(11))
         g_min, g_mean, g_max = r.gamma_stats
         assert 0.0 <= g_min <= g_mean <= g_max <= 1.0
-
-    def test_label_dropout_uses_null_class(self):
-        """dropout = 1: every label is replaced, matching explicit nulls."""
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=3)
-        params = init_params(arch, Rng(12))
-        params.weights[-1][...] = Rng(13).normal(params.weights[-1].shape) * 0.1
-        params.class_embed[...] = Rng(14).normal(params.class_embed.shape) * 0.1
-        x0 = Rng(15).normal((16, 2))
-        labels = Rng(16).integers(3, (16,))
-        dropped = train_loss(
-            x0, labels, params, LINEAR_OFF, Rng(17), label_dropout=1.0
-        )
-        # same rng consumption pattern (dropout draws happen in both), so
-        # feeding null labels directly must reproduce the loss exactly
-        nulls = np.full(16, arch.null_class, dtype=np.int64)
-        forced = train_loss(
-            x0, nulls, params, LINEAR_OFF, Rng(17), label_dropout=1.0
-        )
-        assert dropped.loss == forced.loss
 
     def test_returns_named_result(self):
         arch = MlpArch(in_dim=2, hidden_dims=(), time_embed_dim=2)
         params = init_params(arch, Rng(18))
-        r = train_loss(Rng(19).normal((8, 2)), None, params, LINEAR_OFF, Rng(20))
+        r = train_loss(Rng(19).normal((8, 2)), params, LINEAR_OFF, Rng(20))
         assert isinstance(r, LossResult)
         loss, grads, stats = r
         assert isinstance(loss, float) and len(stats) == 3
@@ -122,7 +104,7 @@ class TestTrainLoss:
         arch = MlpArch(in_dim=2, hidden_dims=(), time_embed_dim=2)
         params = init_params(arch, Rng(21))
         with pytest.raises(ValueError):
-            train_loss(np.zeros((0, 2)), None, params, LINEAR_OFF, Rng(22))
+            train_loss(np.zeros((0, 2)), params, LINEAR_OFF, Rng(22))
 
 
 class TestAdamStep:
@@ -239,7 +221,7 @@ def per_array_step(kind, arrays, grads, m, v, t, cfg, lr):
 class TestWholeVectorMatchesPerArrayLoop:
     """The flat-vector updates are bit-identical to the per-array loops."""
 
-    ARCH = MlpArch(in_dim=2, hidden_dims=(8, 4), time_embed_dim=4, cond_classes=2, self_cond=True)
+    ARCH = MlpArch(in_dim=2, hidden_dims=(8, 4), time_embed_dim=4, self_cond=True)
 
     @pytest.mark.parametrize("step_fn, kind", [(adam_step, "adam"), (lamb_step, "lamb")])
     def test_optimizer_steps(self, step_fn, kind):
@@ -271,13 +253,11 @@ class TestWholeVectorMatchesPerArrayLoop:
 
 @st.composite
 def archs(draw):
-    """Small architectures, conditional and self-conditioning ones included."""
-    hidden = tuple(draw(st.lists(st.integers(1, 9), max_size=3)))
+    """Small architectures, self-conditioning ones included."""
     return MlpArch(
         in_dim=draw(st.integers(1, 4)),
-        hidden_dims=hidden,
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 9), max_size=3))),
         time_embed_dim=draw(st.sampled_from([2, 4, 6])),
-        cond_classes=draw(st.none() | st.integers(1, 4)) if hidden else None,
         self_cond=draw(st.booleans()),
     )
 
@@ -317,22 +297,19 @@ class TestStepPiecesBitwise:
             assert params.flat.tobytes() == np.concatenate([a.ravel() for a in ref]).tobytes()
 
     def test_reused_gradient_buffer_equals_fresh(self):
-        """Three steps on a conditional arch: the class rows used change each step."""
-        arch = MlpArch(in_dim=2, hidden_dims=(8, 5), time_embed_dim=4, cond_classes=3,
-                       self_cond=True)
+        """Three steps on a self-conditioning arch: every step overwrites the buffer."""
+        arch = MlpArch(in_dim=2, hidden_dims=(8, 5), time_embed_dim=4, self_cond=True)
         data = Rng(50).normal((64, 2))
         params = {k: init_params(arch, Rng(51)) for k in ("fresh", "reused")}
         rngs = {k: Rng(52) for k in params}
         states = {k: init_optimizer_state(params[k]) for k in params}
         buffer = DenoiserParams(arch)
         cfg = tiny_cfg()
-        for step, labels in enumerate([[0, 1, 1, 0, 3, 3], [2, 2, 2, 2, 2, 2], [1, 3, 0, 1, 3, 0]]):
-            labels = np.array(labels)
+        for step in range(3):
             out = {}
             for k in params:
-                res = train_loss(data[step::8][:6], labels, params[k], LINEAR_OFF, rngs[k],
-                                 label_dropout=0.3, self_cond_rate=0.5,
-                                 out=buffer if k == "reused" else None)
+                res = train_loss(data[step::8][:6], params[k], LINEAR_OFF, rngs[k],
+                                 self_cond_rate=0.5, out=buffer if k == "reused" else None)
                 out[k] = res
                 lamb_step(params[k], res.grads, states[k], cfg, lr=0.05)
             assert out["reused"].grads is buffer
@@ -341,10 +318,10 @@ class TestStepPiecesBitwise:
             assert params["reused"].flat.tobytes() == params["fresh"].flat.tobytes()
 
     def test_backward_out_must_match_layout(self):
-        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2, cond_classes=2)
+        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
         p = init_params(arch, Rng(60))
-        _, cache = mlp_forward_cached(p, Rng(61).normal((5, 2)), 0.5, np.arange(5) % 2)
-        other = DenoiserParams(MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2))
+        _, cache = mlp_forward_cached(p, Rng(61).normal((5, 2)), 0.5)
+        other = DenoiserParams(MlpArch(in_dim=2, hidden_dims=(5,), time_embed_dim=2))
         with pytest.raises(ValueError, match="layout"):
             mlp_backward(p, cache, np.ones((5, 2)), out=other)
 
@@ -352,21 +329,21 @@ class TestStepPiecesBitwise:
 class TestLayoutMismatch:
     """Arrays of another architecture are rejected, not zipped and truncated."""
 
-    COND = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2, cond_classes=2)
-    PLAIN = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
+    NARROW = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
+    WIDE = MlpArch(in_dim=2, hidden_dims=(5,), time_embed_dim=2)
 
     @pytest.mark.parametrize("step_fn", [adam_step, lamb_step], ids=["adam", "lamb"])
-    def test_unconditional_grads_on_conditional_params(self, step_fn):
-        # before, the class table was silently left unstepped
-        params = init_params(self.COND, Rng(0))
-        grads = init_params(self.PLAIN, Rng(1))
+    def test_grads_of_another_arch_rejected(self, step_fn):
+        # zip over the narrow grads would leave the wide params' tail unstepped
+        params = init_params(self.WIDE, Rng(0))
+        grads = init_params(self.NARROW, Rng(1))
         with pytest.raises(ValueError):
             step_fn(params, grads, init_optimizer_state(params), tiny_cfg(), lr=0.1)
 
-    def test_conditional_ema_with_unconditional_params(self):
-        ema = init_params(self.COND, Rng(0))
+    def test_ema_of_another_arch_rejected(self):
+        ema = init_params(self.WIDE, Rng(0))
         with pytest.raises(ValueError):
-            ema_update(ema, init_params(self.PLAIN, Rng(1)), 0.9)
+            ema_update(ema, init_params(self.NARROW, Rng(1)), 0.9)
 
 
 class TestEmaUpdate:
@@ -453,13 +430,20 @@ class TestConfigValidation:
             dict(weight_decay=-0.1),
             dict(ema_decay=1.1),
             dict(self_cond_rate=-0.1),
-            dict(label_dropout=2.0),
+            dict(self_cond_rate=1.5),
             dict(log_every=0),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             tiny_cfg(**bad)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["lr", "eps_opt", "weight_decay"])
+    def test_rejects_non_finite(self, name, value):
+        # nan passes a bare "< 0" test and reaches the first step as nan params
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            tiny_cfg(**{name: value})
 
 
 class TestTrainLoop:
@@ -527,10 +511,7 @@ class TestTrainLoop:
         for step in range(cfg.steps):
             lr = lr_at(step, cfg)
             idx = rng.integers(n, (cfg.batch_size,))
-            res = loss_fn(
-                data[idx], None, manual, LINEAR_OFF, rng,
-                label_dropout=cfg.label_dropout, self_cond_rate=cfg.self_cond_rate,
-            )
+            res = loss_fn(data[idx], manual, LINEAR_OFF, rng, self_cond_rate=cfg.self_cond_rate)
             step_fn(manual, res.grads, st, cfg, lr)
             for j, a in enumerate(manual.arrays):
                 lo[j] = np.minimum(lo[j], a)
@@ -551,20 +532,6 @@ class TestTrainLoop:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             train(np.zeros((10, 3)), self.ARCH, LINEAR_OFF, tiny_cfg())
-
-    def test_labels_shape_checked(self):
-        data = self.small_data()
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=2)
-        with pytest.raises(ValueError):
-            train(data, arch, LINEAR_OFF, tiny_cfg(), labels=np.zeros(3, dtype=np.int64))
-
-    def test_conditional_training_runs(self):
-        data = self.small_data()
-        labels = (data[:, 0] > 0).astype(np.int64)
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_classes=2)
-        cfg = tiny_cfg(steps=5, label_dropout=0.1)
-        params, _, history = train(data, arch, LINEAR_OFF, cfg, labels=labels)
-        assert len(history) == 5
 
 
 class TestTrainingQuality:
@@ -635,17 +602,20 @@ self_cond = true
 
 # sha256 of each artifact, recorded before the training step was reworked
 # to reuse its buffers. A change here means training moved by at least
-# one bit.
+# one bit. config.txt pins the written run file, the retired
+# class-conditioning keys at their neutral values included.
 GOLDEN_DIGESTS = {
     "criterion08_200": {
         "params.bin": "0af3728b25caf34de310531be2dd7f0a8188a96617349173362ba9a0bf2ce34d",
         "ema.bin": "f4e6e5b79ea6eb25e0cc542e2b98e0e79388f72074e54166b16630b1a5c667f4",
         "loss.csv": "f5850d19d0c0a81053043c54205acb167e94db4f7a15feaeda63f93b8cab2d9b",
+        "config.txt": "f11447ad785268943be0b53e7768bf7ecd4c6477aa3776f1951486467f3d9250",
     },
     "self_cond_adam_100": {
         "params.bin": "d751f21abd00309c127653597783f6277c452b63d78a7a1deb01218ece418c4b",
         "ema.bin": "42c0a2c5ae658d20e2bae13617cd1236e8ae2dbdb4d763affa73bb59f5bc8b53",
         "loss.csv": "3af560146aaefcb619595f52cdd60c7ab1bd2997ffbe304d44e14ddb89954c96",
+        "config.txt": "9bdbd31925146ee8c9aafb01812e965a70ef7d52b627ea54253aaa007deb6cab",
     },
 }
 
