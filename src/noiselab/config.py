@@ -37,6 +37,10 @@ class NetSettings:
     def __post_init__(self):
         if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_dims}")
+        # named by its run-file key: a bad value is a config error, raised
+        # before a command makes its output directory
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
+            raise ValueError(f"time_embed must be even and >= 2, got {self.time_embed_dim}")
 
     def build_arch(self, in_dim: int) -> MlpArch:
         return MlpArch(

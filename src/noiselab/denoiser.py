@@ -262,8 +262,7 @@ def _block(p: DenoiserParams, x, emb, self_cond, r0: int, r1: int,
     """Rows r0:r1 of the last hidden layer (of the input, with no hidden layer).
 
     The one block kernel of the uncached forward pass, run over
-    _row_blocks(n) in this process or split across a RowSplit's
-    processes; the rows are written into last[r0:r1].
+    _row_blocks(n); the rows are written into last[r0:r1].
     """
     out = last[r0:r1]
     a = np.empty((r1 - r0, p.arch.input_width)) if p.arch.hidden_dims else out
@@ -271,17 +270,18 @@ def _block(p: DenoiserParams, x, emb, self_cond, r0: int, r1: int,
     _hidden(p, a, out)
 
 
-def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict],
-             split=None) -> np.ndarray:
+def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.ndarray:
     """The forward pass behind mlp_forward and mlp_forward_cached.
 
     Without a cache the hidden layers run block by block, so a block's
     activations stay in cache, and only the last hidden layer's output is
-    held for the whole batch; a split runs the blocks in several
-    processes. With a cache dict the whole batch is one block and every
-    layer's pre-activation, sigmoid and activation are kept. The output
-    layer runs on the whole batch: for a narrow output, BLAS picks a
-    kernel by row count, and blocks would move its last ulp.
+    held for the whole batch. With a cache dict the whole batch is one
+    block and every layer's pre-activation, sigmoid and activation are
+    kept. The output layer runs on the whole batch: for a narrow output,
+    BLAS picks a kernel by the product's size, and blocks would move its
+    last ulp. A sampling chain split by rows runs this pass on a run of
+    blocks only where the run's output layer rounds as the whole batch's
+    (rowsplit.split_processes).
     """
     x, emb, self_cond = _inputs(p, x, t, self_cond)
     arch = p.arch
@@ -292,10 +292,6 @@ def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict],
         cache.update(acts=[a0], pres=[], sigs=[])
         last = np.empty((n, arch.hidden_dims[-1])) if n_hidden else a0
         _hidden(p, a0, last, cache)
-    elif split is not None:
-        if split.p is not p:
-            raise ValueError("a row split runs only the params it was opened on")
-        last = split.hidden(x, emb, self_cond)
     else:
         last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
         for r0, r1 in _row_blocks(n):
@@ -310,13 +306,9 @@ def mlp_forward_cached(p: DenoiserParams, x, t, self_cond=None):
     return _forward(p, x, t, self_cond, cache), cache
 
 
-def mlp_forward(p: DenoiserParams, x, t, self_cond=None, *, split=None) -> np.ndarray:
-    """Predicted noise for a batch; t is a scalar or one time per row.
-
-    ``split``, a RowSplit opened on p for this batch size, runs the hidden
-    layers in its processes; the output is the same to the last bit.
-    """
-    return _forward(p, x, t, self_cond, None, split)
+def mlp_forward(p: DenoiserParams, x, t, self_cond=None) -> np.ndarray:
+    """Predicted noise for a batch; t is a scalar or one time per row."""
+    return _forward(p, x, t, self_cond, None)
 
 
 def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,

@@ -32,17 +32,21 @@ chain. Reductions such as np.cov do sum in a layout-dependent order, so
 generate() returns the samples C-contiguous.
 
 The chain runs with OpenBLAS on one thread, so its bits do not depend on
-the machine's core count. An MLP chain on a large batch splits
-its hidden layers by rows across forked processes (rowsplit.RowSplit),
-one per usable CPU; the output layer, the step arithmetic and every
-check stay whole-batch in this process, and the samples are the same to
-the last bit.
+the machine's core count. Every part of a step acts row by row, so a
+large batch splits by rows across forked processes (rowsplit.RowSplit),
+one per usable CPU: each runs the whole chain, checks included, on its
+own run of row blocks, and the samples are the same to the last bit.
+Each process draws the whole batch's noise from the seed's stream and
+keeps its own rows, so the stream is consumed as in the serial chain.
+Only a predictor that generate() builds itself, from DenoiserParams or
+a GaussianOracle, splits; a caller's callable runs in this process,
+where its side effects stay visible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -143,7 +147,7 @@ def ddpm_step(x_t, eps_pred, gamma_now: float, gamma_next: float, rng: Rng) -> n
     0) so sampling consumes the stream identically at all steps.
     """
     x_t, eps_pred = _check_step_args(x_t, eps_pred, gamma_now, gamma_next)
-    return _ddpm(x_t, eps_pred, gamma_now, gamma_next, rng)
+    return _ddpm(x_t, eps_pred, gamma_now, gamma_next, rng.normal(x_t.shape))
 
 
 def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
@@ -163,13 +167,12 @@ def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.n
 
 
 def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
-          rng: Rng) -> np.ndarray:
-    """ddpm_step without the input checks."""
+          z: np.ndarray) -> np.ndarray:
+    """ddpm_step without the input checks, given the fresh draw z; z is scaled in place."""
     if g_now == 1.0:
         var = 0.0
     else:
         var = (1.0 - g_now / g_next) * (1.0 - g_next) / (1.0 - g_now)
-    z = rng.normal(x_t.shape)
     out = _scaled_signal(x_t, eps, g_now, g_next)
     out += eps * math.sqrt(max(1.0 - g_next - var, 0.0))
     z *= math.sqrt(var)
@@ -182,8 +185,6 @@ class MlpPredictor:
 
     requires_raw_input = False
     state_order = "C"
-    # set by generate() on its own predictor while a row split is open
-    split: Optional[RowSplit] = None
 
     def __init__(self, params: DenoiserParams):
         self.params = params
@@ -197,7 +198,7 @@ class MlpPredictor:
         return self.params.arch.self_cond
 
     def __call__(self, x_in, *, gamma, t, scale, self_cond):
-        return mlp_forward(self.params, x_in, t, self_cond, split=self.split)
+        return mlp_forward(self.params, x_in, t, self_cond)
 
 
 class OraclePredictor:
@@ -235,32 +236,18 @@ def as_predictor(model):
     raise TypeError(f"cannot build a noise predictor from {type(model).__name__}")
 
 
-@contextmanager
-def _row_split(predictor, n_samples: int, pinned: bool):
-    """The predictor, with its hidden layers split across processes if that pays.
-
-    Only a trained MLP with BLAS pinned to one thread can split;
-    rowsplit.split_processes decides whether it does. Everything else
-    stays in this process.
-    """
-    processes = (split_processes(predictor.params, n_samples)
-                 if isinstance(predictor, MlpPredictor) and pinned else None)
-    if processes is None:
-        yield predictor
-        return
-    with RowSplit(predictor.params, n_samples, processes) as split:
-        predictor = MlpPredictor(predictor.params)
-        predictor.split = split
-        yield predictor
-
-
 def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
-           n_samples: int) -> np.ndarray:
-    """The reverse process over the checked grid; the final state, unscaled."""
+           n_samples: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0:r1 of the reverse process over the checked grid; the final state, unscaled.
+
+    Each random draw is made for all n_samples rows and cut, so the
+    rows equal those of the whole-batch chain.
+    """
     dim = predictor.dim
     rng = Rng(sc.seed)
-    x_t = np.asarray(rng.normal((n_samples, dim)), order=getattr(predictor, "state_order", "C"))
-    prev_est = np.zeros((n_samples, dim))
+    x_t = np.asarray(rng.normal((n_samples, dim))[r0:r1],
+                     order=getattr(predictor, "state_order", "C"))
+    prev_est = np.zeros((r1 - r0, dim))
 
     for t_now, g_now, g_next in grid:
         x_in = _normalize(x_t, g_now, cs)
@@ -284,7 +271,7 @@ def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
         if sc.step_kind == "ddim":
             x_t = _ddim(x_t, eps, g_now, g_next)
         else:
-            x_t = _ddpm(x_t, eps, g_now, g_next, rng)
+            x_t = _ddpm(x_t, eps, g_now, g_next, rng.normal((n_samples, dim))[r0:r1])
     return x_t
 
 
@@ -311,10 +298,15 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         _check_gammas(g_now, g_next)
         grid.append((t_now, g_now, g_next))
 
-    # pinned, the bits do not depend on the BLAS thread count
+    chain = functools.partial(_chain, predictor, cs, sc, grid, n_samples)
+    # pinned, the bits do not depend on the BLAS thread count; unpinned,
+    # the processes of a split would compete for cores
     with one_blas_thread() as pinned:
-        with _row_split(predictor, n_samples, pinned) as predictor:
-            x_t = _chain(predictor, cs, sc, grid, n_samples)
+        processes = split_processes(model, n_samples) if pinned else None
+        if processes is None:
+            x_t = chain(0, n_samples)
+        else:
+            x_t = RowSplit(n_samples, processes).run(chain, predictor.dim)
     # np.cov sums in an order that depends on the layout
     x_t = np.ascontiguousarray(x_t)
     ensure_finite(x_t, "generated samples")

@@ -175,6 +175,19 @@ class TestTrainCommand:
         assert "label_dropout" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", ["3", "1", "0"])
+    def test_bad_time_embed_is_config_error(self, tmp_path, capsys, value):
+        # before, train made the out dir and then failed in the network's
+        # constructor with exit 2, quoting a field name no config file has
+        cfg = tmp_path / "embed.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("time_embed = 4", f"time_embed = {value}"))
+        rc, _ = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"time_embed must be even and >= 2, got {value}" in err
+        assert "time_embed_dim" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("section, line", [
         ("[train]", "weight_decay = nan"),
         ("[train]", "lr = inf"),

@@ -454,7 +454,8 @@ _TRAINS = st.builds(
 )
 _NETS = st.builds(NetSettings, hidden_dims=st.lists(st.integers(1, 512), min_size=1,
                                                     max_size=4).map(tuple),
-                  time_embed_dim=st.integers(1, 64), self_cond=st.booleans())
+                  time_embed_dim=st.integers(1, 32).map(lambda k: 2 * k),
+                  self_cond=st.booleans())
 _SAMPLERS = st.builds(SamplerConfig, steps=st.integers(1, 10**4), seed=_SEEDS,
                       step_kind=st.sampled_from(STEP_KINDS), inference_schedule=_SCHEDULES,
                       signal_clamp=st.none() | _floats(1e-3, 10.0))
@@ -517,6 +518,12 @@ class TestNetSettings:
             NetSettings(hidden_dims=())
         with pytest.raises(ValueError):
             NetSettings(hidden_dims=(8, 0))
+
+    @pytest.mark.parametrize("value", [-2, 0, 1, 3, 17])
+    def test_rejects_bad_time_embed_at_parse_time(self, value):
+        with pytest.raises(ConfigError, match=rf"\[train\]: time_embed must be even and >= 2, "
+                                              rf"got {value}$"):
+            parse_config_text(f"[train]\ntime_embed = {value}\n")
 
 
 class TestRetiredConditioningKeys:

@@ -1,15 +1,17 @@
-"""The row split of sampling's hidden layers: byte-identical to the serial
-pass, opened only for an unguided MLP chain of at least two row blocks,
-and no child process outlives generate()."""
+"""The whole-chain row split of sampling: byte-identical to the serial chain,
+opened only for a chain generate() builds itself on at least two row blocks,
+errors raised as the serial chain raises them, and no child process
+outlives generate()."""
 
 import os
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noiselab.core
-import noiselab.rowsplit as rowsplit_mod
 import noiselab.sampler as sampler_mod
 from noiselab.cli import main
 from noiselab.core import (
@@ -22,15 +24,15 @@ from noiselab.core import (
 from noiselab.datasets import ar1_covariance
 from noiselab.denoiser import (
     MlpArch,
+    _row_blocks,
     init_params,
-    mlp_forward,
     mlp_forward_cached,
     save_params,
 )
 from noiselab.forward import CompoundSchedule
 from noiselab.oracle import GaussianOracle
-from noiselab.rowsplit import RowSplit, split_processes
-from noiselab.sampler import SamplerConfig, generate
+from noiselab.rowsplit import RowSplit, _most_alike, split_processes
+from noiselab.sampler import OraclePredictor, SamplerConfig, generate
 from noiselab.schedules import ScheduleSpec
 
 LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, normalize="off")
@@ -51,9 +53,9 @@ def splits(monkeypatch):
     opened = []
 
     class Spy(RowSplit):
-        def __init__(self, p, n, processes):
+        def __init__(self, n_rows, processes):
             opened.append(processes)
-            super().__init__(p, n, processes)
+            super().__init__(n_rows, processes)
 
     monkeypatch.setattr(sampler_mod, "RowSplit", Spy)
     return opened
@@ -74,18 +76,19 @@ def randomized(arch, seed):
     return p
 
 
-def mlp(width, self_cond, seed=0):
-    arch = MlpArch(in_dim=2, hidden_dims=(width, width), time_embed_dim=8, self_cond=self_cond)
+def mlp(width, self_cond, seed=0, in_dim=2):
+    arch = MlpArch(in_dim=in_dim, hidden_dims=(width, width), time_embed_dim=8,
+                   self_cond=self_cond)
     return randomized(arch, seed)
 
 
-def split_and_serial(monkeypatch, splits, p, cs, sc, n):
-    cpus(monkeypatch, 2)
-    split = generate(p, cs, sc, n)
-    assert splits == [2]
+def split_and_serial(monkeypatch, splits, model, cs, sc, n, processes=2):
+    cpus(monkeypatch, processes)
+    split = generate(model, cs, sc, n)
+    assert splits == [processes]
     cpus(monkeypatch, 1)
-    serial = generate(p, cs, sc, n)
-    assert splits == [2]
+    serial = generate(model, cs, sc, n)
+    assert splits == [processes]
     return split, serial
 
 
@@ -109,15 +112,103 @@ class TestSplitEqualsSerial:
                                          LINEAR_OFF, sc, 2049)
         assert split.tobytes() == serial.tobytes()
 
-    def test_forward_pass_equals_serial(self):
-        p = mlp(100, True, seed=4)
-        x, sc = Rng(1).normal((5000, 2)), Rng(2).normal((5000, 2))
-        with one_blas_thread():
-            serial = mlp_forward(p, x, 0.3, self_cond=sc)
-        with one_blas_thread(), RowSplit(p, 5000, 3) as split:
-            for _ in range(2):  # the second pass reuses the children and buffers
-                assert mlp_forward(p, x, 0.3, self_cond=sc, split=split).tobytes() \
-                    == serial.tobytes()
+    @pytest.mark.parametrize("kind", ["ddim", "ddpm"])
+    def test_oracle(self, monkeypatch, splits, kind):
+        sc = SamplerConfig(steps=4, seed=2, step_kind=kind, signal_clamp=1.0)
+        split, serial = split_and_serial(monkeypatch, splits,
+                                         GaussianOracle(ar1_covariance(16, 0.9)), LINEAR_OFF,
+                                         sc, 3000, processes=3)
+        assert split.tobytes() == serial.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(512, 6000), st.integers(2, 23).map(lambda b: 256 * b + 1)),
+           processes=st.integers(2, 4),
+           kind=st.sampled_from(["ddim", "ddpm"]),
+           clamp=st.sampled_from([None, 1.5]),
+           model=st.sampled_from(["mlp64", "mlp100_dim3", "mlp64_self_cond", "oracle16",
+                                  "oracle24", "oracle3"]))
+    def test_split_equals_serial_property(self, n, processes, kind, clamp, model):
+        """Every cut generate() takes gives the serial chain's bytes.
+
+        The 100-wide net on 3-dim data and the 24-dim oracle have cuts
+        whose batch-sized product rounds apart from the whole batch's on
+        OpenBLAS; split_processes must refuse those.
+        """
+        if model.startswith("oracle"):
+            dim = int(model[len("oracle"):])
+            net, cs = GaussianOracle(ar1_covariance(dim, 0.8)), LINEAR_OFF
+        else:
+            width = 100 if model == "mlp100_dim3" else 64
+            net = mlp(width, model.endswith("self_cond"), seed=n,
+                      in_dim=3 if model == "mlp100_dim3" else 2)
+            cs = EMPIRICAL
+        sc = SamplerConfig(steps=3, seed=n, step_kind=kind, signal_clamp=clamp)
+        opened = []
+
+        class Spy(RowSplit):
+            def __init__(self, n_rows, k):
+                opened.append(k)
+                super().__init__(n_rows, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler_mod, "RowSplit", Spy)
+            cpus(mp, processes)
+            split = generate(net, cs, sc, n)
+            cpus(mp, 1)
+            serial = generate(net, cs, sc, n)
+        assert split.tobytes() == serial.tobytes()
+        assert len(opened) <= 1 and all(2 <= k <= processes for k in opened)
+
+
+class TestRowSplit:
+    @pytest.mark.parametrize("n", [512, 513, 767, 2048, 4095, 16385])
+    def test_runs_are_contiguous_runs_of_whole_blocks(self, n):
+        blocks = _row_blocks(n)
+        starts = {r0 for r0, _ in blocks}
+        for processes in range(2, min(4, len(blocks)) + 1):
+            runs = RowSplit(n, processes).runs
+            assert len(runs) == processes
+            assert runs[0][0] == 0 and runs[-1][1] == n
+            for (_, stop), (start, _) in zip(runs[:-1], runs[1:]):
+                assert stop == start and start in starts
+            sizes = [sum(1 for r in starts if r0 <= r < r1) for r0, r1 in runs]
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_run_stacks_every_run(self):
+        def chain(r0, r1):
+            return np.arange(2.0 * r0, 2.0 * r1).reshape(r1 - r0, 2)
+
+        assert RowSplit(1300, 3).run(chain, 2).tobytes() == chain(0, 1300).tobytes()
+
+    def test_first_failing_run_is_raised(self):
+        split = RowSplit(2048, 4)
+
+        def chain(r0, r1):
+            if r0 >= split.runs[2][0]:
+                raise KeyError(f"run at row {r0}")
+            return np.zeros((r1 - r0, 1))
+
+        with pytest.raises(KeyError, match=f"run at row {split.runs[2][0]}"):
+            split.run(chain, 1)
+
+    def test_callers_run_error_wins(self):
+        def chain(r0, r1):
+            raise LookupError(f"run at row {r0}")
+
+        with pytest.raises(LookupError, match="run at row 0$"):
+            RowSplit(2048, 3).run(chain, 1)
+
+    def test_unpicklable_error_is_named(self):
+        class Local(Exception):
+            pass
+
+        def chain(r0, r1):
+            if r0:
+                raise Local("only here")
+            return np.zeros((r1 - r0, 1))
+
+        with pytest.raises(ChildProcessError, match="raised Local: only here"):
+            RowSplit(1024, 2).run(chain, 1)
 
 
 @needs_pin
@@ -148,10 +239,38 @@ class TestStaysInProcess:
         monkeypatch.delattr(os, "fork", raising=False)
         assert split_processes(p, 4096) is None
 
-    def test_oracle(self, monkeypatch, no_split):
+    def test_callers_predictor(self, monkeypatch, no_split):
+        """A callable from the caller runs here, and sees every step."""
         cpus(monkeypatch, 2)
-        generate(GaussianOracle(ar1_covariance(2, 0.5)), LINEAR_OFF,
-                 SamplerConfig(steps=2, seed=0), 4096)
+        sigma = ar1_covariance(4, 0.5)
+
+        class Counting(OraclePredictor):
+            calls = 0
+
+            def __call__(self, x_in, **kw):
+                self.calls += 1
+                return super().__call__(x_in, **kw)
+
+        pred = Counting(GaussianOracle(sigma))
+        out = generate(pred, LINEAR_OFF, SamplerConfig(steps=7, seed=0), 4096)
+        assert pred.calls == 7
+        cpus(monkeypatch, 1)
+        assert out.tobytes() == generate(GaussianOracle(sigma), LINEAR_OFF,
+                                         SamplerConfig(steps=7, seed=0), 4096).tobytes()
+
+    def test_cut_that_rounds_apart(self, monkeypatch, splits):
+        """A cut whose output layer BLAS rounds apart from the whole batch's is refused."""
+        a, b = Rng(0).normal((5000, 100)), Rng(1).normal((100, 3))
+        with one_blas_thread():
+            apart = [(a[r0:r1] @ b).tobytes() != (a @ b)[r0:r1].tobytes()
+                     for r0, r1 in RowSplit(5000, 2).runs]
+        if not any(apart):
+            pytest.skip("this BLAS rounds every run of the product as the whole")
+        cpus(monkeypatch, 2)
+        generate(mlp(100, False, in_dim=3), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 5000)
+        assert splits == []
+        with one_blas_thread():
+            assert _most_alike(("rows", 100, 3), 5000, 2) is None
 
     def test_in_a_worker(self, monkeypatch, no_split):
         cpus(monkeypatch, 2)
@@ -176,40 +295,42 @@ class TestStaysInProcess:
         assert out.shape == (4096, 2) and cache["acts"][-1].shape == (4096, 64)
 
 
-class TestRowSplitArgs:
-    def test_other_params(self):
-        p, q = mlp(16, False), mlp(16, False)
-        with RowSplit(p, 2048, 2) as split:
-            with pytest.raises(ValueError, match="params it was opened on"):
-                mlp_forward(q, np.zeros((2048, 2)), 0.5, split=split)
+def in_children(monkeypatch, act):
+    """Run act(x_t) in every child of a split, after each of its DDIM steps."""
+    parent = os.getpid()
+    real = sampler_mod._ddim
 
-    def test_one_time_and_the_opened_batch_size(self):
-        p = mlp(16, False)
-        with RowSplit(p, 2048, 2) as split:
-            with pytest.raises(ValueError, match="one time"):
-                mlp_forward(p, np.zeros((2048, 2)), np.zeros(2048), split=split)
-            with pytest.raises(ValueError, match="2048 rows"):
-                mlp_forward(p, np.zeros((2047, 2)), 0.5, split=split)
+    def ddim(*args):
+        out = real(*args)
+        if os.getpid() != parent:
+            act(out)
+        return out
 
-    def test_close_twice(self):
-        split = RowSplit(mlp(16, False), 2048, 2)
-        split.close()
-        split.close()
+    monkeypatch.setattr(sampler_mod, "_ddim", ddim)
 
 
 def die_in_children(monkeypatch, how):
-    """Make every child of a split fail in its first pass."""
+    """Make every child of a split fail in its first step."""
+    def act(out):
+        if how == "exit":
+            os._exit(3)
+        raise RuntimeError("injected in a child")
+
+    in_children(monkeypatch, act)
+
+
+def poison_noise(monkeypatch, row, children_only):
+    """NaN in one row of every predicted noise, in this process too or not."""
     parent = os.getpid()
-    real = rowsplit_mod._block
+    real = sampler_mod.mlp_forward
 
-    def block(*args):
-        if os.getpid() != parent:
-            if how == "exit":
-                os._exit(3)
-            raise RuntimeError("injected in a child")
-        return real(*args)
+    def forward(p, x, t, self_cond):
+        out = real(p, x, t, self_cond)
+        if not children_only or os.getpid() != parent:
+            out[row, 0] = np.nan
+        return out
 
-    monkeypatch.setattr(rowsplit_mod, "_block", block)
+    monkeypatch.setattr(sampler_mod, "mlp_forward", forward)
 
 
 def forked_pids(monkeypatch):
@@ -233,60 +354,103 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+SAMPLE_CONFIG = ("[dataset]\nkind = mixture2d\nn_train = 16\nseed = 0\nmodes = 2\n"
+                 "radius = 1.0\nstd = 0.2\n"
+                 "[compound]\nschedule = linear\ninput_scale = 1.0\nnormalize = off\n"
+                 "[sampler]\nsteps = 3\nseed = 0\n")
+
+
+def sample_cli(tmp_path, n):
+    save_params(tmp_path / "ema.bin", mlp(16, False))
+    cfg = tmp_path / "sample.txt"
+    cfg.write_text(SAMPLE_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["sample", "--config", str(cfg), "--checkpoint", str(tmp_path / "ema.bin"),
+               "--n", str(n), "--out-dir", str(out)])
+    return rc, out
+
+
 @needs_pin
 class TestFailures:
     @pytest.mark.parametrize("how", ["exit", "raise"])
     def test_dead_child_raises(self, monkeypatch, how):
+        """A child that exits gives ChildProcessError; one that raises, its own error."""
         cpus(monkeypatch, 3)
         die_in_children(monkeypatch, how)
         pids = forked_pids(monkeypatch)
-        with pytest.raises(ChildProcessError, match="row-split worker process died"):
+        expected = ((ChildProcessError, r"row-split worker process died \(exit status 3\)")
+                    if how == "exit" else (RuntimeError, "^injected in a child$"))
+        with pytest.raises(expected[0], match=expected[1]):
             generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=3, seed=0), 4096)
         assert len(pids) == 2
         assert_reaped(pids)
 
-    def test_child_killed_between_passes(self):
-        p = mlp(64, False)
-        x = Rng(0).normal((2048, 2))
-        with RowSplit(p, 2048, 2) as split:
-            mlp_forward(p, x, 0.5, split=split)
-            pid = split._children[0][0]
-            os.kill(pid, signal.SIGKILL)
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left for close()
-            with pytest.raises(ChildProcessError, match="row-split worker process died"):
-                mlp_forward(p, x, 0.5, split=split)
-        assert_reaped([pid])
+    def test_killed_child(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        in_children(monkeypatch, lambda out: os.kill(os.getpid(), signal.SIGKILL))
+        pids = forked_pids(monkeypatch)
+        with pytest.raises(ChildProcessError,
+                           match=rf"row-split worker process died \(signal {signal.SIGKILL}\)"):
+            generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=3, seed=0), 2048)
+        assert_reaped(pids)
+
+    def test_child_error_is_the_serial_error(self, monkeypatch, splits):
+        p, sc, forward = mlp(64, False), SamplerConfig(steps=3, seed=0), sampler_mod.mlp_forward
+        cpus(monkeypatch, 1)
+        poison_noise(monkeypatch, 3048, children_only=False)
+        with pytest.raises(NonFiniteError) as serial:
+            generate(p, LINEAR_OFF, sc, 4096)
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(sampler_mod, "mlp_forward", forward)
+        poison_noise(monkeypatch, 1000, children_only=True)  # the child's run starts at 2048
+        with pytest.raises(NonFiniteError) as split:
+            generate(p, LINEAR_OFF, sc, 4096)
+        assert splits == [2]
+        assert str(split.value) == str(serial.value) \
+            == "predicted noise: non-finite values encountered"
 
     def test_dead_child_is_cli_exit_2(self, monkeypatch, tmp_path, capsys):
         cpus(monkeypatch, 2)
         die_in_children(monkeypatch, "exit")
-        save_params(tmp_path / "ema.bin", mlp(16, False))
-        cfg = tmp_path / "sample.txt"
-        cfg.write_text("[dataset]\nkind = mixture2d\nn_train = 16\nseed = 0\nmodes = 2\n"
-                       "radius = 1.0\nstd = 0.2\n"
-                       "[compound]\nschedule = linear\ninput_scale = 1.0\nnormalize = off\n"
-                       "[sampler]\nsteps = 3\nseed = 0\n")
-        out = tmp_path / "out"
-        rc = main(["sample", "--config", str(cfg), "--checkpoint", str(tmp_path / "ema.bin"),
-                   "--n", "2048", "--out-dir", str(out)])
+        rc, out = sample_cli(tmp_path, 2048)
         assert rc == 2
         assert "row-split worker process died" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
 
+    def test_child_error_is_cli_exit_2(self, monkeypatch, tmp_path, capsys):
+        cpus(monkeypatch, 2)
+        poison_noise(monkeypatch, 5, children_only=True)
+        rc, out = sample_cli(tmp_path, 2048)
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: predicted noise: non-finite values encountered\n"
+        assert not (out / "samples.csv").exists()
+
     def test_parent_error_mid_chain_reaps_children(self, monkeypatch):
+        """The caller's error ends the children at once, and they are reaped."""
         cpus(monkeypatch, 2)
         pids = forked_pids(monkeypatch)
-        real, calls = sampler_mod._ddim, []
+        parent, real, calls = os.getpid(), sampler_mod._ddim, []
 
         def ddim(x_t, eps, g_now, g_next):
-            calls.append(g_now)
             out = real(x_t, eps, g_now, g_next)
-            if len(calls) == 2:
-                out[7, 1] = np.inf
+            if os.getpid() == parent:
+                calls.append(g_now)
+                if len(calls) == 2:
+                    out[7, 1] = np.inf
             return out
 
+        killed = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            killed.append((pid, sig))
+            real_kill(pid, sig)
+
         monkeypatch.setattr(sampler_mod, "_ddim", ddim)
+        monkeypatch.setattr(os, "kill", kill)
         with pytest.raises(NonFiniteError):
-            generate(mlp(64, True), LINEAR_OFF, SamplerConfig(steps=5, seed=0), 2048)
+            generate(mlp(64, True), LINEAR_OFF, SamplerConfig(steps=500, seed=0), 2048)
         assert len(calls) == 2
+        assert killed == [(pid, signal.SIGKILL) for pid in pids]
         assert_reaped(pids)
