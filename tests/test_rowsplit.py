@@ -47,9 +47,8 @@ def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-@pytest.fixture
-def splits(monkeypatch):
-    """The process count of every RowSplit that generate() opens."""
+def spy_on_splits(monkeypatch):
+    """The process count of every RowSplit that generate() opens from now on."""
     opened = []
 
     class Spy(RowSplit):
@@ -59,6 +58,11 @@ def splits(monkeypatch):
 
     monkeypatch.setattr(sampler_mod, "RowSplit", Spy)
     return opened
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    return spy_on_splits(monkeypatch)
 
 
 @pytest.fixture
@@ -143,15 +147,8 @@ class TestSplitEqualsSerial:
                       in_dim=3 if model == "mlp100_dim3" else 2)
             cs = EMPIRICAL
         sc = SamplerConfig(steps=3, seed=n, step_kind=kind, signal_clamp=clamp)
-        opened = []
-
-        class Spy(RowSplit):
-            def __init__(self, n_rows, k):
-                opened.append(k)
-                super().__init__(n_rows, k)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler_mod, "RowSplit", Spy)
+            opened = spy_on_splits(mp)
             cpus(mp, processes)
             split = generate(net, cs, sc, n)
             cpus(mp, 1)
