@@ -15,7 +15,7 @@ from typing import Optional
 from .core import check_seed
 from .datasets import DatasetSpec
 from .denoiser import MlpArch
-from .forward import NORMALIZE_MODES, CompoundSchedule
+from .forward import NORMALIZE_MODES, CompoundSchedule, check_analytic_scale
 from .metrics import METRIC_NAMES
 from .sampler import SamplerConfig
 from .schedules import ScheduleSpec, format_schedule, parse_schedule
@@ -86,6 +86,9 @@ class SweepSettings:
             raise ValueError(
                 f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}"
             )
+        if self.normalize == "analytic":
+            for b in self.scales:
+                check_analytic_scale(b, "scales")
         if self.oracle and self.metric != "covariance_error":
             raise ValueError("oracle sweeps score covariance_error only")
         if self.oracle and self.normalize != "off":

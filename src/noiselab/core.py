@@ -14,17 +14,19 @@ across platforms, processes, and library versions.
 
 A matrix product can round differently with the number of BLAS threads,
 so code that must give the same bits on every machine runs inside
-``one_blas_thread``. Work that forks processes sizes itself by
-``usable_cpus``.
+``one_blas_thread``. Work that runs in parallel sizes itself by
+``usable_cpus`` and forks through ``fork_map``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,11 +34,11 @@ __all__ = [
     "DecompositionError",
     "NonFiniteError",
     "Rng",
-    "become_worker",
     "check_seed",
     "cholesky_factor",
     "cholesky_solve",
     "ensure_finite",
+    "fork_map",
     "gaussian",
     "one_blas_thread",
     "sigmoid",
@@ -296,27 +298,120 @@ def one_blas_thread() -> Iterator[bool]:
         set_(old)
 
 
-_worker = False  # set by become_worker in a forked worker process
-
-
-def become_worker() -> None:
-    """Mark this process as a forked worker: usable_cpus() is 1 from now on.
-
-    A worker already holds one of the CPUs its parent counted, so the work
-    it runs (a sweep cell's sampling, say) must not fork further processes.
-    """
-    global _worker
-    _worker = True
+_forked = False  # set while a fork_map of several parts runs, in the caller and each child
 
 
 def usable_cpus() -> int:
-    """CPUs this process may compute on: 1 in a worker, else its affinity set.
+    """CPUs this process may compute on: 1 inside a fork_map of several parts,
+    else its affinity set.
 
     Without an affinity call on the platform, the CPU count (1 if unknown).
     """
-    if _worker:
+    if _forked:
         return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def fork_map(fn: Callable, parts: Sequence) -> list:
+    """[fn(part) for part in parts], the parts after the first in forked children.
+
+    One part runs here and nothing else changes. With several, this
+    process runs the first while one forked child runs each other part
+    and sends its result back pickled; usable_cpus() is 1 in all of them
+    until this returns, since each already holds one of the CPUs counted.
+    The first failing part's exception is raised with its own type and
+    message, this process's part first; one that does not pickle, or a
+    result that does not, gives ChildProcessError naming it, as does a
+    child that dies without reporting. Once a part fails the later
+    children are killed. Every child has ended and been reaped when this
+    returns or raises.
+    """
+    global _forked
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    outer, _forked = _forked, True
+    children, failed = [], True  # (pid, report fd) of each forked part
+    try:
+        for part in parts[1:]:
+            children.append(_fork(fn, part))
+        first = fn(parts[0])
+        failed = False
+    finally:
+        _forked = outer
+        reports = _reap(children, kill=failed)
+    results = [first]
+    for ok, value in reports:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork(fn, part) -> tuple[int, int]:
+    """Fork a child that reports fn(part) on a pipe; its pid and the pipe's read end."""
+    report_r, report_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(report_r)
+        os.close(report_w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(report_r)
+            with os.fdopen(report_w, "wb") as pipe:
+                pipe.write(_report(fn, part))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(report_w)
+    return pid, report_r
+
+
+def _report(fn, part) -> bytes:
+    """(True, fn(part)) or (False, its exception) pickled; ChildProcessError
+    in place of either when it does not pickle."""
+    try:
+        result = fn(part)
+    except BaseException as exc:  # noqa: BLE001 - reported to the caller
+        try:
+            blob = pickle.dumps((False, exc))
+            pickle.loads(blob)
+            return blob
+        except Exception:  # noqa: BLE001 - any pickling failure
+            what = f"raised {type(exc).__name__}: {exc}"
+    else:
+        try:
+            return pickle.dumps((True, result))
+        except Exception as exc:  # noqa: BLE001 - any pickling failure
+            what = f"returned {type(result).__name__}, which does not pickle: {exc}"
+    return pickle.dumps((False, ChildProcessError(f"a worker process {what}")))
+
+
+def _reap(children, kill: bool) -> list[tuple[bool, object]]:
+    """Wait for every child in part order; its (ok, result or error) each,
+    up to the first that failed.
+
+    kill ends the children first (the caller's part raised), as a failed
+    part ends the later ones.
+    """
+    reports = []
+    for pid, fd in children:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        with os.fdopen(fd, "rb") as pipe:
+            report = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if kill:
+            continue
+        if code == 0 and report:
+            reports.append(pickle.loads(report))
+        else:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            reports.append((False, ChildProcessError(f"a worker process died ({how})")))
+        kill = not reports[-1][0]
+    return reports

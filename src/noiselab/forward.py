@@ -33,6 +33,7 @@ __all__ = [
     "NoisySample",
     "SELF_COND_CLAMP",
     "analytic_variance",
+    "check_analytic_scale",
     "diffuse",
     "effective_gamma",
     "normalize_input",
@@ -67,6 +68,21 @@ class CompoundSchedule:
             raise ValueError(
                 f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}"
             )
+        if self.normalize == "analytic":
+            check_analytic_scale(self.input_scale, "input_scale")
+
+
+def check_analytic_scale(scale: float, key: str) -> None:
+    """Raise unless normalize = analytic can divide by the std at every gamma.
+
+    The variance (b^2 - 1) gamma + 1 rounds to 0 at gamma = 1 for b below
+    about 1e-8; key names the setting that holds b.
+    """
+    if analytic_variance(1.0, scale) <= 0.0:
+        raise ValueError(
+            f"{key} {scale!r} is too small for normalize = analytic: "
+            f"the input variance (b^2 - 1) gamma + 1 rounds to 0 at gamma = 1"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,10 @@ generate() returns the samples C-contiguous.
 
 The chain runs with OpenBLAS on one thread, so its bits do not depend on
 the machine's core count. Every part of a step acts row by row, so a
-large batch splits by rows across forked processes (rowsplit.RowSplit),
-one per usable CPU: each runs the whole chain, checks included, on its
-own run of row blocks, and the samples are the same to the last bit.
+large batch splits by rows across forked processes (core.fork_map over
+rowsplit.row_runs), one per usable CPU: each runs the whole chain,
+checks included, on its own run of row blocks, and the samples are the
+same to the last bit.
 Each process draws the whole batch's noise from the seed's stream and
 keeps its own rows, so the stream is consumed as in the serial chain.
 Only a predictor that generate() builds itself, from DenoiserParams or
@@ -52,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed, ensure_finite, one_blas_thread
+from noiselab.core import Rng, as_f64, check_seed, ensure_finite, fork_map, one_blas_thread
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -61,7 +62,7 @@ from noiselab.forward import (
     _signal_estimate,
 )
 from noiselab.oracle import GaussianOracle
-from noiselab.rowsplit import RowSplit, split_processes
+from noiselab.rowsplit import row_runs, split_processes
 from noiselab.schedules import ScheduleSpec, gamma, time_grid
 
 __all__ = [
@@ -303,11 +304,9 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
     # the processes of a split would compete for cores
     with one_blas_thread() as pinned:
         processes = split_processes(model, n_samples) if pinned else None
-        if processes is None:
-            x_t = chain(0, n_samples)
-        else:
-            x_t = RowSplit(n_samples, processes).run(chain, predictor.dim)
-    # np.cov sums in an order that depends on the layout
-    x_t = np.ascontiguousarray(x_t)
+        runs = row_runs(n_samples, processes or 1)
+        # np.cov sums in an order that depends on the layout, so stack in C order
+        x_t = np.concatenate(fork_map(lambda run: chain(*run), runs),
+                             out=np.empty((n_samples, predictor.dim)))
     ensure_finite(x_t, "generated samples")
     return x_t / cs.input_scale

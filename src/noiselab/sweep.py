@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Config, ConfigError, _check_normalize
-from .core import become_worker, one_blas_thread, usable_cpus
+from .core import fork_map, one_blas_thread, usable_cpus
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
 from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
@@ -139,69 +139,40 @@ def _row(cfg: Config, model, data, reference, sched_str, scale, seed) -> SweepRo
 
 
 def _workers(n_cells: int) -> int:
-    """One worker process per usable CPU, and no more than there are cells."""
+    """One process per usable CPU, and no more than there are cells."""
     return min(usable_cpus(), n_cells)
-
-
-_shared: tuple = ()  # a worker's (cfg, model, data, reference), inherited at fork
-
-
-def _init_worker(*shared) -> None:
-    global _shared
-    _shared = shared
-    become_worker()
-
-
-def _worker_row(cell) -> SweepRow:
-    return _row(*_shared, *cell)
-
-
-def _run_parallel(shared: tuple, cells: list, workers: int) -> list:
-    """Rows of the cells from forked worker processes, in grid order.
-
-    A worker that dies takes the pool with it; that raises
-    ChildProcessError instead of leaving the sweep waiting.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker, initargs=shared) as pool:
-            return list(pool.map(_worker_row, cells))
-    except BrokenProcessPool as e:
-        raise ChildProcessError(f"a sweep worker process died: {e}") from None
 
 
 def run_sweep(cfg: Config) -> SweepResult:
     """Run every grid cell; failures record an error row and continue.
 
     Cells run with OpenBLAS on one thread, so their bits do not depend
-    on the machine's core count, and they run in forked worker
-    processes, one per usable CPU. The sweep stays in this process for
-    a single cell or CPU, without fork, or when the BLAS thread count
-    cannot be set. The rows are the same either way, apart from wall_ms.
+    on the machine's core count. They are cut into one contiguous chunk
+    per usable CPU, which core.fork_map runs in this process and in
+    forked children. The sweep stays in this process for a single cell
+    or CPU, without fork, or when the BLAS thread count cannot be set.
+    The rows are the same either way, apart from wall_ms.
     """
     check_sweep(cfg)
     s = cfg.sweep
     data = None if s.oracle else make_dataset(cfg.dataset)
     # built once, then shared by the scoring, the oracle (which scores
-    # covariance_error only) and, inherited at fork, the workers
+    # covariance_error only) and, inherited at fork, the children
     reference = dataset_covariance(cfg.dataset) if s.metric == "covariance_error" else data
     model = GaussianOracle(reference) if s.oracle else None
-    shared = (cfg, model, data, reference)
     cells = [(sched_str, scale, cell_seed(s.base_seed, i, j))
              for i, sched_str in enumerate(s.schedules)
              for j, scale in enumerate(s.scales)]
 
+    def rows(chunk):
+        return [_row(cfg, model, data, reference, *cell) for cell in chunk]
+
     with one_blas_thread() as pinned:
         workers = _workers(len(cells)) if pinned and hasattr(os, "fork") else 1
-        if workers > 1:
-            rows = _run_parallel(shared, cells, workers)
-        else:
-            rows = [_row(*shared, *cell) for cell in cells]
-    return SweepResult(rows=tuple(rows), metric_name=s.metric)
+        cuts = [len(cells) * k // workers for k in range(workers + 1)]
+        chunks = fork_map(rows, [cells[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk),
+                       metric_name=s.metric)
 
 
 def best_scale(result: SweepResult) -> float:

@@ -1,10 +1,13 @@
-"""Prints a one-line PASS/FAIL verdict per acceptance criterion, and fails any
-test that leaves a child process behind."""
+"""Prints a one-line PASS/FAIL verdict per acceptance criterion, fails any
+test that leaves a child process behind, and spies on core.fork_map."""
 
 import os
 import re
+import sys
 
 import pytest
+
+import noiselab.core
 
 CRITERIA = {
     "01": "schedule endpoints, monotonicity, cosine closed form",
@@ -26,8 +29,8 @@ _PATTERN = re.compile(r"test_criterion_(\d\d)")
 def no_child_process_left():
     """Fail a test after which a child of this process runs on or is unreaped.
 
-    Sweep workers and the sampler's row split fork; both must end and
-    reap every child before they return, also when they raise.
+    Sweeps and the sampler's row split fork through core.fork_map, which
+    must end and reap every child before it returns, also when it raises.
     """
     yield
     try:
@@ -37,6 +40,40 @@ def no_child_process_left():
     if pid == 0:
         pytest.fail("the test left a child process running")
     pytest.fail(f"the test left child process {pid} unreaped (status {status})")
+
+
+def spy_on_forks(monkeypatch, refuse=False):
+    """The part count of every core.fork_map call made in this process from now on.
+
+    The spy replaces fork_map in every noiselab module that imported it.
+    It raises AssertionError for a call of several parts inside another
+    (a child would then fork again), and, with refuse, for any call of
+    several parts.
+    """
+    real, counts = noiselab.core.fork_map, []
+
+    def spy(fn, parts):
+        counts.append(len(parts))
+        if len(parts) > 1 and (refuse or noiselab.core._forked):
+            raise AssertionError(f"fork_map forked for {len(parts)} parts")
+        return real(fn, parts)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noiselab.") and getattr(module, "fork_map", None) is real:
+            monkeypatch.setattr(module, "fork_map", spy)
+    return counts
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The part counts of the test's fork_map calls, in call order."""
+    return spy_on_forks(monkeypatch)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fail any fork_map call of several parts."""
+    return spy_on_forks(monkeypatch, refuse=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -188,6 +188,26 @@ class TestTrainCommand:
         assert "time_embed_dim" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("b", ["1e-9", "5e-324"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_tiny_analytic_scale_is_config_error(self, tmp_path, capsys, command, b):
+        # before, the input variance (b^2 - 1) gamma + 1 rounded to 0 at
+        # gamma = 1 and normalize_input divided by it mid-run
+        cfg = tmp_path / "tiny.txt"
+        if command == "train":
+            key = "[compound]: input_scale"
+            cfg.write_text(TRAIN_SAMPLE.replace("input_scale = 1.0\nnormalize = off",
+                                                f"input_scale = {b}\nnormalize = analytic"))
+        else:
+            key = "[sweep]: scales"
+            cfg.write_text(ORACLE_SWEEP.replace("oracle = true", "normalize = analytic")
+                           .replace("scales = 0.5 1.0", f"scales = 0.5 {b}"))
+        rc, _ = run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"{key} {float(b)!r} is too small for normalize = analytic" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("section, line", [
         ("[train]", "weight_decay = nan"),
         ("[train]", "lr = inf"),

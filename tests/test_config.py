@@ -16,7 +16,7 @@ from noiselab.config import (
 )
 from noiselab.datasets import DatasetSpec
 from noiselab.denoiser import MlpArch
-from noiselab.forward import NORMALIZE_MODES, CompoundSchedule
+from noiselab.forward import NORMALIZE_MODES, CompoundSchedule, analytic_variance
 from noiselab.metrics import METRIC_NAMES
 from noiselab.sampler import STEP_KINDS, SamplerConfig
 from noiselab.schedules import ScheduleSpec, format_schedule
@@ -249,6 +249,13 @@ class TestSweepSettingsValidation:
         with pytest.raises(ValueError):
             SweepSettings(**self.base(**kw))
 
+    @pytest.mark.parametrize("b", [1e-9, 5e-324])
+    def test_tiny_scale_rejected_under_analytic(self, b):
+        with pytest.raises(ValueError, match=rf"^scales {b!r} is too small for "
+                                             rf"normalize = analytic"):
+            SweepSettings(**self.base(oracle=False, scales=(0.5, b), normalize="analytic"))
+        SweepSettings(**self.base(oracle=False, scales=(0.5, b)))
+
 
 class TestSeedRange:
     """Every seed key takes exactly the range Rng accepts, [0, 2**64)."""
@@ -428,6 +435,12 @@ _SCHEDULES = st.one_of(
 _SEEDS = st.integers(0, 2**63 - 1)
 _UNIT = _floats(0.0, 1.0)
 _SCALES = _floats(0.0, 1.0, exclude_min=True)
+# normalize = analytic rejects a scale whose variance rounds to 0 at gamma = 1
+_ANALYTIC_SCALES = _SCALES.filter(lambda b: analytic_variance(1.0, b) > 0.0)
+
+
+def _scales(normalize):
+    return _ANALYTIC_SCALES if normalize == "analytic" else _SCALES
 
 _DATASETS = st.one_of(
     st.builds(DatasetSpec, kind=st.just("gaussian_ar1"), n_train=st.integers(1, 10**6),
@@ -441,8 +454,9 @@ _DATASETS = st.one_of(
               seed=_SEEDS, base_res=st.integers(2, 8),
               rho=_floats(0.0, 1.0, exclude_max=True), upsample=st.sampled_from((1, 2, 4))),
 )
-_COMPOUNDS = st.builds(CompoundSchedule, schedule=_SCHEDULES, input_scale=_SCALES,
-                       normalize=st.sampled_from(NORMALIZE_MODES))
+_COMPOUNDS = st.sampled_from(NORMALIZE_MODES).flatmap(
+    lambda normalize: st.builds(CompoundSchedule, schedule=_SCHEDULES,
+                                input_scale=_scales(normalize), normalize=st.just(normalize)))
 _TRAINS = st.builds(
     TrainConfig, steps=st.integers(0, 10**6), batch_size=st.integers(1, 4096),
     lr=_floats(1e-8, 10.0), seed=_SEEDS, optimizer=st.sampled_from(OPTIMIZER_KINDS),
@@ -464,15 +478,16 @@ _SAMPLERS = st.builds(SamplerConfig, steps=st.integers(1, 10**4), seed=_SEEDS,
 @st.composite
 def _sweeps(draw):
     oracle = draw(st.booleans())
+    normalize = "off" if oracle else draw(st.sampled_from(NORMALIZE_MODES))
     return SweepSettings(
         schedules=tuple(draw(st.lists(_SCHEDULES.map(format_schedule), min_size=1,
                                       max_size=3, unique=True))),
-        scales=tuple(draw(st.lists(_SCALES, min_size=1, max_size=4, unique=True))),
+        scales=tuple(draw(st.lists(_scales(normalize), min_size=1, max_size=4, unique=True))),
         metric="covariance_error" if oracle else draw(st.sampled_from(METRIC_NAMES)),
         base_seed=draw(_SEEDS),
         oracle=oracle,
         n_eval=draw(st.integers(2, 10**5)),
-        normalize="off" if oracle else draw(st.sampled_from(NORMALIZE_MODES)),
+        normalize=normalize,
     )
 
 

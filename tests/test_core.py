@@ -1,9 +1,12 @@
-"""Deterministic RNG, Cholesky solve, the shared sigmoid and the CPU count."""
+"""Deterministic RNG, Cholesky solve, the shared sigmoid, the CPU count and
+fork_map."""
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from noiselab.core import (
     cholesky_factor,
     cholesky_solve,
     ensure_finite,
+    fork_map,
     gaussian,
     sigmoid,
     usable_cpus,
@@ -205,5 +209,162 @@ class TestUsableCpus:
 
     def test_one_in_a_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(noiselab.core, "_worker", True)
+        monkeypatch.setattr(noiselab.core, "_forked", True)
         assert usable_cpus() == 1
+
+
+def forked_pids(monkeypatch):
+    """The pid of every child forked from now on, in fork order."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkMap:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def test_results_in_part_order(self, monkeypatch):
+        pids = forked_pids(monkeypatch)
+
+        def part(k):
+            return k, os.getpid(), np.full((k + 1, 2), float(k))
+
+        results = fork_map(part, [0, 1, 2, 3])
+        assert [k for k, _, _ in results] == [0, 1, 2, 3]
+        assert [pid for _, pid, _ in results] == [os.getpid()] + pids
+        for k, _, rows in results:
+            assert rows.tobytes() == np.full((k + 1, 2), float(k)).tobytes()
+        assert_reaped(pids)
+
+    def test_one_part_runs_here(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert fork_map(lambda part: (part, os.getpid(), usable_cpus()), ["only"]) \
+            == [("only", os.getpid(), 3)]
+
+    def test_one_cpu_in_every_part_and_restored(self):
+        assert fork_map(lambda part: usable_cpus(), range(3)) == [1, 1, 1]
+        assert usable_cpus() == 3
+
+        def fail_here(part):
+            if part == 0:
+                raise KeyError("caller")
+            return usable_cpus()
+
+        with pytest.raises(KeyError):
+            fork_map(fail_here, range(2))
+        assert usable_cpus() == 3
+
+    def test_child_error_keeps_type_and_message(self):
+        def part(k):
+            if k:
+                raise FloatingPointError(f"part {k}")
+            return k
+
+        with pytest.raises(FloatingPointError, match="^part 1$"):
+            fork_map(part, range(2))
+
+    def test_first_failing_part_is_raised(self):
+        def part(k):
+            if k >= 2:
+                raise KeyError(f"part {k}")
+            return k
+
+        with pytest.raises(KeyError, match="part 2"):
+            fork_map(part, range(4))
+
+    def test_callers_error_wins(self):
+        def part(k):
+            raise LookupError(f"part {k}")
+
+        with pytest.raises(LookupError, match="part 0$"):
+            fork_map(part, range(3))
+
+    def test_unpicklable_error_is_named(self):
+        class Local(Exception):
+            pass
+
+        def part(k):
+            if k:
+                raise Local("only here")
+            return k
+
+        with pytest.raises(ChildProcessError, match="^a worker process raised Local: only here$"):
+            fork_map(part, range(2))
+
+    def test_unpicklable_result_is_named(self):
+        with pytest.raises(ChildProcessError,
+                           match="^a worker process returned function, which does not pickle"):
+            fork_map(lambda k: (lambda: k) if k else k, range(2))
+
+    @pytest.mark.parametrize("how, died", [("kill", f"signal {signal.SIGKILL}"),
+                                           ("exit", "exit status 3")])
+    def test_dead_child(self, monkeypatch, how, died):
+        pids = forked_pids(monkeypatch)
+
+        def part(k):
+            if k and how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if k:
+                os._exit(3)
+            return k
+
+        with pytest.raises(ChildProcessError, match=rf"^a worker process died \({died}\)$"):
+            fork_map(part, range(2))
+        assert_reaped(pids)
+
+    def test_failed_part_kills_the_later_ones(self, monkeypatch):
+        pids = forked_pids(monkeypatch)
+
+        def part(k):
+            if k == 1:
+                raise KeyError("part 1")
+            if k == 2:
+                time.sleep(60)
+            return k
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError, match="part 1"):
+            fork_map(part, range(3))
+        assert time.perf_counter() - t0 < 10.0
+        assert_reaped(pids)
+
+    def test_callers_error_kills_and_reaps_the_children(self, monkeypatch):
+        pids = forked_pids(monkeypatch)
+        killed, real_kill = [], os.kill
+
+        def kill(pid, sig):
+            killed.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+
+        def part(k):
+            if k == 0:
+                raise ValueError("caller")
+            time.sleep(60)
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="^caller$"):
+            fork_map(part, range(3))
+        assert time.perf_counter() - t0 < 10.0
+        assert killed == [(pid, signal.SIGKILL) for pid in pids] and len(pids) == 2
+        assert_reaped(pids)

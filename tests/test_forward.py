@@ -199,6 +199,17 @@ class TestCompoundValidation:
         with pytest.raises(ValueError):
             compound(normalize="l2")
 
+    @pytest.mark.parametrize("b", [1e-9, 5e-324])
+    def test_tiny_scale_rejected_under_analytic(self, b):
+        # (b^2 - 1) gamma + 1 rounds to 0 at gamma = 1, and normalize_input
+        # would divide by it mid-run
+        assert analytic_variance(1.0, b) == 0.0
+        with pytest.raises(ValueError, match=rf"^input_scale {b!r} is too small for "
+                                             rf"normalize = analytic"):
+            compound(scale=b, normalize="analytic")
+        compound(scale=b, normalize="off")
+        compound(scale=1e-8, normalize="analytic")
+
     def test_table_presets_representable(self):
         """The preset scale column with its linear and shifted-cosine rows."""
         for b in (1.0, 0.6, 0.5, 0.2, 0.1):

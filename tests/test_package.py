@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import noiselab
+from noiselab.core import _openblas_thread_funcs
 from noiselab.sweep import SweepRow
 
 MODULES = ["noiselab"] + [f"noiselab.{m.name}" for m in pkgutil.iter_modules(noiselab.__path__)]
@@ -56,16 +57,40 @@ def test_imports_load_numpy_and_stdlib_only():
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # sweeps import the process pool when they first fork, and a row split
-    # imports mmap when it opens; train never does
+    # forking is core.fork_map's os.fork and pipes: a parallel sweep and a
+    # split generate load no process pool and no shared memory
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    pid = real_fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
         "import noiselab.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('multiprocessing', 'concurrent.futures.process', 'mmap'))))\n"
+        "from noiselab.config import Config, SweepSettings\n"
+        "from noiselab.datasets import DatasetSpec, ar1_covariance\n"
+        "from noiselab.forward import CompoundSchedule\n"
+        "from noiselab.oracle import GaussianOracle\n"
+        "from noiselab.sampler import SamplerConfig, generate\n"
+        "from noiselab.schedules import ScheduleSpec\n"
+        "from noiselab.sweep import run_sweep\n"
+        "cfg = Config(sweep=SweepSettings(schedules=('linear',), scales=(0.5, 1.0),\n"
+        "             metric='covariance_error', base_seed=0, oracle=True, n_eval=50),\n"
+        "             dataset=DatasetSpec(kind='gaussian_ar1', n_train=2, seed=0, dim=4,\n"
+        "                                 rho=0.5),\n"
+        "             sampler=SamplerConfig(steps=5, seed=0))\n"
+        "assert run_sweep(cfg).ok\n"
+        "generate(GaussianOracle(ar1_covariance(4, 0.5)),\n"
+        "         CompoundSchedule(ScheduleSpec.linear(), 1.0, 'off'),\n"
+        "         SamplerConfig(steps=5, seed=0), 1024)\n"
+        "print(len(forks), sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('multiprocessing', 'concurrent.futures', 'mmap'))))\n"
     )
     src = str(Path(noiselab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    forked = 2 if _openblas_thread_funcs() is not None else 0
+    assert proc.stdout.strip() == f"{forked} []"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import noiselab.core
 import noiselab.sampler as sampler_mod
+from conftest import spy_on_forks
 from noiselab.cli import main
 from noiselab.core import (
     NonFiniteError,
@@ -31,7 +32,7 @@ from noiselab.denoiser import (
 )
 from noiselab.forward import CompoundSchedule
 from noiselab.oracle import GaussianOracle
-from noiselab.rowsplit import RowSplit, _most_alike, split_processes
+from noiselab.rowsplit import _most_alike, row_runs, split_processes
 from noiselab.sampler import OraclePredictor, SamplerConfig, generate
 from noiselab.schedules import ScheduleSpec
 
@@ -47,32 +48,6 @@ def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def spy_on_splits(monkeypatch):
-    """The process count of every RowSplit that generate() opens from now on."""
-    opened = []
-
-    class Spy(RowSplit):
-        def __init__(self, n_rows, processes):
-            opened.append(processes)
-            super().__init__(n_rows, processes)
-
-    monkeypatch.setattr(sampler_mod, "RowSplit", Spy)
-    return opened
-
-
-@pytest.fixture
-def splits(monkeypatch):
-    return spy_on_splits(monkeypatch)
-
-
-@pytest.fixture
-def no_split(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("generate opened a row split")
-
-    monkeypatch.setattr(sampler_mod, "RowSplit", refuse)
-
-
 def randomized(arch, seed):
     """Params with every array random, so no layer is a no-op."""
     p = init_params(arch, Rng(seed))
@@ -86,13 +61,13 @@ def mlp(width, self_cond, seed=0, in_dim=2):
     return randomized(arch, seed)
 
 
-def split_and_serial(monkeypatch, splits, model, cs, sc, n, processes=2):
+def split_and_serial(monkeypatch, forks, model, cs, sc, n, processes=2):
     cpus(monkeypatch, processes)
     split = generate(model, cs, sc, n)
-    assert splits == [processes]
+    assert forks == [processes]
     cpus(monkeypatch, 1)
     serial = generate(model, cs, sc, n)
-    assert splits == [processes]
+    assert forks == [processes, 1]
     return split, serial
 
 
@@ -101,36 +76,36 @@ class TestSplitEqualsSerial:
     @pytest.mark.parametrize("n", [2048, 2049, 4095, 16385])
     @pytest.mark.parametrize("width", [64, 100])
     @pytest.mark.parametrize("self_cond", [False, True], ids=["plain", "self_cond"])
-    def test_ddim_clamp(self, monkeypatch, splits, self_cond, width, n):
+    def test_ddim_clamp(self, monkeypatch, forks, self_cond, width, n):
         sc = SamplerConfig(steps=3, seed=5, signal_clamp=1.5)
-        split, serial = split_and_serial(monkeypatch, splits, mlp(width, self_cond), EMPIRICAL,
+        split, serial = split_and_serial(monkeypatch, forks, mlp(width, self_cond), EMPIRICAL,
                                          sc, n)
         assert split.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("clamp", [None, 2.0])
     @pytest.mark.parametrize("kind", ["ddim", "ddpm"])
     @pytest.mark.parametrize("self_cond", [False, True], ids=["plain", "self_cond"])
-    def test_step_kinds(self, monkeypatch, splits, self_cond, kind, clamp):
+    def test_step_kinds(self, monkeypatch, forks, self_cond, kind, clamp):
         sc = SamplerConfig(steps=4, seed=9, step_kind=kind, signal_clamp=clamp)
-        split, serial = split_and_serial(monkeypatch, splits, mlp(64, self_cond, seed=3),
+        split, serial = split_and_serial(monkeypatch, forks, mlp(64, self_cond, seed=3),
                                          LINEAR_OFF, sc, 2049)
         assert split.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("kind", ["ddim", "ddpm"])
-    def test_oracle(self, monkeypatch, splits, kind):
+    def test_oracle(self, monkeypatch, forks, kind):
         sc = SamplerConfig(steps=4, seed=2, step_kind=kind, signal_clamp=1.0)
-        split, serial = split_and_serial(monkeypatch, splits,
+        split, serial = split_and_serial(monkeypatch, forks,
                                          GaussianOracle(ar1_covariance(16, 0.9)), LINEAR_OFF,
                                          sc, 3000, processes=3)
         assert split.tobytes() == serial.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(n=st.one_of(st.integers(512, 6000), st.integers(2, 23).map(lambda b: 256 * b + 1)),
            processes=st.integers(2, 4),
            kind=st.sampled_from(["ddim", "ddpm"]),
            clamp=st.sampled_from([None, 1.5]),
-           model=st.sampled_from(["mlp64", "mlp100_dim3", "mlp64_self_cond", "oracle16",
-                                  "oracle24", "oracle3"]))
+           model=st.sampled_from(["mlp64", "mlp100_dim3", "mlp64_self_cond", "mlp64_dim1",
+                                  "oracle16", "oracle24", "oracle3", "oracle2", "oracle1"]))
     def test_split_equals_serial_property(self, n, processes, kind, clamp, model):
         """Every cut generate() takes gives the serial chain's bytes.
 
@@ -143,18 +118,18 @@ class TestSplitEqualsSerial:
             net, cs = GaussianOracle(ar1_covariance(dim, 0.8)), LINEAR_OFF
         else:
             width = 100 if model == "mlp100_dim3" else 64
-            net = mlp(width, model.endswith("self_cond"), seed=n,
-                      in_dim=3 if model == "mlp100_dim3" else 2)
-            cs = EMPIRICAL
+            in_dim = {"mlp100_dim3": 3, "mlp64_dim1": 1}.get(model, 2)
+            net = mlp(width, model.endswith("self_cond"), seed=n, in_dim=in_dim)
+            cs = EMPIRICAL if in_dim > 1 else LINEAR_OFF  # one coordinate has no spread
         sc = SamplerConfig(steps=3, seed=n, step_kind=kind, signal_clamp=clamp)
         with pytest.MonkeyPatch.context() as mp:
-            opened = spy_on_splits(mp)
+            forks = spy_on_forks(mp)
             cpus(mp, processes)
             split = generate(net, cs, sc, n)
             cpus(mp, 1)
             serial = generate(net, cs, sc, n)
         assert split.tobytes() == serial.tobytes()
-        assert len(opened) <= 1 and all(2 <= k <= processes for k in opened)
+        assert len(forks) == 2 and 1 <= forks[0] <= processes and forks[1] == 1
 
 
 class TestRowSplit:
@@ -163,7 +138,7 @@ class TestRowSplit:
         blocks = _row_blocks(n)
         starts = {r0 for r0, _ in blocks}
         for processes in range(2, min(4, len(blocks)) + 1):
-            runs = RowSplit(n, processes).runs
+            runs = row_runs(n, processes)
             assert len(runs) == processes
             assert runs[0][0] == 0 and runs[-1][1] == n
             for (_, stop), (start, _) in zip(runs[:-1], runs[1:]):
@@ -171,54 +146,18 @@ class TestRowSplit:
             sizes = [sum(1 for r in starts if r0 <= r < r1) for r0, r1 in runs]
             assert max(sizes) - min(sizes) <= 1
 
-    def test_run_stacks_every_run(self):
-        def chain(r0, r1):
-            return np.arange(2.0 * r0, 2.0 * r1).reshape(r1 - r0, 2)
-
-        assert RowSplit(1300, 3).run(chain, 2).tobytes() == chain(0, 1300).tobytes()
-
-    def test_first_failing_run_is_raised(self):
-        split = RowSplit(2048, 4)
-
-        def chain(r0, r1):
-            if r0 >= split.runs[2][0]:
-                raise KeyError(f"run at row {r0}")
-            return np.zeros((r1 - r0, 1))
-
-        with pytest.raises(KeyError, match=f"run at row {split.runs[2][0]}"):
-            split.run(chain, 1)
-
-    def test_callers_run_error_wins(self):
-        def chain(r0, r1):
-            raise LookupError(f"run at row {r0}")
-
-        with pytest.raises(LookupError, match="run at row 0$"):
-            RowSplit(2048, 3).run(chain, 1)
-
-    def test_unpicklable_error_is_named(self):
-        class Local(Exception):
-            pass
-
-        def chain(r0, r1):
-            if r0:
-                raise Local("only here")
-            return np.zeros((r1 - r0, 1))
-
-        with pytest.raises(ChildProcessError, match="raised Local: only here"):
-            RowSplit(1024, 2).run(chain, 1)
-
 
 @needs_pin
 class TestStaysInProcess:
-    def test_one_cpu(self, monkeypatch, no_split):
+    def test_one_cpu(self, monkeypatch, no_fork):
         cpus(monkeypatch, 1)
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 16384)
 
     @pytest.mark.parametrize("n, opens", [(511, False), (512, True)])
-    def test_one_block_per_process(self, monkeypatch, splits, n, opens):
+    def test_one_block_per_process(self, monkeypatch, forks, n, opens):
         cpus(monkeypatch, 2)
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), n)
-        assert splits == ([2] if opens else [])
+        assert forks == ([2] if opens else [1])
 
     def test_processes_capped_by_cpus_and_blocks(self, monkeypatch):
         p = mlp(16, False)
@@ -236,7 +175,7 @@ class TestStaysInProcess:
         monkeypatch.delattr(os, "fork", raising=False)
         assert split_processes(p, 4096) is None
 
-    def test_callers_predictor(self, monkeypatch, no_split):
+    def test_callers_predictor(self, monkeypatch, no_fork):
         """A callable from the caller runs here, and sees every step."""
         cpus(monkeypatch, 2)
         sigma = ar1_covariance(4, 0.5)
@@ -255,27 +194,27 @@ class TestStaysInProcess:
         assert out.tobytes() == generate(GaussianOracle(sigma), LINEAR_OFF,
                                          SamplerConfig(steps=7, seed=0), 4096).tobytes()
 
-    def test_cut_that_rounds_apart(self, monkeypatch, splits):
+    def test_cut_that_rounds_apart(self, monkeypatch, forks):
         """A cut whose output layer BLAS rounds apart from the whole batch's is refused."""
         a, b = Rng(0).normal((5000, 100)), Rng(1).normal((100, 3))
         with one_blas_thread():
             apart = [(a[r0:r1] @ b).tobytes() != (a @ b)[r0:r1].tobytes()
-                     for r0, r1 in RowSplit(5000, 2).runs]
+                     for r0, r1 in row_runs(5000, 2)]
         if not any(apart):
             pytest.skip("this BLAS rounds every run of the product as the whole")
         cpus(monkeypatch, 2)
         generate(mlp(100, False, in_dim=3), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 5000)
-        assert splits == []
+        assert forks == [1]
         with one_blas_thread():
             assert _most_alike(("rows", 100, 3), 5000, 2) is None
 
-    def test_in_a_worker(self, monkeypatch, no_split):
+    def test_in_a_worker(self, monkeypatch, no_fork):
         cpus(monkeypatch, 2)
-        monkeypatch.setattr(noiselab.core, "_worker", True)
+        monkeypatch.setattr(noiselab.core, "_forked", True)
         assert usable_cpus() == 1
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4096)
 
-    def test_unreachable_blas(self, monkeypatch, no_split):
+    def test_unreachable_blas(self, monkeypatch, no_fork):
         cpus(monkeypatch, 2)
         monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
         generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4096)
@@ -375,7 +314,7 @@ class TestFailures:
         cpus(monkeypatch, 3)
         die_in_children(monkeypatch, how)
         pids = forked_pids(monkeypatch)
-        expected = ((ChildProcessError, r"row-split worker process died \(exit status 3\)")
+        expected = ((ChildProcessError, r"^a worker process died \(exit status 3\)$")
                     if how == "exit" else (RuntimeError, "^injected in a child$"))
         with pytest.raises(expected[0], match=expected[1]):
             generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=3, seed=0), 4096)
@@ -387,11 +326,11 @@ class TestFailures:
         in_children(monkeypatch, lambda out: os.kill(os.getpid(), signal.SIGKILL))
         pids = forked_pids(monkeypatch)
         with pytest.raises(ChildProcessError,
-                           match=rf"row-split worker process died \(signal {signal.SIGKILL}\)"):
+                           match=rf"^a worker process died \(signal {signal.SIGKILL}\)$"):
             generate(mlp(64, False), LINEAR_OFF, SamplerConfig(steps=3, seed=0), 2048)
         assert_reaped(pids)
 
-    def test_child_error_is_the_serial_error(self, monkeypatch, splits):
+    def test_child_error_is_the_serial_error(self, monkeypatch, forks):
         p, sc, forward = mlp(64, False), SamplerConfig(steps=3, seed=0), sampler_mod.mlp_forward
         cpus(monkeypatch, 1)
         poison_noise(monkeypatch, 3048, children_only=False)
@@ -402,7 +341,7 @@ class TestFailures:
         poison_noise(monkeypatch, 1000, children_only=True)  # the child's run starts at 2048
         with pytest.raises(NonFiniteError) as split:
             generate(p, LINEAR_OFF, sc, 4096)
-        assert splits == [2]
+        assert forks == [1, 2]
         assert str(split.value) == str(serial.value) \
             == "predicted noise: non-finite values encountered"
 
@@ -411,7 +350,7 @@ class TestFailures:
         die_in_children(monkeypatch, "exit")
         rc, out = sample_cli(tmp_path, 2048)
         assert rc == 2
-        assert "row-split worker process died" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a worker process died (exit status 3)\n"
         assert not (out / "samples.csv").exists()
 
     def test_child_error_is_cli_exit_2(self, monkeypatch, tmp_path, capsys):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import noiselab
-import noiselab.sampler as sampler_mod
 from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs, gaussian
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
 from noiselab.denoiser import MlpArch, init_params
@@ -511,17 +510,9 @@ class TestGoldenSamplingBits:
     """generate() reproduces recorded samples byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLING_DIGESTS))
-    def test_sample_digests(self, monkeypatch, name):
+    def test_sample_digests(self, monkeypatch, forks, name):
         """The same bytes on one usable CPU and on two, where the cases of
         512 rows or more split their chain (with numpy's OpenBLAS reachable)."""
-        opened = []
-
-        class Spy(sampler_mod.RowSplit):
-            def __init__(self, n_rows, processes):
-                opened.append(processes)
-                super().__init__(n_rows, processes)
-
-        monkeypatch.setattr(sampler_mod, "RowSplit", Spy)
         splits = name in SPLIT_GOLDEN_CASES and _openblas_thread_funcs() is not None
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -529,7 +520,7 @@ class TestGoldenSamplingBits:
             out = _golden_case(name)
             assert out.flags.c_contiguous
             assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_SAMPLING_DIGESTS[name]
-            assert opened == ([2] if splits and cpus == 2 else [])
+        assert forks == [1, 2 if splits else 1]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blas_thread_count_moves_no_bit(self, threads):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import noiselab
-import noiselab.sampler as sampler_mod
 import noiselab.sweep as sweep_mod
 from noiselab.cli import main
 from noiselab.core import _openblas_thread_funcs, one_blas_thread
@@ -321,26 +320,9 @@ needs_pin = pytest.mark.skipif(_openblas_thread_funcs() is None,
 
 
 @pytest.fixture
-def pool_runs(monkeypatch):
-    """Force two workers; returns the list of worker counts the pool ran with."""
-    calls = []
-    real = sweep_mod._run_parallel
-
-    def spy(shared, cells, workers):
-        calls.append(workers)
-        return real(shared, cells, workers)
-
+def two_workers(monkeypatch):
+    """Cut the cells into two chunks whatever the CPU count."""
     monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: min(2, n_cells))
-    monkeypatch.setattr(sweep_mod, "_run_parallel", spy)
-    return calls
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the sweep started a worker pool")
-
-    monkeypatch.setattr(sweep_mod, "_run_parallel", refuse)
 
 
 def pid_cells(monkeypatch):
@@ -356,30 +338,30 @@ class TestParallelCells:
     GRID = dict(schedules=("linear", "cosine:0,1,1"), scales=(0.4, 0.6, 0.8), n_eval=400,
                 steps=10, dataset=AR1_4)
 
-    def test_oracle_rows_match_serial(self, monkeypatch, pool_runs):
+    def test_oracle_rows_match_serial(self, monkeypatch, two_workers, forks):
         cfg = oracle_cfg(**self.GRID)
         parallel = run_sweep(cfg)
-        assert pool_runs == [2]
+        assert forks == [2, 1, 1, 1]  # the caller's chunk samples unsplit
         monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
         serial = run_sweep(cfg)
-        assert pool_runs == [2]
+        assert forks == [2, 1, 1, 1] + [1] * 7
         assert strip_wall(parallel) == strip_wall(serial)
         assert parallel.ok and all(r.wall_ms >= 0 for r in parallel.rows)
 
-    def test_golden_oracle_rows_in_workers(self, pool_runs):
+    def test_golden_oracle_rows_in_workers(self, two_workers, forks):
         cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
                          steps=10, dataset=AR1_4)
         assert TestGoldenRows.strip(run_sweep(cfg)) == [
             ("linear", 0.4, 0.3748643176491698, 3844543151005203059, 0, ""),
             ("linear", 0.8, 0.3251518253843905, 5186481466807218631, 0, ""),
         ]
-        assert pool_runs == [2]
+        assert forks == [2, 1]
 
-    def test_trained_rows_match_serial(self, monkeypatch, pool_runs):
+    def test_trained_rows_match_serial(self, monkeypatch, two_workers, forks):
         cfg = trained_cfg()
         cfg = replace(cfg, sweep=replace(cfg.sweep, scales=(1.0, 0.5)))
         parallel = run_sweep(cfg)
-        assert pool_runs == [2]
+        assert forks == [2, 1]
         monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
         serial = run_sweep(cfg)
         assert strip_wall(parallel) == strip_wall(serial)
@@ -387,14 +369,16 @@ class TestParallelCells:
         assert TestGoldenRows.strip(parallel)[0] == (
             "linear", 1.0, 2.1341764346531313, 5305169700752127899, 0, "")
 
-    def test_cells_run_in_other_processes(self, monkeypatch, pool_runs):
+    def test_cells_run_in_other_processes(self, monkeypatch, two_workers, forks):
+        """The first chunk runs in the caller, the other in one other process."""
         pid_cells(monkeypatch)
         res = run_sweep(oracle_cfg(**self.GRID))
-        pids = {r.error for r in res.rows}
-        assert f"RuntimeError: pid {os.getpid()}" not in pids
-        assert 1 <= len(pids) <= 2 and res.n_failed == 6
+        pids = [r.error for r in res.rows]
+        assert pids[:3] == [f"RuntimeError: pid {os.getpid()}"] * 3
+        assert len(set(pids[3:])) == 1 and pids[3] != pids[0]
+        assert forks == [2] and res.n_failed == 6
 
-    def test_failed_cell_row_matches_serial(self, monkeypatch, pool_runs):
+    def test_failed_cell_row_matches_serial(self, monkeypatch, two_workers, forks):
         real = sweep_mod._cell
 
         def flaky(cfg, model, data, sched_str, scale, seed):
@@ -407,7 +391,7 @@ class TestParallelCells:
         parallel = run_sweep(cfg)
         monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
         serial = run_sweep(cfg)
-        assert pool_runs == [2]
+        assert forks[0] == 2 and set(forks[1:]) == {1}
         assert strip_wall(parallel) == strip_wall(serial)
         bad = [r for r in parallel.rows if r.status != 0]
         assert [r.error for r in bad] == ["FloatingPointError: injected at linear",
@@ -423,7 +407,8 @@ class TestParallelCells:
             "from noiselab.datasets import DatasetSpec\n"
             "from noiselab.sampler import SamplerConfig\n"
             "sw._workers = lambda n_cells: 2\n"
-            "sw._cell = lambda *args: os._exit(3)\n"
+            "parent = os.getpid()\n"
+            "sw._cell = lambda *args: os._exit(3) if os.getpid() != parent else None\n"
             "cfg = Config(sweep=SweepSettings(schedules=('linear',), scales=(0.5, 1.0),\n"
             "             metric='covariance_error', base_seed=0, oracle=True, n_eval=50),\n"
             "             dataset=DatasetSpec(kind='gaussian_ar1', n_train=2, seed=0, dim=4,\n"
@@ -442,44 +427,48 @@ class TestParallelCells:
         assert float(out.split()[1]) < 10.0
 
     def test_dead_worker_is_cli_exit_2(self, monkeypatch, tmp_path, capsys):
+        parent, real = os.getpid(), sweep_mod._cell
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
         monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
-        monkeypatch.setattr(sweep_mod, "_cell", lambda *args: os._exit(3))
+        monkeypatch.setattr(sweep_mod, "_cell", die_in_child)
         cfg = tmp_path / "sweep.txt"
         cfg.write_text(TestSpecFromConfig.ORACLE_TEXT.replace("scales = 1.0",
                                                               "scales = 0.5 1.0"))
         rc = main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
-        assert "sweep worker process died" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a worker process died (exit status 3)\n"
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
-    def test_one_cell_runs_in_process(self, monkeypatch, no_pool):
+    def test_one_cell_runs_in_process(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         pid_cells(monkeypatch)
         res = run_sweep(oracle_cfg(n_eval=400, steps=10, dataset=AR1_4))
         assert [r.error for r in res.rows] == [f"RuntimeError: pid {os.getpid()}"]
 
-    def test_one_cpu_affinity_runs_in_process(self, monkeypatch, no_pool):
+    def test_one_cpu_affinity_runs_in_process(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pid_cells(monkeypatch)
         res = run_sweep(oracle_cfg(**self.GRID))
         assert {r.error for r in res.rows} == {f"RuntimeError: pid {os.getpid()}"}
 
-    def test_trained_cells_sample_in_their_worker(self, monkeypatch, pool_runs):
-        # on 2 CPUs, 2 workers that each split their sampling would run 4
-        # compute processes; a split opened in a worker fails its cell
-        def refuse(*args):
-            raise AssertionError("a sweep worker opened a row split")
-
+    def test_trained_cells_sample_in_their_worker(self, monkeypatch, two_workers, forks):
+        # on 2 CPUs, 2 processes that each split their sampling would run 4
+        # compute processes; the forks spy fails a cell that splits
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(sampler_mod, "RowSplit", refuse)
         cfg = trained_cfg()
         cfg = replace(cfg, sweep=replace(cfg.sweep, scales=(1.0, 0.5), n_eval=2048))
         res = run_sweep(cfg)
-        assert pool_runs == [2]
+        assert forks == [2, 1]
         assert [r.error for r in res.rows] == ["", ""]
 
     @pytest.mark.parametrize("n_scales", [1, 2])
-    def test_blas_pinned_in_cells_and_restored(self, monkeypatch, pool_runs, n_scales):
+    def test_blas_pinned_in_cells_and_restored(self, monkeypatch, two_workers, forks,
+                                               n_scales):
         get, set_ = _openblas_thread_funcs()
 
         def report_threads(*args):
@@ -496,7 +485,7 @@ class TestParallelCells:
         finally:
             set_(before)
         assert [r.error for r in res.rows] == ["RuntimeError: threads 1"] * n_scales
-        assert pool_runs == ([2] if n_scales == 2 else [])
+        assert forks == [n_scales]
         assert after == expected
 
 
@@ -512,7 +501,7 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep_mod._workers(30) == 1
 
-    def test_unreachable_blas_stays_serial(self, monkeypatch, no_pool):
+    def test_unreachable_blas_stays_serial(self, monkeypatch, no_fork):
         monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
         monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
         pid_cells(monkeypatch)
