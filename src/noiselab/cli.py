@@ -150,8 +150,8 @@ def _cmd_train(args, stdout) -> int:
     save_params(out / "ema.bin", ema)
     write_loss_csv(out / "loss.csv", history)
     write_config(out / "config.txt", replace(cfg, train=tcfg))
-    final = history[-1][1] if history else float("nan")
-    stdout.write(f"trained {tcfg.steps} steps; final batch loss {final:.6g}\n")
+    final = f"; final batch loss {history[-1][1]:.6g}" if history else ""
+    stdout.write(f"trained {tcfg.steps} steps{final}\n")
     return _OK
 
 

@@ -128,16 +128,8 @@ class Rng:
         shape = tuple(int(s) for s in shape)
         n = math.prod(shape)
         m = (n + 1) // 2
-        u1 = self._gen.random(size=m)
-        u2 = self._gen.random(size=m)
-        # 1 - u1 lies in (0, 1], so the log argument never hits zero.
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        ang = (2.0 * math.pi) * u2
-        z = np.empty((2, m))
-        np.cos(ang, out=z[0])
-        np.sin(ang, out=z[1])
-        z *= r
-        z = z.ravel()[:n]
+        u1, u2 = self._gen.random(size=m), self._gen.random(size=m)
+        z = _box_muller(u1, u2, np.empty((2, m))).ravel()[:n]
         return float(z[0]) if shape == () else z.reshape(shape)
 
     def integers(self, n: int, shape: int | Sequence[int] = ()) -> np.ndarray | int:
@@ -147,6 +139,18 @@ class Rng:
         u = self._gen.random(size=shape)
         out = np.floor(u * n).astype(np.int64)
         return int(out) if np.ndim(out) == 0 else out
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r cos(2 pi u2), r sin(2 pi u2) into out (..., 2, m), r = sqrt(-2 log1p(-u1)),
+    overwriting u1 and u2 (..., m); 1 - u1 lies in (0, 1], so the log stays finite."""
+    np.log1p(np.negative(u1, out=u1), out=u1)
+    np.sqrt(np.multiply(u1, -2.0, out=u1), out=u1)
+    u2 *= 2.0 * math.pi
+    np.cos(u2, out=out[..., 0, :])
+    np.sin(u2, out=out[..., 1, :])
+    out *= u1[..., None, :]
+    return out
 
 
 def gaussian(rng: Rng, shape: Sequence[int]) -> np.ndarray:

@@ -257,19 +257,6 @@ def _hidden(p: DenoiserParams, a: np.ndarray, out: np.ndarray,
             cache["acts"].append(a)
 
 
-def _block(p: DenoiserParams, x, emb, self_cond, r0: int, r1: int,
-           last: np.ndarray) -> None:
-    """Rows r0:r1 of the last hidden layer (of the input, with no hidden layer).
-
-    The one block kernel of the uncached forward pass, run over
-    _row_blocks(n); the rows are written into last[r0:r1].
-    """
-    out = last[r0:r1]
-    a = np.empty((r1 - r0, p.arch.input_width)) if p.arch.hidden_dims else out
-    _input_rows(x, emb, self_cond, r0, r1, a)
-    _hidden(p, a, out)
-
-
 def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.ndarray:
     """The forward pass behind mlp_forward and mlp_forward_cached.
 
@@ -289,15 +276,24 @@ def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.nd
     n_hidden = len(arch.hidden_dims)
     if cache is not None:
         a0 = _input_rows(x, emb, self_cond, 0, n, np.empty((n, arch.input_width)))
+        return ensure_finite(_forward_rows(p, a0, cache), "mlp output")
+    last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
+    for r0, r1 in _row_blocks(n):  # a block's rows, then its last hidden layer, into last
+        out = last[r0:r1]
+        a = np.empty((r1 - r0, arch.input_width)) if n_hidden else out
+        _hidden(p, _input_rows(x, emb, self_cond, r0, r1, a), out)
+    return ensure_finite(last @ p.weights[n_hidden] + p.biases[n_hidden], "mlp output")
+
+
+def _forward_rows(p: DenoiserParams, a0: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """_forward from prebuilt C-ordered input rows a0, without the checks."""
+    n_hidden = len(p.arch.hidden_dims)
+    last = np.empty((len(a0), p.arch.hidden_dims[-1])) if n_hidden else a0
+    if cache is not None:
         cache.update(acts=[a0], pres=[], sigs=[])
-        last = np.empty((n, arch.hidden_dims[-1])) if n_hidden else a0
-        _hidden(p, a0, last, cache)
-    else:
-        last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
-        for r0, r1 in _row_blocks(n):
-            _block(p, x, emb, self_cond, r0, r1, last)
-    out = last @ p.weights[n_hidden] + p.biases[n_hidden]
-    return ensure_finite(out, "mlp output")
+    for r0, r1 in [(0, len(a0))] if cache is not None else _row_blocks(len(a0)):
+        _hidden(p, a0[r0:r1], last[r0:r1], cache)
+    return last @ p.weights[n_hidden] + p.biases[n_hidden]
 
 
 def mlp_forward_cached(p: DenoiserParams, x, t, self_cond=None):

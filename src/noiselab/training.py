@@ -4,8 +4,8 @@ The whole loop is a deterministic function of (dataset, arch, compound
 schedule, config). Per step the RNG stream is consumed in a fixed
 order: batch indices, per-example times t, noise eps, then one
 self-conditioning coin (only when the architecture supports it and the
-rate is positive). Keeping that order stable is what makes loss
-histories bit-reproducible.
+rate is positive), drawn for a block of steps at once in that order.
+Keeping that order stable is what makes loss histories bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,23 +17,23 @@ import math
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed
+from noiselab.core import Rng, _box_muller, as_f64, check_seed, ensure_finite
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
+    _forward_rows,
     _layout,
     clone_params,
     init_params,
     mlp_backward,
-    mlp_forward,
-    mlp_forward_cached,
+    time_embedding,
 )
 from noiselab.forward import (
     SELF_COND_CLAMP,
     CompoundSchedule,
+    _signal_estimate,
     diffuse,
     normalize_input,
-    signal_estimate,
 )
 
 __all__ = [
@@ -56,6 +56,11 @@ OPTIMIZER_KINDS = ("adam", "lamb")
 LR_DECAY_KINDS = ("constant", "cosine_first_fraction")
 
 _TRUST_FLOOR = 1e-12
+
+# Bytes of a block's input rows: 18 KiB a step for the criterion-08
+# recipe (batch 128, input width 18), so 7-step blocks. The temporaries
+# that build them take about twice as much again.
+_BLOCK_BYTES = 1 << 17
 
 
 class TrainingDiverged(RuntimeError):
@@ -259,7 +264,7 @@ def train_loss(
     self_cond_rate: float = 0.0,
     out: Optional[DenoiserParams] = None,
 ) -> LossResult:
-    """Diffusion loss and gradients for one batch.
+    """Diffusion loss and gradients for one batch: one step of train, checked.
 
     Draws t ~ U(0,1) per example, diffuses with the compound schedule,
     normalizes the network input per cs.normalize and, on a
@@ -269,28 +274,60 @@ def train_loss(
     when it is given (see mlp_backward).
     """
     x0 = as_f64(x0_batch, "train_loss x0_batch")
-    if x0.ndim != 2 or x0.shape[0] < 1:
-        raise ValueError("x0_batch must be a nonempty (batch, dim) array")
-    arch = params.arch
-    n = x0.shape[0]
+    if x0.ndim != 2 or x0.shape[0] < 1 or x0.shape[1] != params.arch.in_dim:
+        raise ValueError(f"x0_batch must be a nonempty (batch, in_dim) array, got {x0.shape}")
+    batches = _Batches(params.arch, cs, x0.shape[0], self_cond_rate, 1)
+    batches.fill(rng.uniform((1, batches.draws)), x0[None])
+    cache: dict = {}
+    loss, d = batches.loss(0, params, cache)
+    return LossResult(loss, mlp_backward(params, cache, d, out=out), batches.gamma[0])
 
-    t = rng.uniform((n,))
-    sample = diffuse(x0, t, rng, cs)
-    x_in = normalize_input(sample.x_t, sample.gamma_t, cs)
 
-    self_cond = None
-    if arch.self_cond and self_cond_rate > 0.0:
-        coin = float(rng.uniform((1,))[0])
-        if coin < self_cond_rate:
-            eps_first = mlp_forward(params, x_in, t)
-            est = signal_estimate(sample.x_t, sample.gamma_t, eps_first)
-            self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
+class _Batches:
+    """What a block of training steps takes from the RNG stream and the data alone.
 
-    pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
-    diff = pred - sample.eps
-    loss = float((diff * diff).mean())
-    grads = mlp_backward(params, cache, 2.0 * diff / diff.size, out=out)
-    return LossResult(loss=loss, grads=grads, gamma_t=sample.gamma_t)
+    After its batch indices a step draws ``draws`` uniforms: times t,
+    Box-Muller pairs and, with self-conditioning on, one coin. fill()
+    turns a block's draws into gamma(t), eps, x_t and the C-ordered input
+    rows of each step with whole-block ufuncs, which round as one step's.
+    """
+
+    def __init__(self, arch: MlpArch, cs: CompoundSchedule, batch: int,
+                 self_cond_rate: float, steps: int):
+        self.arch, self.cs, self.b = arch, cs, batch
+        self.rate = self_cond_rate if arch.self_cond else 0.0
+        self.m = (batch * arch.in_dim + 1) // 2  # Box-Muller pairs a step
+        self.draws = batch + 2 * self.m + (self.rate > 0.0)
+        self.k = max(1, min(steps, _BLOCK_BYTES // (8 * batch * arch.input_width)))
+        self.rows = np.empty((self.k, batch, arch.input_width))
+
+    def fill(self, u: np.ndarray, x0: np.ndarray) -> None:
+        """Build the first len(u) steps from their uniforms, which are overwritten,
+        and their clean (steps, batch, in_dim) batches x0."""
+        k, b, d, m = len(u), self.b, self.arch.in_dim, self.m
+        t = u[:, :b].ravel()
+        z = _box_muller(u[:, b : b + m], u[:, b + m : b + 2 * m], np.empty((k, 2, m)))
+        eps = z.reshape(k, 2 * m)[:, : b * d].reshape(k * b, d)  # a copy when b * d is odd
+        s = diffuse(x0.reshape(k * b, d), t, None, self.cs, eps=eps)
+        rows, e = self.rows[:k].reshape(k * b, -1), d + self.arch.time_embed_dim
+        rows[:, :d] = normalize_input(s.x_t, s.gamma_t, self.cs)
+        rows[:, d:e] = time_embedding(t, self.arch.time_embed_dim)
+        rows[:, e:] = 0.0
+        self.x_t, self.eps = s.x_t.reshape(k, b, d), s.eps.reshape(k, b, d)
+        self.gamma, self.coin = s.gamma_t.reshape(k, b), u[:, -1]
+
+    def loss(self, j: int, params: DenoiserParams, cache: dict) -> tuple[float, np.ndarray]:
+        """Step j's loss and gradient in the cached prediction, self-conditioned on its coin."""
+        rows = self.rows[j]
+        if self.rate > 0.0 and self.coin[j] < self.rate:
+            est = _signal_estimate(self.x_t[j], self.gamma[j, :, None], _forward_rows(params, rows))
+            np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP, out=rows[:, -self.arch.in_dim :])
+        diff = _forward_rows(params, rows, cache)
+        diff -= self.eps[j]
+        loss = float((diff * diff).mean())
+        diff *= 2.0
+        diff /= diff.size
+        return loss, diff
 
 
 def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainConfig):
@@ -298,7 +335,8 @@ def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainCo
 
     Returns (params, ema_params, history) where history is a list of
     (step, loss, lr) rows recorded every cfg.log_every steps and at the
-    final step. Steps in history are 1-indexed.
+    final step. Steps in history are 1-indexed. The inputs are checked once, and a
+    batch that fails to diffuse or normalize raises before its block's first step.
     """
     dataset = as_f64(dataset, "train dataset")
     if dataset.ndim != 2 or dataset.shape[0] < 1:
@@ -312,23 +350,25 @@ def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainCo
     state = init_optimizer_state(params)
     grads = DenoiserParams(arch)  # refilled by every step's backward pass
     step_fn = adam_step if cfg.optimizer == "adam" else lamb_step
+    b = cfg.batch_size
+    batches, cache = _Batches(arch, cs, b, cfg.self_cond_rate, cfg.steps), {}
 
     history: list[tuple[int, float, float]] = []
-    n = dataset.shape[0]
-    for step in range(cfg.steps):
-        lr = lr_at(step, cfg)
-        idx = rng.integers(n, (cfg.batch_size,))
-        x0 = dataset.take(idx, axis=0)
-        result = train_loss(x0, params, cs, rng, self_cond_rate=cfg.self_cond_rate, out=grads)
-        loss = result.loss
-        if not math.isfinite(loss):
-            g_min, g_mean, g_max = result.gamma_stats
-            raise TrainingDiverged(
-                f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
-                f"min {g_min:.6g} mean {g_mean:.6g} max {g_max:.6g})"
-            )
-        step_fn(params, grads, state, cfg, lr)
-        ema_update(ema_params, params, cfg.ema_decay)
-        if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
-            history.append((step + 1, loss, lr))
+    for s0 in range(0, cfg.steps, batches.k):
+        u = rng.uniform((min(batches.k, cfg.steps - s0), b + batches.draws))
+        idx = np.floor(np.multiply(u[:, :b], dataset.shape[0], out=u[:, :b]), out=u[:, :b])
+        batches.fill(u[:, b:], dataset.take(idx.astype(np.int64), axis=0))
+        for step in range(s0, s0 + len(u)):
+            lr = lr_at(step, cfg)
+            loss, d = batches.loss(step - s0, params, cache)
+            if not math.isfinite(loss):
+                g = batches.gamma[step - s0]
+                raise TrainingDiverged(f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
+                                       f"min {g.min():.6g} mean {g.mean():.6g} max {g.max():.6g})")
+            step_fn(params, mlp_backward(params, cache, d, out=grads), state, cfg, lr)
+            ema_update(ema_params, params, cfg.ema_decay)
+            if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
+                history.append((step + 1, loss, lr))
+    ensure_finite(params.flat, "trained params")
+    ensure_finite(ema_params.flat, "trained EMA params")
     return params, ema_params, history

@@ -135,6 +135,15 @@ class TestTrainCommand:
         resolved = parse_config(out_dir / "config.txt")
         assert resolved.train.steps == 40
 
+    def test_zero_steps_prints_no_loss(self, tmp_path):
+        cfg = tmp_path / "zero.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("steps = 40", "steps = 0"))
+        out_dir = tmp_path / "run"
+        rc, out = run(["train", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert out == "trained 0 steps\n"
+        assert read_loss_csv(out_dir / "loss.csv") == []
+
     def test_seed_override_lands_in_config_copy(self, train_cfg, tmp_path):
         out_dir = tmp_path / "run"
         rc, _ = run(["train", "--config", str(train_cfg), "--out-dir", str(out_dir),

@@ -3,14 +3,17 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselab import training
 from noiselab.cli import main as cli_main
-from noiselab.core import Rng
+from noiselab.config import parse_config
+from noiselab.core import NonFiniteError, Rng
 from noiselab.datasets import DatasetSpec, make_dataset
 from noiselab.denoiser import (
     DenoiserParams,
@@ -19,12 +22,20 @@ from noiselab.denoiser import (
     clone_params,
     init_params,
     mlp_backward,
+    mlp_forward,
     mlp_forward_cached,
 )
-from noiselab.forward import CompoundSchedule
+from noiselab.forward import (
+    SELF_COND_CLAMP,
+    CompoundSchedule,
+    diffuse,
+    normalize_input,
+    signal_estimate,
+)
 from noiselab.schedules import ScheduleSpec
 from noiselab.training import (
     LossResult,
+    _Batches,
     TrainConfig,
     TrainingDiverged,
     _norm,
@@ -522,16 +533,129 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_diagnostics(self):
         # lr large enough that squared predictions overflow float64 on
-        # the very next loss evaluation
+        # the very next loss evaluation, step 1, the second of its block
         data = self.small_data()
         cfg = tiny_cfg(steps=5, lr=1e154, optimizer="adam", weight_decay=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match=r"step \d+ .*gamma"):
+            with pytest.raises(TrainingDiverged) as ref:
+                step_loop_train(data, self.ARCH, LINEAR_OFF, cfg)
+            with pytest.raises(TrainingDiverged) as got:
                 train(data, self.ARCH, LINEAR_OFF, cfg)
+        assert str(ref.value).startswith("non-finite loss at step 1 (lr ")
+        assert _Batches(self.ARCH, LINEAR_OFF, cfg.batch_size, 0.0, cfg.steps).k == 5
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_dataset_fails_at_entry(self, bad, monkeypatch):
+        data = self.small_data()
+        data[7, 1] = bad
+        monkeypatch.setattr(training, "_Batches", None)  # nothing is drawn or built
+        with pytest.raises(NonFiniteError, match=r"^train dataset: non-finite values encountered$"):
+            train(data, self.ARCH, LINEAR_OFF, tiny_cfg())
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             train(np.zeros((10, 3)), self.ARCH, LINEAR_OFF, tiny_cfg())
+
+
+def step_loop_loss(x0, params, cs, rng, self_cond_rate):
+    """train_loss as public calls that draw and build one batch in stream order."""
+    arch = params.arch
+    t = rng.uniform((x0.shape[0],))
+    sample = diffuse(x0, t, rng, cs)
+    x_in = normalize_input(sample.x_t, sample.gamma_t, cs)
+    self_cond = None
+    if arch.self_cond and self_cond_rate > 0.0:
+        coin = float(rng.uniform((1,))[0])
+        if coin < self_cond_rate:
+            est = signal_estimate(sample.x_t, sample.gamma_t, mlp_forward(params, x_in, t))
+            self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
+    pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
+    diff = pred - sample.eps
+    loss = float((diff * diff).mean())
+    return LossResult(loss, mlp_backward(params, cache, 2.0 * diff / diff.size), sample.gamma_t)
+
+
+def step_loop_train(dataset, arch, cs, cfg):
+    """The reference for train: each step draws and builds its own batch, then updates."""
+    rng = Rng(cfg.seed)
+    params = init_params(arch, rng)
+    ema = clone_params(params)
+    state = init_optimizer_state(params)
+    step_fn = adam_step if cfg.optimizer == "adam" else lamb_step
+    history = []
+    for step in range(cfg.steps):
+        lr = lr_at(step, cfg)
+        x0 = dataset.take(rng.integers(dataset.shape[0], (cfg.batch_size,)), axis=0)
+        result = step_loop_loss(x0, params, cs, rng, cfg.self_cond_rate)
+        if not math.isfinite(result.loss):
+            g_min, g_mean, g_max = result.gamma_stats
+            raise TrainingDiverged(
+                f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
+                f"min {g_min:.6g} mean {g_mean:.6g} max {g_max:.6g})"
+            )
+        step_fn(params, result.grads, state, cfg, lr)
+        ema_update(ema, params, cfg.ema_decay)
+        if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
+            history.append((step + 1, result.loss, lr))
+    return params, ema, history
+
+
+def outcome(fn, *args):
+    """fn's result as bytes, or its exception's type and message."""
+    try:
+        params, ema, history = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return params.flat.tobytes(), ema.flat.tobytes(), history
+
+
+SCHEDULES = [ScheduleSpec.linear(), ScheduleSpec.cosine(0.2, 1.0, 1.5),
+             ScheduleSpec.sigmoid(-3.0, 3.0, 1.1)]
+
+
+class TestBlockTrainingEqualsStepLoop:
+    """train, built a block of steps at a time, against the step loop kept here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hidden=st.lists(st.sampled_from([3, 8]), max_size=2),
+        self_cond=st.booleans(),
+        normalize=st.sampled_from(["off", "empirical", "analytic"]),
+        schedule=st.sampled_from(SCHEDULES),
+        batch=st.sampled_from([1, 3, 7]),
+        dim=st.sampled_from([1, 3]),
+        n_rows=st.sampled_from([1, 40]),
+        budget=st.sampled_from([1, 1500, 4000]),
+        around=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 1)]),
+        optimizer=st.sampled_from(["adam", "lamb"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_train_equals_step_loop(self, hidden, self_cond, normalize, schedule, batch, dim,
+                                    n_rows, budget, around, optimizer, seed):
+        arch = MlpArch(in_dim=dim, hidden_dims=tuple(hidden), time_embed_dim=4,
+                       self_cond=self_cond)
+        cs = CompoundSchedule(schedule, 0.5, normalize)
+        data = Rng(seed).normal((n_rows, dim))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_BLOCK_BYTES", budget)
+            k = _Batches(arch, cs, batch, 0.5, 10**9).k
+            times, extra = around
+            cfg = TrainConfig(steps=times * k + extra, batch_size=batch, lr=0.01, seed=seed,
+                              optimizer=optimizer, self_cond_rate=0.5, ema_decay=0.9,
+                              log_every=2)
+            assert outcome(train, data, arch, cs, cfg) == outcome(step_loop_train, data, arch, cs, cfg)
+        params = init_params(arch, Rng(seed))
+        x0 = data.take(Rng(seed).integers(n_rows, (batch,)), axis=0)
+        try:
+            ref = step_loop_loss(x0, params, cs, Rng(seed + 1), 0.5)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                train_loss(x0, params, cs, Rng(seed + 1), self_cond_rate=0.5)
+            return
+        got = train_loss(x0, params, cs, Rng(seed + 1), self_cond_rate=0.5)
+        assert got.loss == ref.loss and got.gamma_stats == ref.gamma_stats
+        assert got.grads.flat.tobytes() == ref.grads.flat.tobytes()
 
 
 class TestTrainingQuality:
@@ -598,11 +722,66 @@ hidden = 64 64
 time_embed = 16
 self_cond = true
 """,
+    # Each step draws 21 normals, so Box-Muller drops a trailing draw;
+    # the 613 steps are more than one block and not a multiple of it.
+    "sigmoid_empirical_self_cond_lamb_613": """
+[dataset]
+kind = gaussian_ar1
+n_train = 500
+seed = 13
+dim = 3
+rho = 0.6
+
+[compound]
+schedule = sigmoid:-3,3,1.1
+input_scale = 0.7
+normalize = empirical
+
+[train]
+steps = 613
+batch_size = 7
+lr = 0.002
+seed = 23
+optimizer = lamb
+lr_decay = constant
+ema_decay = 0.99
+log_every = 50
+hidden = 32 32
+time_embed = 8
+self_cond = true
+""",
+    # shorter than one block
+    "short_cosine_adam_5": """
+[dataset]
+kind = mixture2d
+n_train = 1024
+seed = 101
+modes = 8
+radius = 1.0
+std = 0.2
+
+[compound]
+schedule = cosine:0,1,1
+input_scale = 1.0
+normalize = off
+
+[train]
+steps = 5
+batch_size = 32
+lr = 0.003
+seed = 7
+optimizer = adam
+ema_decay = 0.9
+log_every = 2
+hidden = 64 64
+time_embed = 16
+""",
 }
 
 # sha256 of each artifact, recorded before the training step was reworked
-# to reuse its buffers. A change here means training moved by at least
-# one bit. config.txt pins the written run file, the retired
+# to reuse its buffers (the last two before batches were built a block of
+# steps at a time). A change here means training moved by at least one
+# bit. config.txt pins the written run file, the retired
 # class-conditioning keys at their neutral values included.
 GOLDEN_DIGESTS = {
     "criterion08_200": {
@@ -616,6 +795,18 @@ GOLDEN_DIGESTS = {
         "ema.bin": "42c0a2c5ae658d20e2bae13617cd1236e8ae2dbdb4d763affa73bb59f5bc8b53",
         "loss.csv": "3af560146aaefcb619595f52cdd60c7ab1bd2997ffbe304d44e14ddb89954c96",
         "config.txt": "9bdbd31925146ee8c9aafb01812e965a70ef7d52b627ea54253aaa007deb6cab",
+    },
+    "sigmoid_empirical_self_cond_lamb_613": {
+        "params.bin": "3c8301eac61ad9b3f4d1872955e64698c338e6efdded5d077bff179d8f7672fe",
+        "ema.bin": "0561173fc111e3980cc5986ce32d78511600e498f9389eb06e4be0eb2fef8b53",
+        "loss.csv": "46ec6a685091aa8978bbd5fdcde8cbff2046d1c8512711b60bde5a461258ffb2",
+        "config.txt": "6175354351b8e2cc2d59660002ab9bfc4c304dfa3a669f5a7930253458e5f813",
+    },
+    "short_cosine_adam_5": {
+        "params.bin": "886a704b5f4d79b297e83389787b7cca91fd4fd63724068cdc31af6d3b56d5e6",
+        "ema.bin": "7cc80ac4c7193f6fa97d0991346cace158e3d9937a0d31ee200e3e26c30196fa",
+        "loss.csv": "a32298f3e760e39a3cedb7de1ad88ced888eff987e08a01ae4419b9607a58bbe",
+        "config.txt": "90696abac5c53324d4d1b0fd9cbddbd22f8260e124d19a88c0ce2b4b8957a552",
     },
 }
 
@@ -633,3 +824,16 @@ class TestGoldenTrainingBits:
         digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                    for f in GOLDEN_DIGESTS[name]}
         assert digests == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name, blocks", [
+        ("sigmoid_empirical_self_cond_lamb_613", "several"),
+        ("short_cosine_adam_5", "part of one"),
+    ])
+    def test_runs_straddle_the_block_size(self, name, blocks, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text(GOLDEN_RUNS[name])
+        cfg = parse_config(path)
+        arch = cfg.net.build_arch(cfg.dataset.data_dim)
+        k = _Batches(arch, cfg.compound, cfg.train.batch_size, cfg.train.self_cond_rate, 10**9).k
+        steps = cfg.train.steps
+        assert (k < steps and steps % k != 0) if blocks == "several" else steps < k
