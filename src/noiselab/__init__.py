@@ -5,7 +5,7 @@ platform-independent random stream, so every experiment in the package is
 bit-reproducible from its seed.
 """
 
-from noiselab.core import Rng, gaussian, cholesky_solve
+from noiselab.core import Rng, gaussian
 from noiselab.schedules import (
     ScheduleSpec,
     gamma,
@@ -35,7 +35,6 @@ from noiselab.sweep import best_scale, check_sweep, run_sweep
 __all__ = [
     "Rng",
     "gaussian",
-    "cholesky_solve",
     "ScheduleSpec",
     "gamma",
     "log_snr",

@@ -36,7 +36,6 @@ __all__ = [
     "Rng",
     "check_seed",
     "cholesky_factor",
-    "cholesky_solve",
     "ensure_finite",
     "fork_map",
     "gaussian",
@@ -224,28 +223,6 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for a C-contiguous (n, k) b into one new buffer."""
     y = _solve_triangular(L, b, lower=True, out=np.empty_like(b))
     return _solve_triangular(L, y, lower=False, out=y)
-
-
-def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite ``a``.
-
-    Args:
-        a: (n, n) SPD matrix.
-        b: (n,) vector or (n, k) stack of right-hand sides.
-
-    Returns:
-        x with the same shape as b; all entries finite.
-    """
-    L = cholesky_factor(a)
-    b = as_f64(b, "cholesky_solve rhs")
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != L.shape[0]:
-        raise ValueError(f"rhs shape {b.shape} does not match matrix {L.shape}")
-    x = _cho_solve(L, b)
-    ensure_finite(x, "cholesky_solve result")
-    return x[:, 0] if vector else x
 
 
 # (get, set) thread-count functions, newest OpenBLAS naming first

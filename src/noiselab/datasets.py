@@ -10,6 +10,7 @@ without changing per-coordinate statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,10 +86,10 @@ class DatasetSpec:
         elif self.kind == "mixture2d":
             if self.modes is None or self.modes < 1:
                 raise ValueError("mixture2d needs modes >= 1")
-            if self.radius is None or self.radius <= 0.0:
-                raise ValueError("mixture2d needs radius > 0")
-            if self.std is None or self.std <= 0.0:
-                raise ValueError("mixture2d needs std > 0")
+            if self.radius is None or not 0.0 < self.radius < math.inf:
+                raise ValueError(f"mixture2d needs a finite radius > 0, got {self.radius}")
+            if self.std is None or not 0.0 < self.std < math.inf:
+                raise ValueError(f"mixture2d needs a finite std > 0, got {self.std}")
         elif self.kind == "toy_image":
             if self.base_res is None or self.base_res < 2:
                 raise ValueError("toy_image needs base_res >= 2")

@@ -201,45 +201,18 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _inputs(p: DenoiserParams, x, t, self_cond):
-    """The checked parts of the input layer: (x, emb, self_cond).
+def _input_rows(arch: MlpArch, x, emb, self_cond, out: np.ndarray) -> np.ndarray:
+    """The input layer's rows [x | time features | self_cond], written into out.
 
-    emb holds one time-feature row per example, or a single row when one
-    time serves the whole batch; self_cond is None for an arch without
-    that input.
+    emb is one time-feature row per example or a single row for all;
+    self_cond None gives zeros. A C-ordered out fixes the layout, which
+    BLAS rounds by.
     """
-    arch = p.arch
-    x = as_f64(x, "mlp input")
-    if x.ndim != 2 or x.shape[1] != arch.in_dim:
-        raise ValueError(f"input shape {x.shape} does not match in_dim {arch.in_dim}")
-    n = x.shape[0]
-    tt = np.asarray(t, dtype=np.float64)
-    if tt.ndim != 0 and tt.shape != (n,):
-        raise ValueError(f"t shape {tt.shape}, expected ({n},)")
-    # one time for the whole batch is embedded once and broadcast per block
-    emb = time_embedding(tt, arch.time_embed_dim)
-    if arch.self_cond:
-        if self_cond is None:
-            self_cond = np.zeros_like(x)
-        else:
-            self_cond = as_f64(self_cond, "self_cond input")
-            if self_cond.shape != x.shape:
-                raise ValueError(f"self_cond shape {self_cond.shape} != x shape {x.shape}")
-    elif self_cond is not None:
-        raise ValueError("arch has no self-conditioning input")
-    return x, emb, self_cond
-
-
-def _input_rows(x, emb, self_cond, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-    """Rows r0:r1 of the input layer, [x, time features, self_cond], into out.
-
-    out= keeps the rows C-ordered: with a broadcast row among the parts,
-    concatenate may pick Fortran order, and BLAS rounds that layout
-    differently.
-    """
-    rows = emb[r0:r1] if len(emb) > 1 else np.broadcast_to(emb, (r1 - r0, emb.shape[1]))
-    parts = [x[r0:r1], rows] + ([] if self_cond is None else [self_cond[r0:r1]])
-    return np.concatenate(parts, axis=1, out=out)
+    d, e = arch.in_dim, arch.in_dim + arch.time_embed_dim
+    out[:, :d] = x
+    out[:, d:e] = emb
+    out[:, e:] = 0.0 if self_cond is None else self_cond
+    return out
 
 
 def _hidden(p: DenoiserParams, a: np.ndarray, out: np.ndarray,
@@ -258,7 +231,29 @@ def _hidden(p: DenoiserParams, a: np.ndarray, out: np.ndarray,
 
 
 def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.ndarray:
-    """The forward pass behind mlp_forward and mlp_forward_cached.
+    """The forward pass behind mlp_forward and mlp_forward_cached: checks, then _forward_rows."""
+    arch = p.arch
+    x = as_f64(x, "mlp input")
+    if x.ndim != 2 or x.shape[1] != arch.in_dim:
+        raise ValueError(f"input shape {x.shape} does not match in_dim {arch.in_dim}")
+    n = x.shape[0]
+    tt = np.asarray(t, dtype=np.float64)
+    if tt.ndim != 0 and tt.shape != (n,):
+        raise ValueError(f"t shape {tt.shape}, expected ({n},)")
+    # one time for the whole batch is embedded once and broadcast
+    emb = time_embedding(tt, arch.time_embed_dim)
+    if self_cond is not None:
+        if not arch.self_cond:
+            raise ValueError("arch has no self-conditioning input")
+        self_cond = as_f64(self_cond, "self_cond input")
+        if self_cond.shape != x.shape:
+            raise ValueError(f"self_cond shape {self_cond.shape} != x shape {x.shape}")
+    a0 = _input_rows(arch, x, emb, self_cond, np.empty((n, arch.input_width)))
+    return ensure_finite(_forward_rows(p, a0, cache), "mlp output")
+
+
+def _forward_rows(p: DenoiserParams, a0: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """The network on prebuilt C-ordered input rows a0, unchecked.
 
     Without a cache the hidden layers run block by block, so a block's
     activations stay in cache, and only the last hidden layer's output is
@@ -270,23 +265,6 @@ def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.nd
     blocks only where the run's output layer rounds as the whole batch's
     (rowsplit.split_processes).
     """
-    x, emb, self_cond = _inputs(p, x, t, self_cond)
-    arch = p.arch
-    n = x.shape[0]
-    n_hidden = len(arch.hidden_dims)
-    if cache is not None:
-        a0 = _input_rows(x, emb, self_cond, 0, n, np.empty((n, arch.input_width)))
-        return ensure_finite(_forward_rows(p, a0, cache), "mlp output")
-    last = np.empty((n, arch.hidden_dims[-1] if n_hidden else arch.input_width))
-    for r0, r1 in _row_blocks(n):  # a block's rows, then its last hidden layer, into last
-        out = last[r0:r1]
-        a = np.empty((r1 - r0, arch.input_width)) if n_hidden else out
-        _hidden(p, _input_rows(x, emb, self_cond, r0, r1, a), out)
-    return ensure_finite(last @ p.weights[n_hidden] + p.biases[n_hidden], "mlp output")
-
-
-def _forward_rows(p: DenoiserParams, a0: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-    """_forward from prebuilt C-ordered input rows a0, without the checks."""
     n_hidden = len(p.arch.hidden_dims)
     last = np.empty((len(a0), p.arch.hidden_dims[-1])) if n_hidden else a0
     if cache is not None:

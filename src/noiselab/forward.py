@@ -152,14 +152,15 @@ def analytic_variance(gamma_t, scale: float):
 def effective_gamma(gamma_t, scale: float):
     """Schedule that input scaling is equivalent to at unit scale.
 
-    gamma_eff = b^2 gamma / ((b^2 - 1) gamma + 1); dividing the scaled
+    gamma_eff = b^2 gamma / (b^2 gamma + (1 - gamma)); dividing the scaled
     process by its analytic std reproduces the unit-scale process run at
-    gamma_eff with the same noise draw. Capped at 1: at gamma = 1 the
-    rounded quotient can exceed it by a few ulps.
+    gamma_eff with the same noise draw. The denominator keeps 1 - gamma
+    as a term of its own: (b^2 - 1) gamma + 1 cancels near gamma = 1.
     """
     g = np.asarray(gamma_t, dtype=np.float64)
-    var = analytic_variance(g, scale)
-    out = np.minimum((scale * scale) * g / np.asarray(var), 1.0)
+    analytic_variance(g, scale)  # checks gamma_t and scale
+    s = (scale * scale) * g
+    out = s / (s + (1.0 - g))
     return float(out) if np.ndim(gamma_t) == 0 else out
 
 

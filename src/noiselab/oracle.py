@@ -10,10 +10,12 @@ and s = sqrt(1 - gamma), the posterior mean of the scaled signal is
 and the per-dimension Bayes MSE of estimating x0 is
 
     mse(gamma, b) = (1/n) trace(s^2 Sigma (a^2 Sigma + s^2 I)^{-1})
+                  = (1/n) sum_i s^2 lambda_i / (a^2 lambda_i + s^2)
 
-which is trace(Sigma)/n at gamma = 0 and 0 at gamma = 1. Substituting a
-noise-prediction network with this oracle turns sampling into a pure test
-of the noising strategy: no training error, only discretization.
+over the eigenvalues lambda_i of Sigma. It is trace(Sigma)/n at gamma = 0
+and 0 at gamma = 1. Substituting a noise-prediction network with this
+oracle turns sampling into a pure test of the noising strategy: no
+training error, only discretization.
 
 Sigma may be symmetric positive SEMIdefinite (replicated-coordinate
 covariances are exactly singular); only x0 sampling requires strict
@@ -40,7 +42,6 @@ from noiselab.core import (
     _factor,
     as_f64,
     cholesky_factor,
-    cholesky_solve,
     ensure_finite,
 )
 
@@ -59,9 +60,15 @@ class GaussianOracle:
         scale = max(1.0, float(np.max(np.abs(sigma))))
         if np.max(np.abs(sigma - sigma.T)) > _PSD_TOL * scale:
             raise ValueError("covariance must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(sigma))) < -_PSD_TOL * scale:
+        eigvals = np.linalg.eigvalsh(sigma)  # ascending
+        if eigvals[0] < -_PSD_TOL * scale:
             raise ValueError("covariance must be positive semidefinite")
         self.sigma = sigma
+        # expected_mse's nonzero modes. eigvalsh puts a zero mode (a replicated
+        # coordinate's) within dim * eps * max eigenvalue of 0; near gamma = 1
+        # that adds about as much as a real mode, so below it a mode is 0.
+        cutoff = sigma.shape[0] * np.finfo(np.float64).eps * eigvals[-1]
+        self._modes = eigvals[eigvals > cutoff]
         self.dim = sigma.shape[0]
         self._chol: np.ndarray | None = None
 
@@ -87,9 +94,7 @@ class GaussianOracle:
         g = float(gamma_t)
         if not 0.0 <= g < 1.0:
             raise ValueError(f"gamma_t must lie in [0, 1), got {g}")
-        if scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        return g, float(scale)
+        return g, _check_scale(scale)
 
     def _signal(self, x_cols: np.ndarray, a2: float, s2: float) -> np.ndarray:
         """Sigma (a2 Sigma + s2 I)^{-1} x_cols for a C-contiguous (dim, n) x_cols.
@@ -147,19 +152,28 @@ class GaussianOracle:
         return x0_scaled_hat, eps_hat
 
     def expected_mse(self, gamma_t: float, scale: float = 1.0) -> float:
-        """Per-dimension Bayes MSE of estimating x0 at this noise level."""
-        g, b = float(gamma_t), float(scale)
+        """Per-dimension Bayes MSE of estimating x0 at this noise level.
+
+        The mean over Sigma's eigenvalues of s^2 lambda / (a^2 lambda + s^2);
+        a mode with lambda = 0 adds 0, so only the nonzero modes are summed.
+        """
+        g = float(gamma_t)
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"gamma_t must lie in [0, 1], got {g}")
-        if b <= 0.0:
-            raise ValueError(f"scale must be positive, got {b}")
+        b = _check_scale(scale)
         if g == 1.0:
             return 0.0
         a2 = g * b * b
         s2 = 1.0 - g
-        system = a2 * self.sigma + s2 * np.eye(self.dim)
-        posterior = cholesky_solve(system, self.sigma)
-        return float(s2 * np.trace(posterior) / self.dim)
+        lam = self._modes
+        return float(np.sum(s2 * lam / (a2 * lam + s2)) / self.dim)
+
+
+def _check_scale(scale) -> float:
+    b = float(scale)
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {b}")
+    return b
 
 
 def oracle_denoise_mse(oracle: GaussianOracle, gamma_t, scale: float = 1.0) -> float:

@@ -10,10 +10,8 @@ Keeping that order stable is what makes loss histories bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +20,7 @@ from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
     _forward_rows,
+    _input_rows,
     _layout,
     clone_params,
     init_params,
@@ -39,7 +38,6 @@ from noiselab.forward import (
 __all__ = [
     "LR_DECAY_KINDS",
     "OPTIMIZER_KINDS",
-    "LossResult",
     "OptimizerState",
     "TrainConfig",
     "TrainingDiverged",
@@ -49,7 +47,6 @@ __all__ = [
     "lamb_step",
     "lr_at",
     "train",
-    "train_loss",
 ]
 
 OPTIMIZER_KINDS = ("adam", "lamb")
@@ -130,24 +127,6 @@ class OptimizerState:
     m: DenoiserParams
     v: DenoiserParams
     step: int = 0
-
-
-@dataclass(frozen=True)
-class LossResult:
-    """One batch's loss and gradients; unpacks as (loss, grads, gamma_stats)."""
-
-    loss: float
-    grads: DenoiserParams
-    gamma_t: np.ndarray  # the batch's per-example gamma
-
-    @property
-    def gamma_stats(self) -> tuple:
-        """(min, mean, max) of the batch's gamma_t, computed on request."""
-        g = self.gamma_t
-        return (float(g.min()), float(g.mean()), float(g.max()))
-
-    def __iter__(self):
-        return iter((self.loss, self.grads, self.gamma_stats))
 
 
 def init_optimizer_state(params: DenoiserParams) -> OptimizerState:
@@ -255,34 +234,6 @@ def ema_update(ema_params: DenoiserParams, params: DenoiserParams, decay: float)
     return ema_params
 
 
-def train_loss(
-    x0_batch,
-    params: DenoiserParams,
-    cs: CompoundSchedule,
-    rng: Rng,
-    *,
-    self_cond_rate: float = 0.0,
-    out: Optional[DenoiserParams] = None,
-) -> LossResult:
-    """Diffusion loss and gradients for one batch: one step of train, checked.
-
-    Draws t ~ U(0,1) per example, diffuses with the compound schedule,
-    normalizes the network input per cs.normalize and, on a
-    self-conditioning coin, runs a gradient-free first pass to build the
-    signal estimate fed back as input (clamped to +-SELF_COND_CLAMP).
-    The loss is mean((eps_hat - eps)^2). The gradients overwrite ``out``
-    when it is given (see mlp_backward).
-    """
-    x0 = as_f64(x0_batch, "train_loss x0_batch")
-    if x0.ndim != 2 or x0.shape[0] < 1 or x0.shape[1] != params.arch.in_dim:
-        raise ValueError(f"x0_batch must be a nonempty (batch, in_dim) array, got {x0.shape}")
-    batches = _Batches(params.arch, cs, x0.shape[0], self_cond_rate, 1)
-    batches.fill(rng.uniform((1, batches.draws)), x0[None])
-    cache: dict = {}
-    loss, d = batches.loss(0, params, cache)
-    return LossResult(loss, mlp_backward(params, cache, d, out=out), batches.gamma[0])
-
-
 class _Batches:
     """What a block of training steps takes from the RNG stream and the data alone.
 
@@ -309,10 +260,9 @@ class _Batches:
         z = _box_muller(u[:, b : b + m], u[:, b + m : b + 2 * m], np.empty((k, 2, m)))
         eps = z.reshape(k, 2 * m)[:, : b * d].reshape(k * b, d)  # a copy when b * d is odd
         s = diffuse(x0.reshape(k * b, d), t, None, self.cs, eps=eps)
-        rows, e = self.rows[:k].reshape(k * b, -1), d + self.arch.time_embed_dim
-        rows[:, :d] = normalize_input(s.x_t, s.gamma_t, self.cs)
-        rows[:, d:e] = time_embedding(t, self.arch.time_embed_dim)
-        rows[:, e:] = 0.0
+        _input_rows(self.arch, normalize_input(s.x_t, s.gamma_t, self.cs),
+                    time_embedding(t, self.arch.time_embed_dim), None,
+                    self.rows[:k].reshape(k * b, -1))
         self.x_t, self.eps = s.x_t.reshape(k, b, d), s.eps.reshape(k, b, d)
         self.gamma, self.coin = s.gamma_t.reshape(k, b), u[:, -1]
 

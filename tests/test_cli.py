@@ -221,6 +221,8 @@ class TestTrainCommand:
         ("[train]", "weight_decay = nan"),
         ("[train]", "lr = inf"),
         ("[compound]", "schedule = sigmoid:-3,3,nan"),
+        ("[dataset]", "radius = nan"),
+        ("[dataset]", "std = inf"),
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys, section, line):
         # before, nan reached the first step and failed mid-run as a
@@ -484,6 +486,12 @@ class TestOracleCurveCommand:
     def test_out_of_range_rho_is_config_error(self):
         rc, _ = run(["oracle-curve", "--rhos", "1.5"])
         assert rc == 1
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_config_error(self, capsys, scale):
+        rc, out = run(["oracle-curve", "--scale", scale])
+        assert rc == 1 and out == ""
+        assert f"scale must be positive and finite, got {float(scale)}" in capsys.readouterr().err
 
 
 class TestSeedRange:

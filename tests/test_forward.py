@@ -248,13 +248,15 @@ class TestForwardProperties:
     @given(spec=_SPECS, t=_T, b=_B, seed=st.integers(0, 2**32 - 1))
     def test_finding_3_scaling_is_a_schedule_change(self, spec, t, b, seed):
         """normalize = analytic at scale b is the unit-scale process at effective_gamma."""
-        g = gamma(spec, t)
-        # sqrt(1 - gamma_eff) turns the last ulp of gamma_eff into more
-        # than 1e-12 once 1 - gamma_eff is below about 1e-6
-        assume(g <= 1.0 - 1e-6)
         rng = Rng(seed)
         x0, eps = rng.normal((6, 3)), rng.normal((6, 3))
         scaled = diffuse(x0, t, None, compound(scale=b, schedule=spec), eps=eps)
+        # the gamma the scaled process ran at: the scalar gamma(spec, t) can
+        # differ from diffuse's array form in the last ulp
+        g = float(scaled.gamma_t[0])
+        # sqrt(1 - gamma_eff) turns the last ulp of gamma_eff into more
+        # than 1e-12 once 1 - gamma_eff is below about 1e-6
+        assume(g <= 1.0 - 1e-6)
         lhs = normalize_input(scaled.x_t, scaled.gamma_t,
                               compound(scale=b, normalize="analytic", schedule=spec))
         g_eff = effective_gamma(g, b)

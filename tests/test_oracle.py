@@ -186,6 +186,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             oracle.expected_mse(0.5, scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        oracle = GaussianOracle(np.eye(2))
+        message = f"scale must be positive and finite, got {scale}"
+        with pytest.raises(ValueError, match=message):
+            oracle.denoise(np.zeros((1, 2)), 0.5, scale=scale)
+        with pytest.raises(ValueError, match=message):
+            oracle.expected_mse(0.5, scale=scale)
+
     def test_dimension_mismatch(self):
         oracle = GaussianOracle(np.eye(3))
         with pytest.raises(ValueError):
@@ -223,6 +232,30 @@ class TestSingularCovariance:
 
     def test_expected_mse_finite(self):
         assert 0.0 < self.oracle.expected_mse(0.5) < 1.0
+
+    def test_expected_mse_at_an_overflowing_scale(self):
+        # b^2 gamma overflows to inf: every mode's share rounds to 0, and a
+        # zero mode must not turn that into inf * 0 = nan
+        assert self.oracle.expected_mse(0.5, 1e200) == 0.0
+
+    @pytest.mark.parametrize("base_res, rho", [(2, 0.5), (4, 0.9)])
+    @pytest.mark.parametrize("gamma_t", [0.5, 0.999999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("b", [0.3, 1.0])
+    def test_expected_mse_is_the_sum_over_known_modes(self, base_res, rho, gamma_t, b):
+        """Upsampling by u keeps the base grid's modes, times u^2, and adds zero modes.
+
+        The base grid's covariance is K kron K for the AR(1) matrix K, so its
+        modes are the products of K's eigenvalues.
+        """
+        u = 2
+        spec = DatasetSpec(kind="toy_image", n_train=1, seed=0, base_res=base_res, rho=rho,
+                           upsample=u)
+        k = np.linalg.eigvalsh(ar1_covariance(base_res, rho))
+        modes = u * u * np.outer(k, k).ravel()
+        a2, s2 = gamma_t * b * b, 1.0 - gamma_t
+        expected = np.sum(s2 * modes / (a2 * modes + s2)) / (base_res * u) ** 2
+        got = GaussianOracle(dataset_covariance(spec)).expected_mse(gamma_t, b)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestSampleX0:

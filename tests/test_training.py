@@ -3,7 +3,6 @@
 import hashlib
 import io
 import math
-import re
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from noiselab.forward import (
 )
 from noiselab.schedules import ScheduleSpec
 from noiselab.training import (
-    LossResult,
     _Batches,
     TrainConfig,
     TrainingDiverged,
@@ -45,7 +43,6 @@ from noiselab.training import (
     lamb_step,
     lr_at,
     train,
-    train_loss,
 )
 
 LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, normalize="off")
@@ -69,53 +66,54 @@ def scalar_layer_grads(g: float) -> DenoiserParams:
     return DenoiserParams(SCALAR_ARCH, np.array([g, 0.0, 0.0, 0.0]))
 
 
+def batch_loss(x0, params, cs, rng, self_cond_rate=0.0):
+    """One step of train on the batch x0: (loss, gradients, the batch's gamma)."""
+    batches = _Batches(params.arch, cs, x0.shape[0], self_cond_rate, 1)
+    batches.fill(rng.uniform((1, batches.draws)), x0[None])
+    cache = {}
+    loss, d = batches.loss(0, params, cache)
+    return loss, mlp_backward(params, cache, d), batches.gamma[0]
+
+
 class TestTrainLoss:
+    """The loss of one training step, as train computes it."""
+
     def test_zero_net_baseline(self):
         """eps_hat = 0 makes the loss the mean of squared noise draws."""
         arch = MlpArch(in_dim=4, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(1))  # zero output layer
         x0 = Rng(2).normal((4096, 4))
-        result = train_loss(x0, params, LINEAR_OFF, Rng(3))
-        assert result.loss == pytest.approx(1.0, abs=0.05)
+        loss, _, _ = batch_loss(x0, params, LINEAR_OFF, Rng(3))
+        assert loss == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
         arch = MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
         params = init_params(arch, Rng(4))
         params.weights[-1][...] = Rng(5).normal(params.weights[-1].shape) * 0.1
         x0 = Rng(6).normal((32, 3))
-        a = train_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
-        b = train_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
-        assert a.loss == b.loss
-        for ga, gb in zip(a.grads.arrays, b.grads.arrays):
-            np.testing.assert_array_equal(ga, gb)
+        a = batch_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
+        b = batch_loss(x0, params, LINEAR_OFF, Rng(7), self_cond_rate=0.9)
+        assert a[0] == b[0]
+        assert a[1].flat.tobytes() == b[1].flat.tobytes()
 
     def test_loss_non_negative(self):
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(8))
         for seed in range(3):
-            r = train_loss(Rng(seed).normal((16, 2)), params, LINEAR_OFF, Rng(seed + 50))
-            assert r.loss >= 0.0
+            loss, _, _ = batch_loss(Rng(seed).normal((16, 2)), params, LINEAR_OFF, Rng(seed + 50))
+            assert loss >= 0.0
 
     def test_gamma_stats_ordered(self):
         arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4)
         params = init_params(arch, Rng(9))
-        r = train_loss(Rng(10).normal((64, 2)), params, LINEAR_OFF, Rng(11))
-        g_min, g_mean, g_max = r.gamma_stats
-        assert 0.0 <= g_min <= g_mean <= g_max <= 1.0
-
-    def test_returns_named_result(self):
-        arch = MlpArch(in_dim=2, hidden_dims=(), time_embed_dim=2)
-        params = init_params(arch, Rng(18))
-        r = train_loss(Rng(19).normal((8, 2)), params, LINEAR_OFF, Rng(20))
-        assert isinstance(r, LossResult)
-        loss, grads, stats = r
-        assert isinstance(loss, float) and len(stats) == 3
+        _, _, g = batch_loss(Rng(10).normal((64, 2)), params, LINEAR_OFF, Rng(11))
+        assert 0.0 <= g.min() <= g.mean() <= g.max() <= 1.0
 
     def test_rejects_empty_batch(self):
+        """Batches are drawn from the dataset, so train rejects an empty one at entry."""
         arch = MlpArch(in_dim=2, hidden_dims=(), time_embed_dim=2)
-        params = init_params(arch, Rng(21))
-        with pytest.raises(ValueError):
-            train_loss(np.zeros((0, 2)), params, LINEAR_OFF, Rng(22))
+        with pytest.raises(ValueError, match="nonempty"):
+            train(np.zeros((0, 2)), arch, LINEAR_OFF, tiny_cfg())
 
 
 class TestAdamStep:
@@ -310,22 +308,21 @@ class TestStepPiecesBitwise:
     def test_reused_gradient_buffer_equals_fresh(self):
         """Three steps on a self-conditioning arch: every step overwrites the buffer."""
         arch = MlpArch(in_dim=2, hidden_dims=(8, 5), time_embed_dim=4, self_cond=True)
-        data = Rng(50).normal((64, 2))
         params = {k: init_params(arch, Rng(51)) for k in ("fresh", "reused")}
-        rngs = {k: Rng(52) for k in params}
         states = {k: init_optimizer_state(params[k]) for k in params}
         buffer = DenoiserParams(arch)
         cfg = tiny_cfg()
         for step in range(3):
-            out = {}
+            rng = Rng(52 + step)
+            x, t, sc, target = rng.normal((6, 2)), rng.uniform((6,)), rng.normal((6, 2)), rng.normal((6, 2))
+            grads = {}
             for k in params:
-                res = train_loss(data[step::8][:6], params[k], LINEAR_OFF, rngs[k],
-                                 self_cond_rate=0.5, out=buffer if k == "reused" else None)
-                out[k] = res
-                lamb_step(params[k], res.grads, states[k], cfg, lr=0.05)
-            assert out["reused"].grads is buffer
-            assert out["reused"].loss == out["fresh"].loss
-            assert buffer.flat.tobytes() == out["fresh"].grads.flat.tobytes()
+                pred, cache = mlp_forward_cached(params[k], x, t, sc)
+                d = 2.0 * (pred - target) / pred.size
+                grads[k] = mlp_backward(params[k], cache, d, out=buffer if k == "reused" else None)
+                lamb_step(params[k], grads[k], states[k], cfg, lr=0.05)
+            assert grads["reused"] is buffer
+            assert buffer.flat.tobytes() == grads["fresh"].flat.tobytes()
             assert params["reused"].flat.tobytes() == params["fresh"].flat.tobytes()
 
     def test_backward_out_must_match_layout(self):
@@ -515,15 +512,14 @@ class TestTrainLoop:
         manual = init_params(arch, rng)
         from noiselab.training import init_optimizer_state as init_st
         from noiselab.training import lamb_step as step_fn
-        from noiselab.training import train_loss as loss_fn
 
         st = init_st(manual)
         n = data.shape[0]
         for step in range(cfg.steps):
             lr = lr_at(step, cfg)
             idx = rng.integers(n, (cfg.batch_size,))
-            res = loss_fn(data[idx], manual, LINEAR_OFF, rng, self_cond_rate=cfg.self_cond_rate)
-            step_fn(manual, res.grads, st, cfg, lr)
+            _, grads, _ = step_loop_loss(data[idx], manual, LINEAR_OFF, rng, cfg.self_cond_rate)
+            step_fn(manual, grads, st, cfg, lr)
             for j, a in enumerate(manual.arrays):
                 lo[j] = np.minimum(lo[j], a)
                 hi[j] = np.maximum(hi[j], a)
@@ -559,7 +555,8 @@ class TestTrainLoop:
 
 
 def step_loop_loss(x0, params, cs, rng, self_cond_rate):
-    """train_loss as public calls that draw and build one batch in stream order."""
+    """One training step's (loss, gradients, gamma) from public calls that draw and
+    build one batch in stream order."""
     arch = params.arch
     t = rng.uniform((x0.shape[0],))
     sample = diffuse(x0, t, rng, cs)
@@ -573,7 +570,7 @@ def step_loop_loss(x0, params, cs, rng, self_cond_rate):
     pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
     diff = pred - sample.eps
     loss = float((diff * diff).mean())
-    return LossResult(loss, mlp_backward(params, cache, 2.0 * diff / diff.size), sample.gamma_t)
+    return loss, mlp_backward(params, cache, 2.0 * diff / diff.size), sample.gamma_t
 
 
 def step_loop_train(dataset, arch, cs, cfg):
@@ -587,17 +584,16 @@ def step_loop_train(dataset, arch, cs, cfg):
     for step in range(cfg.steps):
         lr = lr_at(step, cfg)
         x0 = dataset.take(rng.integers(dataset.shape[0], (cfg.batch_size,)), axis=0)
-        result = step_loop_loss(x0, params, cs, rng, cfg.self_cond_rate)
-        if not math.isfinite(result.loss):
-            g_min, g_mean, g_max = result.gamma_stats
+        loss, grads, g = step_loop_loss(x0, params, cs, rng, cfg.self_cond_rate)
+        if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
-                f"min {g_min:.6g} mean {g_mean:.6g} max {g_max:.6g})"
+                f"min {g.min():.6g} mean {g.mean():.6g} max {g.max():.6g})"
             )
-        step_fn(params, result.grads, state, cfg, lr)
+        step_fn(params, grads, state, cfg, lr)
         ema_update(ema, params, cfg.ema_decay)
         if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
-            history.append((step + 1, result.loss, lr))
+            history.append((step + 1, loss, lr))
     return params, ema, history
 
 
@@ -645,17 +641,6 @@ class TestBlockTrainingEqualsStepLoop:
                               optimizer=optimizer, self_cond_rate=0.5, ema_decay=0.9,
                               log_every=2)
             assert outcome(train, data, arch, cs, cfg) == outcome(step_loop_train, data, arch, cs, cfg)
-        params = init_params(arch, Rng(seed))
-        x0 = data.take(Rng(seed).integers(n_rows, (batch,)), axis=0)
-        try:
-            ref = step_loop_loss(x0, params, cs, Rng(seed + 1), 0.5)
-        except ValueError as exc:
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                train_loss(x0, params, cs, Rng(seed + 1), self_cond_rate=0.5)
-            return
-        got = train_loss(x0, params, cs, Rng(seed + 1), self_cond_rate=0.5)
-        assert got.loss == ref.loss and got.gamma_stats == ref.gamma_stats
-        assert got.grads.flat.tobytes() == ref.grads.flat.tobytes()
 
 
 class TestTrainingQuality:
