@@ -5,7 +5,7 @@ platform-independent random stream, so every experiment in the package is
 bit-reproducible from its seed.
 """
 
-from noiselab.core import Rng, gaussian
+from noiselab.core import Rng
 from noiselab.schedules import (
     ScheduleSpec,
     gamma,
@@ -24,17 +24,16 @@ from noiselab.forward import (
     normalize_input,
 )
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
-from noiselab.oracle import GaussianOracle, oracle_denoise_mse
+from noiselab.oracle import GaussianOracle
 from noiselab.denoiser import MlpArch, DenoiserParams, init_params, load_params, save_params
 from noiselab.metrics import covariance_error, mmd_rbf, redundancy_curve, sliced_wasserstein
 from noiselab.training import TrainConfig, TrainingDiverged, train
-from noiselab.sampler import SamplerConfig, ddim_step, ddpm_step, generate
+from noiselab.sampler import SamplerConfig, generate
 from noiselab.config import Config, ConfigError, parse_config, serialize_config
 from noiselab.sweep import best_scale, check_sweep, run_sweep
 
 __all__ = [
     "Rng",
-    "gaussian",
     "ScheduleSpec",
     "gamma",
     "log_snr",
@@ -53,7 +52,6 @@ __all__ = [
     "dataset_covariance",
     "make_dataset",
     "GaussianOracle",
-    "oracle_denoise_mse",
     "MlpArch",
     "DenoiserParams",
     "init_params",
@@ -67,8 +65,6 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "SamplerConfig",
-    "ddim_step",
-    "ddpm_step",
     "generate",
     "Config",
     "ConfigError",

@@ -38,7 +38,6 @@ __all__ = [
     "cholesky_factor",
     "ensure_finite",
     "fork_map",
-    "gaussian",
     "one_blas_thread",
     "sigmoid",
     "usable_cpus",
@@ -152,29 +151,11 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian(rng: Rng, shape: Sequence[int]) -> np.ndarray:
-    """Tensor of i.i.d. standard-normal entries with the given shape.
-
-    Args:
-        rng: seeded stream; consumed in deterministic order.
-        shape: nonempty sequence of dims, all >= 1.
-
-    Returns:
-        float64 array of the requested shape, all entries finite.
-    """
-    dims = tuple(int(s) for s in shape)
-    if len(dims) == 0:
-        raise ValueError("gaussian() needs a nonempty shape")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"gaussian() needs all dims >= 1, got {dims}")
-    return rng.normal(dims)
-
-
-def cholesky_factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
+def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with a = L L^T.
 
-    Raises DecompositionError when any pivot falls at or below
-    ``pivot_tol``, i.e. the matrix is not (numerically) positive definite.
+    Raises DecompositionError when any pivot falls at or below 1e-12,
+    i.e. the matrix is not (numerically) positive definite.
     """
     a = as_f64(a, "cholesky input")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -182,16 +163,16 @@ def cholesky_factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > 1e-9 * scale:
         raise ValueError("cholesky needs a symmetric matrix")
-    return _factor(a, pivot_tol)
+    return _factor(a)
 
 
-def _factor(a: np.ndarray, pivot_tol: float = _PIVOT_TOL) -> np.ndarray:
+def _factor(a: np.ndarray) -> np.ndarray:
     """cholesky_factor without the input checks; the pivot check stays."""
     n = a.shape[0]
     L = np.zeros((n, n))
     for j in range(n):
         d = a[j, j] - L[j, :j] @ L[j, :j]
-        if d <= pivot_tol:
+        if d <= _PIVOT_TOL:
             raise DecompositionError(
                 f"matrix is not positive definite (pivot {d:.3e} at column {j})"
             )

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, ensure_finite, gaussian
+from noiselab.core import Rng, as_f64, ensure_finite
 from noiselab.schedules import ScheduleSpec, gamma
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "diffuse",
     "effective_gamma",
     "normalize_input",
-    "signal_estimate",
 ]
 
 NORMALIZE_MODES = ("off", "empirical", "analytic")
@@ -117,6 +116,8 @@ def diffuse(x0: np.ndarray, t, rng: Optional[Rng], cs: CompoundSchedule,
     x0 = as_f64(x0, "diffuse x0")
     if x0.ndim < 2:
         raise ValueError("diffuse expects a batched x0 with ndim >= 2")
+    if x0.size == 0:
+        raise ValueError(f"diffuse needs a nonempty batch, got x0 of shape {x0.shape}")
     n = x0.shape[0]
     tt = np.asarray(t, dtype=np.float64)
     if tt.ndim == 0:
@@ -127,7 +128,7 @@ def diffuse(x0: np.ndarray, t, rng: Optional[Rng], cs: CompoundSchedule,
     if eps is None:
         if rng is None:
             raise ValueError("diffuse needs an rng when eps is not supplied")
-        eps = gaussian(rng, x0.shape)
+        eps = rng.normal(x0.shape)
     else:
         eps = as_f64(eps, "diffuse eps")
         if eps.shape != x0.shape:
@@ -203,33 +204,15 @@ def _normalize(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarray:
     return x_t / (_per_example(std, x_t) if np.ndim(std) else std)
 
 
-def signal_estimate(x_t, gamma_t, eps_hat) -> np.ndarray:
+def _signal_estimate(x_t: np.ndarray, gamma_t, eps_hat: np.ndarray) -> np.ndarray:
     """Invert the forward process given a noise estimate.
 
     Returns (x_t - sqrt(1 - gamma) eps_hat) / sqrt(gamma), the implied
-    scaled signal b x0. The divisor is floored at sqrt(1e-12) so a
-    gamma of exactly zero yields a large finite value instead of NaN;
-    callers that feed the estimate back into a network should clamp it.
-    """
-    x_t = as_f64(x_t, "signal_estimate x_t")
-    eps_hat = as_f64(eps_hat, "signal_estimate eps_hat")
-    if x_t.shape != eps_hat.shape:
-        raise ValueError(f"eps_hat shape {eps_hat.shape} does not match x_t {x_t.shape}")
-    g = np.asarray(gamma_t, dtype=np.float64)
-    if g.ndim == 0:
-        g = np.full(x_t.shape[0], float(g))
-    if g.shape != (x_t.shape[0],):
-        raise ValueError(f"gamma_t has shape {g.shape}, expected ({x_t.shape[0]},)")
-    if np.any(g < 0.0) or np.any(g > 1.0):
-        raise ValueError("gamma_t must lie in [0, 1]")
-    return _signal_estimate(x_t, _per_example(g, x_t), eps_hat)
-
-
-def _signal_estimate(x_t: np.ndarray, gamma_t, eps_hat: np.ndarray) -> np.ndarray:
-    """signal_estimate without the input checks.
-
-    gamma_t is one float or broadcasts over x_t. The result is a new
-    array in x_t's memory order.
+    scaled signal b x0, as a new array in x_t's memory order. gamma_t is
+    one float or broadcasts over x_t. The divisor is floored at
+    sqrt(1e-12) so a gamma of exactly zero yields a large finite value
+    instead of NaN; callers that feed the estimate back into a network
+    should clamp it. Unchecked.
     """
     est = np.multiply(np.sqrt(1.0 - gamma_t), eps_hat, out=np.empty_like(x_t))
     np.subtract(x_t, est, out=est)

@@ -18,8 +18,8 @@ oracle turns sampling into a pure test of the noising strategy: no
 training error, only discretization.
 
 Sigma may be symmetric positive SEMIdefinite (replicated-coordinate
-covariances are exactly singular); only x0 sampling requires strict
-positive definiteness, since denoising factors a^2 Sigma + s^2 I instead.
+covariances are exactly singular): denoising factors a^2 Sigma + s^2 I,
+which is positive definite for s > 0.
 
 ``denoise`` checks its inputs and the finiteness of eps_hat. The sampling
 loop calls the unchecked kernel ``_eps`` instead: it takes the chain
@@ -35,17 +35,9 @@ import math
 
 import numpy as np
 
-from noiselab.core import (
-    DecompositionError,
-    Rng,
-    _cho_solve,
-    _factor,
-    as_f64,
-    cholesky_factor,
-    ensure_finite,
-)
+from noiselab.core import _cho_solve, _factor, as_f64, ensure_finite
 
-__all__ = ["GaussianOracle", "oracle_denoise_mse"]
+__all__ = ["GaussianOracle"]
 
 _PSD_TOL = 1e-9
 
@@ -70,25 +62,6 @@ class GaussianOracle:
         cutoff = sigma.shape[0] * np.finfo(np.float64).eps * eigvals[-1]
         self._modes = eigvals[eigvals > cutoff]
         self.dim = sigma.shape[0]
-        self._chol: np.ndarray | None = None
-
-    def _cholesky(self) -> np.ndarray:
-        if self._chol is None:
-            try:
-                self._chol = cholesky_factor(self.sigma)
-            except DecompositionError as exc:
-                raise DecompositionError(
-                    "covariance is singular (e.g. replicated coordinates); "
-                    "x0 sampling needs a strictly positive definite matrix"
-                ) from exc
-        return self._chol
-
-    def sample_x0(self, rng: Rng, n_samples: int) -> np.ndarray:
-        """Draw n_samples rows from N(0, Sigma). Requires SPD Sigma."""
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        L = self._cholesky()
-        return rng.normal((n_samples, self.dim)) @ L.T
 
     def _validate(self, gamma_t: float, scale: float) -> tuple[float, float]:
         g = float(gamma_t)
@@ -174,8 +147,3 @@ def _check_scale(scale) -> float:
     if not 0.0 < b < math.inf:
         raise ValueError(f"scale must be positive and finite, got {b}")
     return b
-
-
-def oracle_denoise_mse(oracle: GaussianOracle, gamma_t, scale: float = 1.0) -> float:
-    """Functional form of GaussianOracle.expected_mse."""
-    return oracle.expected_mse(gamma_t, scale)

@@ -16,13 +16,12 @@ fourth, ``state_order``, fixes the memory order of the chain state:
 Checks sit at the boundary of the loop. generate() validates its
 arguments and every (gamma_now, gamma_next) pair of the inference grid
 before the first step; the loop then calls unchecked kernels
-(``_normalize``, ``_ddim``, ``_ddpm``, the oracle's ``_eps``), and the
-public ddim_step, ddpm_step and normalize_input are the same kernels
-behind their checks. Two finiteness checks stay: each step, the
-predictor's output is converted to float64 (without forcing C order)
-and checked, because the predictor may be any callable and
-``signal_clamp`` would clip a +inf into a finite value; and the samples
-are checked once at the end.
+(``_normalize``, ``_ddim``, ``_ddpm``, the oracle's ``_eps``); the
+public normalize_input is ``_normalize`` behind its checks. Two
+finiteness checks stay: each step, the predictor's output is converted
+to float64 (without forcing C order) and checked, because the predictor
+may be any callable and ``signal_clamp`` would clip a +inf into a finite
+value; and the samples are checked once at the end.
 
 The oracle keeps the state in column order: the transpose of an
 F-ordered (n, dim) array is the C-contiguous (dim, n) block that its
@@ -53,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, check_seed, ensure_finite, fork_map, one_blas_thread
+from noiselab.core import Rng, check_seed, ensure_finite, fork_map, one_blas_thread
 from noiselab.denoiser import DenoiserParams, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -70,8 +69,6 @@ __all__ = [
     "MlpPredictor",
     "OraclePredictor",
     "SamplerConfig",
-    "ddim_step",
-    "ddpm_step",
     "generate",
 ]
 
@@ -117,40 +114,6 @@ def _check_gammas(gamma_now: float, gamma_next: float) -> None:
         )
 
 
-def _check_step_args(x_t, eps_pred, gamma_now: float, gamma_next: float):
-    x_t = as_f64(x_t, "step x_t")
-    eps_pred = as_f64(eps_pred, "step eps_pred")
-    if x_t.shape != eps_pred.shape:
-        raise ValueError(f"eps_pred shape {eps_pred.shape} does not match x_t {x_t.shape}")
-    _check_gammas(gamma_now, gamma_next)
-    return x_t, eps_pred
-
-
-def ddim_step(x_t, eps_pred, gamma_now: float, gamma_next: float) -> np.ndarray:
-    """Deterministic update from noise level gamma_now to gamma_next.
-
-    Projects out the scaled-signal estimate
-    (x_t - sqrt(1-gamma_now) eps) / sqrt(gamma_now) and re-noises it to
-    the target level with the same predicted noise.
-    """
-    x_t, eps_pred = _check_step_args(x_t, eps_pred, gamma_now, gamma_next)
-    return _ddim(x_t, eps_pred, gamma_now, gamma_next)
-
-
-def ddpm_step(x_t, eps_pred, gamma_now: float, gamma_next: float, rng: Rng) -> np.ndarray:
-    """Ancestral update: DDIM's projection plus calibrated fresh noise.
-
-    The injected variance is
-    (1 - gamma_now/gamma_next) (1 - gamma_next) / (1 - gamma_now),
-    which is 0 at the clean boundary gamma_next = 1, and the predicted
-    noise is reattenuated so the step's total variance is preserved.
-    The fresh draw happens on every call (even when its coefficient is
-    0) so sampling consumes the stream identically at all steps.
-    """
-    x_t, eps_pred = _check_step_args(x_t, eps_pred, gamma_now, gamma_next)
-    return _ddpm(x_t, eps_pred, gamma_now, gamma_next, rng.normal(x_t.shape))
-
-
 def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
     """sqrt(g_next) times the signal estimate, as a new array in x_t's order."""
     out = np.multiply(eps, math.sqrt(1.0 - g_now), out=np.empty_like(x_t))
@@ -161,7 +124,13 @@ def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float
 
 
 def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
-    """ddim_step without the input checks."""
+    """Deterministic update from noise level g_now to g_next.
+
+    Projects out the scaled-signal estimate
+    (x_t - sqrt(1-g_now) eps) / sqrt(g_now) and re-noises it to the
+    target level with the same predicted noise. Unchecked: generate()
+    checks the gamma pairs of its grid.
+    """
     out = _scaled_signal(x_t, eps, g_now, g_next)
     out += eps * math.sqrt(1.0 - g_next)
     return out
@@ -169,7 +138,16 @@ def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.n
 
 def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
           z: np.ndarray) -> np.ndarray:
-    """ddpm_step without the input checks, given the fresh draw z; z is scaled in place."""
+    """Ancestral update: DDIM's projection plus calibrated fresh noise z.
+
+    The injected variance is
+    (1 - g_now/g_next) (1 - g_next) / (1 - g_now),
+    which is 0 at the clean boundary g_next = 1, and the predicted
+    noise is reattenuated so the step's total variance is preserved.
+    The chain draws z on every step (even when its coefficient is 0) so
+    sampling consumes the stream identically at all steps. z is scaled
+    in place. Unchecked, like _ddim.
+    """
     if g_now == 1.0:
         var = 0.0
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noiselab.core import Rng, _box_muller, as_f64, check_seed, ensure_finite
+from noiselab.core import Rng, _box_muller, as_f64, check_seed, ensure_finite, one_blas_thread
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
@@ -287,6 +287,7 @@ def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainCo
     (step, loss, lr) rows recorded every cfg.log_every steps and at the
     final step. Steps in history are 1-indexed. The inputs are checked once, and a
     batch that fails to diffuse or normalize raises before its block's first step.
+    The loop runs with OpenBLAS on one thread, as generate() does.
     """
     dataset = as_f64(dataset, "train dataset")
     if dataset.ndim != 2 or dataset.shape[0] < 1:
@@ -304,21 +305,24 @@ def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainCo
     batches, cache = _Batches(arch, cs, b, cfg.self_cond_rate, cfg.steps), {}
 
     history: list[tuple[int, float, float]] = []
-    for s0 in range(0, cfg.steps, batches.k):
-        u = rng.uniform((min(batches.k, cfg.steps - s0), b + batches.draws))
-        idx = np.floor(np.multiply(u[:, :b], dataset.shape[0], out=u[:, :b]), out=u[:, :b])
-        batches.fill(u[:, b:], dataset.take(idx.astype(np.int64), axis=0))
-        for step in range(s0, s0 + len(u)):
-            lr = lr_at(step, cfg)
-            loss, d = batches.loss(step - s0, params, cache)
-            if not math.isfinite(loss):
-                g = batches.gamma[step - s0]
-                raise TrainingDiverged(f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
-                                       f"min {g.min():.6g} mean {g.mean():.6g} max {g.max():.6g})")
-            step_fn(params, mlp_backward(params, cache, d, out=grads), state, cfg, lr)
-            ema_update(ema_params, params, cfg.ema_decay)
-            if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
-                history.append((step + 1, loss, lr))
+    # pinned, the bits do not depend on the BLAS thread count
+    with one_blas_thread():
+        for s0 in range(0, cfg.steps, batches.k):
+            u = rng.uniform((min(batches.k, cfg.steps - s0), b + batches.draws))
+            idx = np.floor(np.multiply(u[:, :b], dataset.shape[0], out=u[:, :b]), out=u[:, :b])
+            batches.fill(u[:, b:], dataset.take(idx.astype(np.int64), axis=0))
+            for step in range(s0, s0 + len(u)):
+                lr = lr_at(step, cfg)
+                loss, d = batches.loss(step - s0, params, cache)
+                if not math.isfinite(loss):
+                    g = batches.gamma[step - s0]
+                    raise TrainingDiverged(
+                        f"non-finite loss at step {step} (lr {lr:.6g}, batch gamma "
+                        f"min {g.min():.6g} mean {g.mean():.6g} max {g.max():.6g})")
+                step_fn(params, mlp_backward(params, cache, d, out=grads), state, cfg, lr)
+                ema_update(ema_params, params, cfg.ema_decay)
+                if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
+                    history.append((step + 1, loss, lr))
     ensure_finite(params.flat, "trained params")
     ensure_finite(ema_params.flat, "trained EMA params")
     return params, ema_params, history

@@ -28,7 +28,7 @@ from noiselab.denoiser import (
 from noiselab.forward import CompoundSchedule, diffuse
 from noiselab.io import write_samples_csv
 from noiselab.metrics import covariance_error, sliced_wasserstein
-from noiselab.oracle import GaussianOracle, oracle_denoise_mse
+from noiselab.oracle import GaussianOracle
 from noiselab.sampler import SamplerConfig, generate
 from noiselab.schedules import REFERENCE_SPECS, ScheduleSpec, format_schedule, gamma, log_snr
 from noiselab.sweep import best_scale, run_sweep
@@ -183,8 +183,7 @@ class TestCriterion05RedundancyMse:
     def test_criterion_05_mse_decreases_with_rho(self, g):
         """More correlation means an easier denoising problem at every gamma."""
         rhos = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
-        vals = [oracle_denoise_mse(GaussianOracle(ar1_covariance(32, r)), g)
-                for r in rhos]
+        vals = [GaussianOracle(ar1_covariance(32, r)).expected_mse(g) for r in rhos]
         assert all(a > b for a, b in zip(vals, vals[1:])), vals
 
 

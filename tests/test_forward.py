@@ -61,6 +61,7 @@ class TestDiffuse:
         a = diffuse(x0, 0.3, Rng(9), compound())
         b = diffuse(x0, 0.3, Rng(9), compound())
         np.testing.assert_array_equal(a.x_t, b.x_t)
+        np.testing.assert_array_equal(a.eps, Rng(9).normal(x0.shape))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -71,6 +72,13 @@ class TestDiffuse:
     def test_needs_rng_or_eps(self):
         with pytest.raises(ValueError):
             diffuse(np.ones((2, 2)), 0.5, None, compound())
+
+    @pytest.mark.parametrize("noise", ["rng", "eps"])
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_batch_rejected(self, noise, shape):
+        rng, eps = (Rng(0), None) if noise == "rng" else (None, np.zeros(shape))
+        with pytest.raises(ValueError, match=r"diffuse needs a nonempty batch, got x0 of shape"):
+            diffuse(np.zeros(shape), 0.5, rng, compound(), eps=eps)
 
 
 class TestVarianceLaw:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselab.core import Rng, gaussian
+from noiselab.core import Rng
 from noiselab.datasets import ar1_covariance
 from noiselab.metrics import (
     DEFAULT_PROJECTION_SEED,
@@ -250,10 +250,3 @@ class TestMetricReport:
 
     def test_registry(self):
         assert set(METRIC_NAMES) == {"sliced_wasserstein", "mmd_rbf", "covariance_error"}
-
-
-class TestGaussianHelper:
-    def test_gaussian_matches_rng_normal(self):
-        a = gaussian(Rng(3), (4, 2))
-        b = Rng(3).normal((4, 2))
-        np.testing.assert_array_equal(a, b)

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from noiselab.core import DecompositionError, Rng, gaussian
+from noiselab.core import Rng, cholesky_factor
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance
-from noiselab.oracle import GaussianOracle, oracle_denoise_mse
+from noiselab.oracle import GaussianOracle
+
+
+def draw_x0(sigma, rng, n_samples):
+    """n_samples rows of N(0, sigma), drawn as datasets draws gaussian_ar1 rows."""
+    return rng.normal((n_samples, sigma.shape[0])) @ cholesky_factor(sigma).T
 
 
 class TestHandValues:
@@ -83,10 +88,6 @@ class TestIdentities:
         np.testing.assert_allclose(sum_x0, x_x0 + y_x0, atol=1e-11)
         np.testing.assert_allclose(sum_eps, x_eps + y_eps, atol=1e-11)
 
-    def test_functional_wrappers_match_methods(self):
-        oracle = GaussianOracle(ar1_covariance(4, 0.5))
-        assert oracle_denoise_mse(oracle, 0.3, 0.8) == oracle.expected_mse(0.3, 0.8)
-
 
 class TestMseStructure:
     def test_monotone_decreasing_in_gamma(self):
@@ -122,8 +123,8 @@ class TestCalibration:
         self.sigma = ar1_covariance(8, 0.8)
         self.oracle = GaussianOracle(self.sigma)
         rng = Rng(12345)
-        self.x0 = self.oracle.sample_x0(rng, 10_000)
-        self.eps = gaussian(rng, self.x0.shape)
+        self.x0 = draw_x0(self.sigma, rng, 10_000)
+        self.eps = rng.normal(self.x0.shape)
 
     def _simulate(self, gamma_t, b):
         x_t = math.sqrt(gamma_t) * b * self.x0 + math.sqrt(1.0 - gamma_t) * self.eps
@@ -202,7 +203,7 @@ class TestValidation:
 
 
 class TestSingularCovariance:
-    """Replicated coordinates: denoising works, x0 sampling cannot."""
+    """Replicated coordinates: a singular Sigma is accepted and denoises."""
 
     def setup_method(self):
         spec = DatasetSpec(kind="toy_image", n_train=1, seed=0, base_res=2, rho=0.5, upsample=2)
@@ -225,10 +226,6 @@ class TestSingularCovariance:
         grids = x0_hat.reshape(2, 4, 4)
         np.testing.assert_allclose(grids[:, 0, 0], grids[:, 0, 1], atol=1e-10)
         np.testing.assert_allclose(grids[:, 0, 0], grids[:, 1, 1], atol=1e-10)
-
-    def test_sample_x0_raises(self):
-        with pytest.raises(DecompositionError):
-            self.oracle.sample_x0(Rng(0), 4)
 
     def test_expected_mse_finite(self):
         assert 0.0 < self.oracle.expected_mse(0.5) < 1.0
@@ -259,18 +256,16 @@ class TestSingularCovariance:
 
 
 class TestSampleX0:
+    """The N(0, Sigma) draw the calibration tests use."""
+
     def test_moments(self):
         sigma = ar1_covariance(4, 0.6)
-        x = GaussianOracle(sigma).sample_x0(Rng(77), 200_000)
+        x = draw_x0(sigma, Rng(77), 200_000)
         np.testing.assert_allclose(x.mean(axis=0), np.zeros(4), atol=0.02)
         np.testing.assert_allclose(np.cov(x.T), sigma, atol=0.02)
 
     def test_deterministic(self):
         sigma = ar1_covariance(3, 0.2)
-        a = GaussianOracle(sigma).sample_x0(Rng(5), 10)
-        b = GaussianOracle(sigma).sample_x0(Rng(5), 10)
+        a = draw_x0(sigma, Rng(5), 10)
+        b = draw_x0(sigma, Rng(5), 10)
         np.testing.assert_array_equal(a, b)
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            GaussianOracle(np.eye(2)).sample_x0(Rng(0), 0)

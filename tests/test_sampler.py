@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import noiselab
-from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs, gaussian
+from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
 from noiselab.denoiser import MlpArch, init_params
 from noiselab.forward import CompoundSchedule, diffuse
@@ -22,9 +22,10 @@ from noiselab.sampler import (
     MlpPredictor,
     OraclePredictor,
     SamplerConfig,
+    _check_gammas,
+    _ddim,
+    _ddpm,
     as_predictor,
-    ddim_step,
-    ddpm_step,
     generate,
 )
 from noiselab.schedules import ScheduleSpec
@@ -47,13 +48,13 @@ class TestDdimStep:
     def test_hand_value(self):
         x_t = np.array([[1.0]])
         eps = np.array([[0.5]])
-        out = ddim_step(x_t, eps, 0.5, 1.0)
+        out = _ddim(x_t, eps, 0.5, 1.0)
         assert out[0, 0] == pytest.approx(0.9142135623730951, abs=1e-15)
 
     def test_fixed_point(self):
         x_t = Rng(0).normal((6, 3))
         eps = Rng(1).normal((6, 3))
-        np.testing.assert_allclose(ddim_step(x_t, eps, 0.4, 0.4), x_t, atol=1e-12)
+        np.testing.assert_allclose(_ddim(x_t, eps, 0.4, 0.4), x_t, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_true_noise_inverts_forward(self, scale):
@@ -64,27 +65,23 @@ class TestDdimStep:
         t = 0.3
         sample = diffuse(x0, t, None, cs, eps=eps)
         g = float(sample.gamma_t[0])
-        out = ddim_step(sample.x_t, eps, g, 1.0)
+        out = _ddim(sample.x_t, eps, g, 1.0)
         np.testing.assert_allclose(out, scale * x0, atol=1e-10)
 
     def test_deterministic_no_rng(self):
         x_t = Rng(4).normal((5, 2))
         eps = Rng(5).normal((5, 2))
         np.testing.assert_array_equal(
-            ddim_step(x_t, eps, 0.3, 0.7), ddim_step(x_t, eps, 0.3, 0.7)
+            _ddim(x_t, eps, 0.3, 0.7), _ddim(x_t, eps, 0.3, 0.7)
         )
 
     def test_gamma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ddim_step(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 0.5)
+        with pytest.raises(ValueError, match="gamma_now must lie in"):
+            _check_gammas(0.0, 0.5)
 
     def test_gamma_decrease_rejected(self):
-        with pytest.raises(ValueError):
-            ddim_step(np.zeros((1, 1)), np.zeros((1, 1)), 0.8, 0.5)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ddim_step(np.zeros((2, 2)), np.zeros((2, 3)), 0.5, 0.9)
+        with pytest.raises(ValueError, match="must not decrease"):
+            _check_gammas(0.8, 0.5)
 
 
 class TestDdpmStep:
@@ -92,7 +89,7 @@ class TestDdpmStep:
         """10^4 repeats of one step from fixed inputs: var within 3%."""
         x_t = np.full((10_000, 1), 0.7)
         eps = np.full((10_000, 1), -0.3)
-        out = ddpm_step(x_t, eps, 0.5, 0.8, Rng(11))
+        out = _ddpm(x_t, eps, 0.5, 0.8, Rng(11).normal(x_t.shape))
         want = (1.0 - 0.5 / 0.8) * (1.0 - 0.8) / (1.0 - 0.5)
         assert float(np.var(out)) == pytest.approx(want, rel=0.03)
 
@@ -100,27 +97,26 @@ class TestDdpmStep:
         """gamma_next = 1: injected variance and eps coefficient vanish."""
         x_t = Rng(6).normal((8, 3))
         eps = Rng(7).normal((8, 3))
-        out = ddpm_step(x_t, eps, 0.6, 1.0, Rng(8))
+        out = _ddpm(x_t, eps, 0.6, 1.0, Rng(8).normal(x_t.shape))
         sig = (x_t - math.sqrt(0.4) * eps) / math.sqrt(0.6)
         np.testing.assert_allclose(out, sig, atol=1e-12)
 
     def test_seed_determinism(self):
         x_t = Rng(9).normal((8, 3))
         eps = Rng(10).normal((8, 3))
-        a = ddpm_step(x_t, eps, 0.3, 0.6, Rng(21))
-        b = ddpm_step(x_t, eps, 0.3, 0.6, Rng(21))
+        a = _ddpm(x_t, eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
+        b = _ddpm(x_t, eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
         np.testing.assert_array_equal(a, b)
 
-    def test_always_consumes_noise(self):
-        """The draw happens even at the clean boundary, keeping one rng
-        usable across a fixed number of steps regardless of gammas."""
-        rng = Rng(33)
-        ddpm_step(np.zeros((4, 2)), np.zeros((4, 2)), 0.5, 1.0, rng)
-        after_boundary = rng.normal((1,))[0]
-        rng2 = Rng(33)
-        ddpm_step(np.zeros((4, 2)), np.zeros((4, 2)), 0.5, 0.9, rng2)
-        after_interior = rng2.normal((1,))[0]
-        assert after_boundary == after_interior
+    def test_always_consumes_noise(self, monkeypatch):
+        """The chain draws fresh noise on every step, the last one to the clean
+        boundary included, so a seed's stream is consumed alike whatever the gammas."""
+        shapes, normal = [], Rng.normal
+        monkeypatch.setattr(Rng, "normal",
+                            lambda self, shape=(): shapes.append(shape) or normal(self, shape))
+        sc = SamplerConfig(steps=3, seed=33, step_kind="ddpm")
+        generate(GaussianOracle(np.eye(2)), LINEAR_OFF, sc, 4)
+        assert shapes == [(4, 2)] * 4  # the start state, then one draw per step
 
 
 class TestPredictorProtocol:

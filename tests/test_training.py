@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from noiselab import training
 from noiselab.cli import main as cli_main
 from noiselab.config import parse_config
-from noiselab.core import NonFiniteError, Rng
+from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs
 from noiselab.datasets import DatasetSpec, make_dataset
 from noiselab.denoiser import (
     DenoiserParams,
@@ -29,7 +29,7 @@ from noiselab.forward import (
     CompoundSchedule,
     diffuse,
     normalize_input,
-    signal_estimate,
+    _signal_estimate,
 )
 from noiselab.schedules import ScheduleSpec
 from noiselab.training import (
@@ -472,6 +472,23 @@ class TestTrainLoop:
             np.testing.assert_array_equal(a, b)
         assert history == []
 
+    def test_steps_run_on_one_blas_thread(self, monkeypatch):
+        funcs = _openblas_thread_funcs()
+        if funcs is None:
+            pytest.skip("numpy's OpenBLAS is not reachable, so the thread count cannot be set")
+        get, set_ = funcs
+        seen, step = [], training.lamb_step
+        monkeypatch.setattr(training, "lamb_step", lambda *args: seen.append(get()) or step(*args))
+        old = get()
+        set_(2)
+        try:
+            train(self.small_data(), self.ARCH, LINEAR_OFF, tiny_cfg(steps=3))
+            after = get()
+        finally:
+            set_(old)
+        assert seen == [1, 1, 1]
+        assert after == 2  # the caller's count is back
+
     def test_bit_exact_determinism(self):
         data = self.small_data()
         cfg = tiny_cfg(steps=25, seed=9)
@@ -555,8 +572,8 @@ class TestTrainLoop:
 
 
 def step_loop_loss(x0, params, cs, rng, self_cond_rate):
-    """One training step's (loss, gradients, gamma) from public calls that draw and
-    build one batch in stream order."""
+    """One training step's (loss, gradients, gamma) from per-batch calls that draw
+    and build one batch in stream order."""
     arch = params.arch
     t = rng.uniform((x0.shape[0],))
     sample = diffuse(x0, t, rng, cs)
@@ -565,7 +582,8 @@ def step_loop_loss(x0, params, cs, rng, self_cond_rate):
     if arch.self_cond and self_cond_rate > 0.0:
         coin = float(rng.uniform((1,))[0])
         if coin < self_cond_rate:
-            est = signal_estimate(sample.x_t, sample.gamma_t, mlp_forward(params, x_in, t))
+            est = _signal_estimate(sample.x_t, sample.gamma_t[:, None],
+                                   mlp_forward(params, x_in, t))
             self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
     pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
     diff = pred - sample.eps
