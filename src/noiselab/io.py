@@ -7,6 +7,7 @@ byte-identical files and parsing the text recovers the exact doubles.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .core import as_f64
 
 SWEEP_HEADER = "schedule,scale,metric,wall_ms,seed,status"
 SWEEP_ERRORS_HEADER = "schedule,scale,seed,error"
+_WRITE_VALUES = 1024  # values write_samples_csv formats and writes at a time
 
 
 def _fmt(v: float) -> str:
@@ -27,24 +29,32 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
     x = as_f64(samples, "samples")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"samples must be a nonempty 2-D array, got shape {x.shape}")
-    # tolist() gives Python floats, whose repr is _fmt's text
-    lines = [",".join(map(repr, row)) for row in x.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # a block at a time keeps the Python floats and text to a block's
+    # worth; tolist() gives Python floats, whose repr is _fmt's text
+    step = max(1, _WRITE_VALUES // max(1, x.shape[1]))
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        for r0 in range(0, x.shape[0], step):
+            fh.write("".join(",".join(map(repr, row)) + "\n"
+                             for row in x[r0:r0 + step].tolist()))
 
 
 def read_samples_csv(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii")
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows:
-        raise ValueError(f"no sample rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in {path}")
-    return np.asarray(rows, dtype=np.float64)
+    """The (n, dim) float64 array of a samples file; blank lines are skipped.
+
+    Raises ValueError naming the path for a file with no rows, ragged
+    rows, or a field that is not a number (a '#' line included).
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            rows = (line for line in fh if not line.isspace())
+            first = next(rows, None)
+            if first is None:
+                raise ValueError("no sample rows")
+            # numpy's C reader rounds decimal text exactly as float() does
+            return np.loadtxt(itertools.chain([first], rows), dtype=np.float64,
+                              delimiter=",", comments=None, ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_loss_csv(path, history) -> None:

@@ -71,16 +71,21 @@ def sliced_wasserstein(a, b, n_proj: int = 64, rng: Rng | None = None) -> float:
     m = max(a.shape[0], b.shape[0])
     probs = (np.arange(m) + 0.5) / m
     total = 0.0
-    # a few directions at a time: the projections of every direction at
-    # once, with their sorted copies, were the largest arrays of a run
+    # a few directions at a time, sorted in place: the projections of
+    # every direction at once, with their sorted copies, were the largest
+    # arrays of a run
     for j0 in range(0, n_proj, _SW_CHUNK):
         chunk = dirs[j0:j0 + _SW_CHUNK].T
-        proj_a = np.sort(a @ chunk, axis=0)
-        proj_b = np.sort(b @ chunk, axis=0)
+        proj_a = a @ chunk
+        proj_a.sort(axis=0)
+        proj_b = b @ chunk
+        proj_b.sort(axis=0)
         for j in range(chunk.shape[1]):
-            qa = _quantiles(proj_a[:, j], probs)
-            qb = _quantiles(proj_b[:, j], probs)
+            # a set of m rows is its own quantiles: the gather is the identity
+            qa = proj_a[:, j] if len(proj_a) == m else _quantiles(proj_a[:, j], probs)
+            qb = proj_b[:, j] if len(proj_b) == m else _quantiles(proj_b[:, j], probs)
             total += float(np.sqrt(np.mean((qa - qb) ** 2)))
+        del proj_a, proj_b, qa, qb  # freed before the next chunk's are made
     out = total / n_proj
     ensure_finite(np.asarray(out), "sliced_wasserstein")
     return out

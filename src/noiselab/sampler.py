@@ -287,4 +287,5 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         x_t = np.concatenate(fork_map(lambda run: chain(*run), runs),
                              out=np.empty((n_samples, predictor.dim)))
     ensure_finite(x_t, "generated samples")
-    return x_t / cs.input_scale
+    x_t /= cs.input_scale
+    return x_t

@@ -1,9 +1,11 @@
 """Prints a one-line PASS/FAIL verdict per acceptance criterion, fails any
-test that leaves a child process behind, and spies on core.fork_map."""
+test that leaves a child process behind, spies on core.fork_map, and
+measures the peak memory a call allocates."""
 
 import os
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -74,6 +76,20 @@ def forks(monkeypatch):
 def no_fork(monkeypatch):
     """Fail any fork_map call of several parts."""
     return spy_on_forks(monkeypatch, refuse=True)
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc saw allocated while fn() ran.
+
+    numpy reports its array buffers to tracemalloc, so arrays count as
+    well as Python objects.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,9 +1,17 @@
 """File formats: sample/loss/sweep CSVs and P5 grayscale dumps."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from noiselab.core import Rng
+import noiselab.io as nio
+from conftest import traced_peak
+from noiselab.core import Rng, as_f64
 from noiselab.io import (
     read_loss_csv,
     read_pgm,
@@ -17,6 +25,23 @@ from noiselab.io import (
     write_sweep_errors_csv,
 )
 from noiselab.sweep import SweepRow
+
+
+def write_samples_csv_whole(path, samples):
+    """write_samples_csv formatting every row before writing any: the reference."""
+    x = as_f64(samples, "samples")
+    lines = [",".join(map(repr, row)) for row in x.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+MAX = 1.7976931348623157e308
+# repr's edges: signed zero, the subnormals, the largest doubles, and both
+# sides of each switch to exponent form (at 1e16 and below 1e-04)
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, MAX, -MAX,
+    1e16, np.nextafter(1e16, 0.0), -1e16, 1e-05, np.nextafter(1e-05, 1.0),
+    1e-04, np.nextafter(1e-04, 0.0), 0.1, 1.0, 123456.789,
+]
 
 
 class TestSamplesCsv:
@@ -65,14 +90,68 @@ class TestSamplesCsv:
     def test_read_rejects_ragged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             read_samples_csv(path)
 
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n\n", "# x y\n1.0,2.0\n", "1.0,2.0\n#3.0,4.0\n",
+                                      "1.0,abc\n", "1.0,2.0,\n"])
+    def test_read_rejects_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_samples_csv(path)
+
+    def test_read_skips_blank_and_whitespace_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n1.0,2.0\n\n  \n\t\n3.0,-4.5\n \n\n")
+        out = read_samples_csv(path)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, -4.5]])
+
+    def test_single_row_stays_2d(self, tmp_path):
+        path = tmp_path / "row.csv"
+        write_samples_csv(path, np.array([[0.5, -1.0, 2.0]]))
+        assert read_samples_csv(path).shape == (1, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 5), width=st.integers(1, 4),
+           times=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 1)]), data=st.data())
+    def test_blocks_write_the_one_shot_bytes(self, block, width, times, data):
+        """Rows around the block size: the reference's bytes, read back bit for bit."""
+        n = times[0] * block + times[1]
+        assume(n >= 1)
+        value = st.one_of(st.sampled_from(EDGE_VALUES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        x = np.array(data.draw(st.lists(value, min_size=n * width, max_size=n * width)),
+                     dtype=np.float64).reshape(n, width)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nio, "_WRITE_VALUES", block * width)
+            got, ref = Path(tmp) / "got.csv", Path(tmp) / "ref.csv"
+            write_samples_csv(got, x)
+            write_samples_csv_whole(ref, x)
+            assert got.read_bytes() == ref.read_bytes()
+            assert read_samples_csv(got).tobytes() == x.tobytes()
+
+    def test_write_and_read_peak_memory(self, tmp_path):
+        """Both hold a block of Python objects at a time, not one per value.
+
+        tracemalloc peaks on (20000, 4): 8.1 MB with one Python float and
+        its text per value, 1.3 MB a block at a time.
+        """
+        x = Rng(3).normal((20000, 4))
+        path, back = tmp_path / "s.csv", []
+        peak = traced_peak(lambda: (write_samples_csv(path, x),
+                                    back.append(read_samples_csv(path))))
+        write_samples_csv_whole(tmp_path / "ref.csv", x)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert back[0].tobytes() == x.tobytes()
+        assert peak < 3.5e6
 
 
 class TestLossCsv:
