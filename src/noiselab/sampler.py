@@ -21,7 +21,8 @@ public normalize_input is ``_normalize`` behind its checks. Two
 finiteness checks stay: each step, the predictor's output is converted
 to float64 (without forcing C order) and checked, because the predictor
 may be any callable and ``signal_clamp`` would clip a +inf into a finite
-value; and the samples are checked once at the end.
+value; and the samples are checked once at the end. The steps overwrite
+the predicted noise, so a caller's predictor has its output copied.
 
 The oracle keeps the state in column order: the transpose of an
 F-ordered (n, dim) array is the C-contiguous (dim, n) block that its
@@ -123,16 +124,28 @@ def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float
     return out
 
 
+def _clamped_noise(x_t: np.ndarray, eps: np.ndarray, g_now: float, clamp: float) -> np.ndarray:
+    """The noise whose signal estimate is eps's clipped to [-clamp, clamp], as a new array."""
+    est = _signal_estimate(x_t, g_now, eps)
+    np.clip(est, -clamp, clamp, out=est)
+    est *= math.sqrt(g_now)
+    np.subtract(x_t, est, out=est)
+    est /= math.sqrt(1.0 - g_now)
+    return est
+
+
 def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
     """Deterministic update from noise level g_now to g_next.
 
     Projects out the scaled-signal estimate
     (x_t - sqrt(1-g_now) eps) / sqrt(g_now) and re-noises it to the
-    target level with the same predicted noise. Unchecked: generate()
-    checks the gamma pairs of its grid.
+    target level with the same predicted noise. eps is scaled in place,
+    so it is overwritten; x_t is not. Unchecked: generate() checks the
+    gamma pairs of its grid.
     """
     out = _scaled_signal(x_t, eps, g_now, g_next)
-    out += eps * math.sqrt(1.0 - g_next)
+    eps *= math.sqrt(1.0 - g_next)
+    out += eps
     return out
 
 
@@ -145,15 +158,17 @@ def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
     which is 0 at the clean boundary g_next = 1, and the predicted
     noise is reattenuated so the step's total variance is preserved.
     The chain draws z on every step (even when its coefficient is 0) so
-    sampling consumes the stream identically at all steps. z is scaled
-    in place. Unchecked, like _ddim.
+    sampling consumes the stream identically at all steps. eps and z are
+    scaled in place, so both are overwritten; x_t is not. Unchecked,
+    like _ddim.
     """
     if g_now == 1.0:
         var = 0.0
     else:
         var = (1.0 - g_now / g_next) * (1.0 - g_next) / (1.0 - g_now)
     out = _scaled_signal(x_t, eps, g_now, g_next)
-    out += eps * math.sqrt(max(1.0 - g_next - var, 0.0))
+    eps *= math.sqrt(max(1.0 - g_next - var, 0.0))
+    out += eps
     z *= math.sqrt(var)
     out += z
     return out
@@ -215,42 +230,41 @@ def as_predictor(model):
     raise TypeError(f"cannot build a noise predictor from {type(model).__name__}")
 
 
-def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
+def _chain(predictor, fresh: bool, cs: CompoundSchedule, sc: SamplerConfig, grid,
            n_samples: int, r0: int, r1: int) -> np.ndarray:
     """Rows r0:r1 of the reverse process over the checked grid; the final state, unscaled.
 
     Each random draw is made for all n_samples rows and cut, so the
-    rows equal those of the whole-batch chain.
+    rows equal those of the whole-batch chain. A step holds three
+    state-sized arrays (state, predicted noise, next state), plus DDPM's
+    step noise and the self-conditioning estimate. fresh: the predictor
+    returns a new array each call, which the step may overwrite.
     """
     dim = predictor.dim
     rng = Rng(sc.seed)
     x_t = np.asarray(rng.normal((n_samples, dim))[r0:r1],
                      order=getattr(predictor, "state_order", "C"))
-    prev_est = np.zeros((r1 - r0, dim))
+    prev_est = np.zeros_like(x_t) if predictor.self_conditioning else None
 
     for t_now, g_now, g_next in grid:
         x_in = _normalize(x_t, g_now, cs)
-        self_cond = prev_est if predictor.self_conditioning else None
-        eps = predictor(x_in, gamma=g_now, t=t_now, scale=cs.input_scale, self_cond=self_cond)
+        eps = predictor(x_in, gamma=g_now, t=t_now, scale=cs.input_scale, self_cond=prev_est)
+        del x_in
         # any callable may predict; signal_clamp would hide a +inf
-        eps = ensure_finite(np.asarray(eps, dtype=np.float64), "predicted noise")
+        eps = ensure_finite(np.array(eps, dtype=np.float64, copy=None if fresh else True),
+                            "predicted noise")
         if eps.shape != x_t.shape:
             raise ValueError(f"predictor returned shape {eps.shape}, expected {x_t.shape}")
-        if predictor.self_conditioning:
-            prev_est = np.clip(
-                _signal_estimate(x_t, g_now, eps), -SELF_COND_CLAMP, SELF_COND_CLAMP
-            )
+        if prev_est is not None:
+            prev_est = _signal_estimate(x_t, g_now, eps)
+            np.clip(prev_est, -SELF_COND_CLAMP, SELF_COND_CLAMP, out=prev_est)
         if sc.signal_clamp is not None and g_now < 1.0:
-            est = _signal_estimate(x_t, g_now, eps)
-            np.clip(est, -sc.signal_clamp, sc.signal_clamp, out=est)
-            est *= math.sqrt(g_now)
-            np.subtract(x_t, est, out=est)
-            est /= math.sqrt(1.0 - g_now)
-            eps = est
+            eps = _clamped_noise(x_t, eps, g_now, sc.signal_clamp)
         if sc.step_kind == "ddim":
             x_t = _ddim(x_t, eps, g_now, g_next)
         else:
             x_t = _ddpm(x_t, eps, g_now, g_next, rng.normal((n_samples, dim))[r0:r1])
+        del eps  # freed before the next step's predictor builds its own
     return x_t
 
 
@@ -277,7 +291,9 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         _check_gammas(g_now, g_next)
         grid.append((t_now, g_now, g_next))
 
-    chain = functools.partial(_chain, predictor, cs, sc, grid, n_samples)
+    # the predictors built here return a new array each call; a caller's may not
+    chain = functools.partial(_chain, predictor, predictor is not model, cs, sc, grid,
+                              n_samples)
     # pinned, the bits do not depend on the BLAS thread count; unpinned,
     # the processes of a split would compete for cores
     with one_blas_thread() as pinned:

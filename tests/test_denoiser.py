@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiselab import denoiser
@@ -481,14 +481,20 @@ class TestBlockedForward:
         seed=st.integers(0, 2**16),
         per_row_t=st.booleans(),
     )
+    # failed a relative test: one output near 0 is 5.6e-17 off, 2.1e-12 of itself
+    @example(arch=MlpArch(in_dim=3, hidden_dims=(100, 36, 1), time_embed_dim=4),
+             n=770, seed=38, per_row_t=False)
     def test_random_archs_agree(self, arch, n, seed, per_row_t):
+        """The blocked pass agrees with the reference to 1e-12 of its largest output;
+        an output near 0 can differ in its last bits by much more of its own size."""
         p = randomized_params(arch, seed)
         x, t, _, sc = batch_for(arch, n, seed + 1)
         if not per_row_t:
             t = float(t[0])
         blocked = mlp_forward(p, x, t, sc)
         reference = whole_batch_forward(p, x, t, sc)
-        np.testing.assert_allclose(blocked, reference, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(blocked, reference, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(reference)))
         assert mlp_forward(p, x, t, sc).tobytes() == blocked.tobytes()
         assert mlp_forward_cached(p, x, t, sc)[0].tobytes() == reference.tobytes()
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import noiselab
+import noiselab.rowsplit
+from conftest import traced_peak
 from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
 from noiselab.denoiser import MlpArch, init_params
@@ -69,11 +71,14 @@ class TestDdimStep:
         np.testing.assert_allclose(out, scale * x0, atol=1e-10)
 
     def test_deterministic_no_rng(self):
+        """_ddim overwrites eps, so each call gets its own copy; x_t stays as it was."""
         x_t = Rng(4).normal((5, 2))
         eps = Rng(5).normal((5, 2))
+        x_before = x_t.copy()
         np.testing.assert_array_equal(
-            _ddim(x_t, eps, 0.3, 0.7), _ddim(x_t, eps, 0.3, 0.7)
+            _ddim(x_t, eps.copy(), 0.3, 0.7), _ddim(x_t, eps.copy(), 0.3, 0.7)
         )
+        np.testing.assert_array_equal(x_t, x_before)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError, match="gamma_now must lie in"):
@@ -97,16 +102,19 @@ class TestDdpmStep:
         """gamma_next = 1: injected variance and eps coefficient vanish."""
         x_t = Rng(6).normal((8, 3))
         eps = Rng(7).normal((8, 3))
-        out = _ddpm(x_t, eps, 0.6, 1.0, Rng(8).normal(x_t.shape))
+        out = _ddpm(x_t, eps.copy(), 0.6, 1.0, Rng(8).normal(x_t.shape))
         sig = (x_t - math.sqrt(0.4) * eps) / math.sqrt(0.6)
         np.testing.assert_allclose(out, sig, atol=1e-12)
 
     def test_seed_determinism(self):
+        """_ddpm overwrites eps, so each call gets its own copy; x_t stays as it was."""
         x_t = Rng(9).normal((8, 3))
         eps = Rng(10).normal((8, 3))
-        a = _ddpm(x_t, eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
-        b = _ddpm(x_t, eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
+        x_before = x_t.copy()
+        a = _ddpm(x_t, eps.copy(), 0.3, 0.6, Rng(21).normal(x_t.shape))
+        b = _ddpm(x_t, eps.copy(), 0.3, 0.6, Rng(21).normal(x_t.shape))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(x_t, x_before)
 
     def test_always_consumes_noise(self, monkeypatch):
         """The chain draws fresh noise on every step, the last one to the clean
@@ -339,6 +347,60 @@ class TestPredictorBoundary:
             a = generate(GaussianOracle(self.SIGMA), LINEAR_OFF, sc, 50)
             b = generate(_HookedOracle(self.SIGMA), LINEAR_OFF, sc, 50)
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("step_kind", STEP_KINDS)
+    def test_returned_array_left_unchanged(self, step_kind):
+        """The steps scale the predicted noise in place, but never a caller's array."""
+        class SameArray:
+            dim, requires_raw_input, self_conditioning = 3, False, False
+
+            def __init__(self, copies):
+                self.eps = 0.2 * Rng(5).normal((40, 3))
+                self.copies = copies
+
+            def __call__(self, x_in, **kw):
+                return self.eps.copy() if self.copies else self.eps
+
+        same = SameArray(copies=False)
+        kept = same.eps.copy()
+        sc = SamplerConfig(steps=10, seed=6, step_kind=step_kind)
+        out = generate(same, LINEAR_OFF, sc, 40)
+        np.testing.assert_array_equal(same.eps, kept)
+        np.testing.assert_array_equal(out, generate(SameArray(copies=True), LINEAR_OFF, sc, 40))
+
+
+class TestChainMemory:
+    """The peak a serial chain allocates, in state-sized (n, dim) float64 arrays.
+
+    A DDIM step holds the state, the predicted noise and the next state;
+    DDPM adds its step noise (and Box-Muller's uniforms while drawing it),
+    self-conditioning the signal estimate, and an MLP its forward pass.
+    Each bound lies between this chain's peak and that of a chain which
+    keeps one more array alive, so a leaked array fails it.
+    """
+
+    N, DIM = 4000, 16
+
+    def peak_states(self, monkeypatch, model, cs, sc):
+        monkeypatch.setattr(noiselab.rowsplit, "usable_cpus", lambda: 1)
+        generate(model, cs, sc, 8)  # first-call imports are not the chain's
+        return traced_peak(lambda: generate(model, cs, sc, self.N)) / (self.N * self.DIM * 8)
+
+    @pytest.mark.parametrize("clamp", [None, 1.0])
+    @pytest.mark.parametrize("step_kind, bound", [("ddim", 3.5), ("ddpm", 5.0)])
+    def test_oracle_chain(self, monkeypatch, no_fork, step_kind, bound, clamp):
+        sc = SamplerConfig(steps=5, seed=3, step_kind=step_kind, signal_clamp=clamp)
+        oracle = GaussianOracle(ar1_covariance(self.DIM, 0.9))
+        assert self.peak_states(monkeypatch, oracle, LINEAR_OFF, sc) < bound
+
+    def test_self_conditioning_mlp_chain(self, monkeypatch, no_fork):
+        """The forward pass's input rows (width 2 dim + 4) and output layer
+        set this peak, beside the state, the network input and the estimate."""
+        arch = MlpArch(in_dim=self.DIM, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
+        cs = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=0.5,
+                              normalize="empirical")
+        sc = SamplerConfig(steps=5, seed=3, signal_clamp=1.5)
+        assert self.peak_states(monkeypatch, randomized_params(arch, 48), cs, sc) < 8.4
 
 
 class TestSaturatedGamma:
