@@ -21,8 +21,10 @@ public normalize_input is ``_normalize`` behind its checks. Two
 finiteness checks stay: each step, the predictor's output is converted
 to float64 (without forcing C order) and checked, because the predictor
 may be any callable and ``signal_clamp`` would clip a +inf into a finite
-value; and the samples are checked once at the end. The steps overwrite
-the predicted noise, so a caller's predictor has its output copied.
+value; and the samples are checked once at the end. A step writes into
+the state it has just read, never into the predicted noise, so no array
+a predictor returns is changed; with normalize 'off' the predictor's
+input is that state, so a predictor that keeps its input must copy it.
 
 The oracle keeps the state in column order: the transpose of an
 F-ordered (n, dim) array is the C-contiguous (dim, n) block that its
@@ -139,13 +141,13 @@ def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.n
 
     Projects out the scaled-signal estimate
     (x_t - sqrt(1-g_now) eps) / sqrt(g_now) and re-noises it to the
-    target level with the same predicted noise. eps is scaled in place,
-    so it is overwritten; x_t is not. Unchecked: generate() checks the
-    gamma pairs of its grid.
+    target level with the same predicted noise. The scaled noise is
+    written into x_t, so x_t is overwritten; eps is not. Unchecked:
+    generate() checks the gamma pairs of its grid.
     """
     out = _scaled_signal(x_t, eps, g_now, g_next)
-    eps *= math.sqrt(1.0 - g_next)
-    out += eps
+    np.multiply(eps, math.sqrt(1.0 - g_next), out=x_t)
+    out += x_t
     return out
 
 
@@ -158,17 +160,17 @@ def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
     which is 0 at the clean boundary g_next = 1, and the predicted
     noise is reattenuated so the step's total variance is preserved.
     The chain draws z on every step (even when its coefficient is 0) so
-    sampling consumes the stream identically at all steps. eps and z are
-    scaled in place, so both are overwritten; x_t is not. Unchecked,
-    like _ddim.
+    sampling consumes the stream identically at all steps. The scaled
+    noise is written into x_t and z is scaled in place, so both are
+    overwritten; eps is not. Unchecked, like _ddim.
     """
     if g_now == 1.0:
         var = 0.0
     else:
         var = (1.0 - g_now / g_next) * (1.0 - g_next) / (1.0 - g_now)
     out = _scaled_signal(x_t, eps, g_now, g_next)
-    eps *= math.sqrt(max(1.0 - g_next - var, 0.0))
-    out += eps
+    np.multiply(eps, math.sqrt(max(1.0 - g_next - var, 0.0)), out=x_t)
+    out += x_t
     z *= math.sqrt(var)
     out += z
     return out
@@ -230,15 +232,14 @@ def as_predictor(model):
     raise TypeError(f"cannot build a noise predictor from {type(model).__name__}")
 
 
-def _chain(predictor, fresh: bool, cs: CompoundSchedule, sc: SamplerConfig, grid,
+def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
            n_samples: int, r0: int, r1: int) -> np.ndarray:
     """Rows r0:r1 of the reverse process over the checked grid; the final state, unscaled.
 
     Each random draw is made for all n_samples rows and cut, so the
     rows equal those of the whole-batch chain. A step holds three
     state-sized arrays (state, predicted noise, next state), plus DDPM's
-    step noise and the self-conditioning estimate. fresh: the predictor
-    returns a new array each call, which the step may overwrite.
+    step noise and the self-conditioning estimate.
     """
     dim = predictor.dim
     rng = Rng(sc.seed)
@@ -251,8 +252,7 @@ def _chain(predictor, fresh: bool, cs: CompoundSchedule, sc: SamplerConfig, grid
         eps = predictor(x_in, gamma=g_now, t=t_now, scale=cs.input_scale, self_cond=prev_est)
         del x_in
         # any callable may predict; signal_clamp would hide a +inf
-        eps = ensure_finite(np.array(eps, dtype=np.float64, copy=None if fresh else True),
-                            "predicted noise")
+        eps = ensure_finite(np.asarray(eps, dtype=np.float64), "predicted noise")
         if eps.shape != x_t.shape:
             raise ValueError(f"predictor returned shape {eps.shape}, expected {x_t.shape}")
         if prev_est is not None:
@@ -291,9 +291,7 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         _check_gammas(g_now, g_next)
         grid.append((t_now, g_now, g_next))
 
-    # the predictors built here return a new array each call; a caller's may not
-    chain = functools.partial(_chain, predictor, predictor is not model, cs, sc, grid,
-                              n_samples)
+    chain = functools.partial(_chain, predictor, cs, sc, grid, n_samples)
     # pinned, the bits do not depend on the BLAS thread count; unpinned,
     # the processes of a split would compete for cores
     with one_blas_thread() as pinned:

@@ -56,7 +56,7 @@ class TestDdimStep:
     def test_fixed_point(self):
         x_t = Rng(0).normal((6, 3))
         eps = Rng(1).normal((6, 3))
-        np.testing.assert_allclose(_ddim(x_t, eps, 0.4, 0.4), x_t, atol=1e-12)
+        np.testing.assert_allclose(_ddim(x_t.copy(), eps, 0.4, 0.4), x_t, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_true_noise_inverts_forward(self, scale):
@@ -71,14 +71,14 @@ class TestDdimStep:
         np.testing.assert_allclose(out, scale * x0, atol=1e-10)
 
     def test_deterministic_no_rng(self):
-        """_ddim overwrites eps, so each call gets its own copy; x_t stays as it was."""
+        """_ddim overwrites x_t, so each call gets its own copy; eps stays as it was."""
         x_t = Rng(4).normal((5, 2))
         eps = Rng(5).normal((5, 2))
-        x_before = x_t.copy()
+        eps_before = eps.copy()
         np.testing.assert_array_equal(
-            _ddim(x_t, eps.copy(), 0.3, 0.7), _ddim(x_t, eps.copy(), 0.3, 0.7)
+            _ddim(x_t.copy(), eps, 0.3, 0.7), _ddim(x_t.copy(), eps, 0.3, 0.7)
         )
-        np.testing.assert_array_equal(x_t, x_before)
+        np.testing.assert_array_equal(eps, eps_before)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError, match="gamma_now must lie in"):
@@ -102,19 +102,19 @@ class TestDdpmStep:
         """gamma_next = 1: injected variance and eps coefficient vanish."""
         x_t = Rng(6).normal((8, 3))
         eps = Rng(7).normal((8, 3))
-        out = _ddpm(x_t, eps.copy(), 0.6, 1.0, Rng(8).normal(x_t.shape))
+        out = _ddpm(x_t.copy(), eps, 0.6, 1.0, Rng(8).normal(x_t.shape))
         sig = (x_t - math.sqrt(0.4) * eps) / math.sqrt(0.6)
         np.testing.assert_allclose(out, sig, atol=1e-12)
 
     def test_seed_determinism(self):
-        """_ddpm overwrites eps, so each call gets its own copy; x_t stays as it was."""
+        """_ddpm overwrites x_t, so each call gets its own copy; eps stays as it was."""
         x_t = Rng(9).normal((8, 3))
         eps = Rng(10).normal((8, 3))
-        x_before = x_t.copy()
-        a = _ddpm(x_t, eps.copy(), 0.3, 0.6, Rng(21).normal(x_t.shape))
-        b = _ddpm(x_t, eps.copy(), 0.3, 0.6, Rng(21).normal(x_t.shape))
+        eps_before = eps.copy()
+        a = _ddpm(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
+        b = _ddpm(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(x_t, x_before)
+        np.testing.assert_array_equal(eps, eps_before)
 
     def test_always_consumes_noise(self, monkeypatch):
         """The chain draws fresh noise on every step, the last one to the clean
@@ -350,7 +350,7 @@ class TestPredictorBoundary:
 
     @pytest.mark.parametrize("step_kind", STEP_KINDS)
     def test_returned_array_left_unchanged(self, step_kind):
-        """The steps scale the predicted noise in place, but never a caller's array."""
+        """A step overwrites the state, never an array the predictor returned."""
         class SameArray:
             dim, requires_raw_input, self_conditioning = 3, False, False
 
@@ -367,6 +367,25 @@ class TestPredictorBoundary:
         out = generate(same, LINEAR_OFF, sc, 40)
         np.testing.assert_array_equal(same.eps, kept)
         np.testing.assert_array_equal(out, generate(SameArray(copies=True), LINEAR_OFF, sc, 40))
+
+    @pytest.mark.parametrize("step_kind", STEP_KINDS)
+    @pytest.mark.parametrize("view", [lambda x: x, lambda x: x[:, ::-1]])
+    def test_input_returned_as_noise(self, step_kind, view):
+        """With normalize off the input is the state a step overwrites; a predictor
+        returning it, or a view of it in another order, gives the samples of its copy."""
+        class Echo:
+            dim, requires_raw_input, self_conditioning = 3, False, False
+
+            def __init__(self, copies):
+                self.copies = copies
+
+            def __call__(self, x_in, **kw):
+                eps = view(x_in)
+                return eps.copy() if self.copies else eps
+
+        sc = SamplerConfig(steps=10, seed=7, step_kind=step_kind)
+        np.testing.assert_array_equal(generate(Echo(copies=False), LINEAR_OFF, sc, 40),
+                                      generate(Echo(copies=True), LINEAR_OFF, sc, 40))
 
 
 class TestChainMemory:
