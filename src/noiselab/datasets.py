@@ -11,7 +11,7 @@ without changing per-coordinate statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -135,23 +135,18 @@ def dataset_covariance(spec: DatasetSpec) -> np.ndarray:
 
 
 def _make_gaussian(spec: DatasetSpec, rng: Rng) -> np.ndarray:
-    L = cholesky_factor(ar1_covariance(spec.dim, spec.rho))
-    return rng.normal((spec.n_train, spec.dim)) @ L.T
-
-
-def _make_toy_image(spec: DatasetSpec, rng: Rng) -> np.ndarray:
+    """Draws of a Gaussian family; toy_image draws its base grid, then replicates pixels."""
+    L = cholesky_factor(dataset_covariance(replace(spec, upsample=1)))
+    x = rng.normal((spec.n_train, L.shape[0])) @ L.T
     r, u = spec.base_res, spec.upsample
-    k = ar1_covariance(r, spec.rho)
-    L = cholesky_factor(np.kron(k, k))
-    base = rng.normal((spec.n_train, r * r)) @ L.T
     if u == 1:
-        return base
-    grids = base.reshape(spec.n_train, r, r)
+        return x
+    grids = x.reshape(spec.n_train, r, r)
     grids = np.repeat(np.repeat(grids, u, axis=1), u, axis=2)
     # replication copies unit-variance coordinates, so the upsampled data
     # is already standardized; no empirical rescale that would perturb
     # the exact covariance.
-    return np.ascontiguousarray(grids.reshape(spec.n_train, (r * u) ** 2))
+    return grids.reshape(spec.n_train, (r * u) ** 2)
 
 
 def mixture2d_standardizer(modes: int, radius: float, std: float):
@@ -193,10 +188,8 @@ def _make_checkerboard(spec: DatasetSpec, rng: Rng) -> np.ndarray:
 def make_dataset(spec: DatasetSpec) -> np.ndarray:
     """Draw the dataset: (n_train, data_dim) float64, deterministic in seed."""
     rng = Rng(spec.seed)
-    if spec.kind == "gaussian_ar1":
+    if spec.is_gaussian:
         out = _make_gaussian(spec, rng)
-    elif spec.kind == "toy_image":
-        out = _make_toy_image(spec, rng)
     elif spec.kind == "mixture2d":
         out = _make_mixture2d(spec, rng)
     else:

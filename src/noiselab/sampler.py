@@ -5,26 +5,19 @@ b once at the end, so the step formulas keep their standard
 variance-preserving form. The inference schedule is free-standing: it
 never has to match the schedule the denoiser was trained with.
 
-Noise predictors are callables with three introspection attributes:
-``dim`` (data dimensionality), ``self_conditioning`` (whether the
-previous signal estimate should be threaded back in), and
-``requires_raw_input`` (True when the predictor must see the
-unnormalized chain state, as the closed-form oracle does). An optional
-fourth, ``state_order``, fixes the memory order of the chain state:
-"C" when absent.
+generate() samples from trained DenoiserParams (through mlp_forward) or
+from a GaussianOracle, which needs the raw chain state: normalize 'off'.
 
 Checks sit at the boundary of the loop. generate() validates its
 arguments and every (gamma_now, gamma_next) pair of the inference grid
 before the first step; the loop then calls unchecked kernels
 (``_normalize``, ``_ddim``, ``_ddpm``, the oracle's ``_eps``); the
 public normalize_input is ``_normalize`` behind its checks. Two
-finiteness checks stay: each step, the predictor's output is converted
-to float64 (without forcing C order) and checked, because the predictor
-may be any callable and ``signal_clamp`` would clip a +inf into a finite
-value; and the samples are checked once at the end. A step writes into
-the state it has just read, never into the predicted noise, so no array
-a predictor returns is changed; with normalize 'off' the predictor's
-input is that state, so a predictor that keeps its input must copy it.
+finiteness checks stay: each step, the predicted noise is checked,
+because the oracle's kernel is unchecked and ``signal_clamp`` would
+clip a +inf into a finite value; and the samples are checked once at
+the end. A step writes into the state it has just read, never into the
+predicted noise.
 
 The oracle keeps the state in column order: the transpose of an
 F-ordered (n, dim) array is the C-contiguous (dim, n) block that its
@@ -41,9 +34,6 @@ checks included, on its own run of row blocks, and the samples are the
 same to the last bit.
 Each process draws the whole batch's noise from the seed's stream and
 keeps its own rows, so the stream is consumed as in the serial chain.
-Only a predictor that generate() builds itself, from DenoiserParams or
-a GaussianOracle, splits; a caller's callable runs in this process,
-where its side effects stay visible.
 """
 
 from __future__ import annotations
@@ -69,8 +59,6 @@ from noiselab.schedules import ScheduleSpec, gamma, time_grid
 
 __all__ = [
     "STEP_KINDS",
-    "MlpPredictor",
-    "OraclePredictor",
     "SamplerConfig",
     "generate",
 ]
@@ -176,63 +164,16 @@ def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
     return out
 
 
-class MlpPredictor:
-    """Adapts trained DenoiserParams to the predictor protocol."""
-
-    requires_raw_input = False
-    state_order = "C"
-
-    def __init__(self, params: DenoiserParams):
-        self.params = params
-
-    @property
-    def dim(self) -> int:
-        return self.params.arch.in_dim
-
-    @property
-    def self_conditioning(self) -> bool:
-        return self.params.arch.self_cond
-
-    def __call__(self, x_in, *, gamma, t, scale, self_cond):
-        return mlp_forward(self.params, x_in, t, self_cond)
-
-
-class OraclePredictor:
-    """Closed-form noise prediction for Gaussian data.
-
-    Needs the raw (unnormalized) chain state: its posterior algebra is
-    written for x_t = sqrt(gamma) b x0 + sqrt(1-gamma) eps directly, so
-    generate() refuses compound schedules with normalization on. At
-    gamma = 1 it predicts zero noise, which makes that step the identity.
-    """
-
-    requires_raw_input = True
-    self_conditioning = False
-    state_order = "F"  # x_t.T is then the C-contiguous block the solve reads
-
-    def __init__(self, oracle: GaussianOracle):
-        self.oracle = oracle
-
-    @property
-    def dim(self) -> int:
-        return self.oracle.dim
-
-    def __call__(self, x_in, *, gamma, t, scale, self_cond):
-        return self.oracle._eps(np.ascontiguousarray(x_in.T), gamma, scale).T
-
-
-def as_predictor(model):
-    """Accept DenoiserParams, a GaussianOracle, or a ready predictor."""
+def _data_dim(model) -> int:
+    """The data dim of a model generate() samples from; TypeError for any other."""
     if isinstance(model, DenoiserParams):
-        return MlpPredictor(model)
+        return model.arch.in_dim
     if isinstance(model, GaussianOracle):
-        return OraclePredictor(model)
-    if callable(model) and hasattr(model, "dim"):
-        return model
-    raise TypeError(f"cannot build a noise predictor from {type(model).__name__}")
+        return model.dim
+    raise TypeError(f"cannot sample from {type(model).__name__}")
 
 
-def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
+def _chain(model, cs: CompoundSchedule, sc: SamplerConfig, grid,
            n_samples: int, r0: int, r1: int) -> np.ndarray:
     """Rows r0:r1 of the reverse process over the checked grid; the final state, unscaled.
 
@@ -241,20 +182,22 @@ def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
     state-sized arrays (state, predicted noise, next state), plus DDPM's
     step noise and the self-conditioning estimate.
     """
-    dim = predictor.dim
+    dim = _data_dim(model)
+    oracle = isinstance(model, GaussianOracle)
     rng = Rng(sc.seed)
-    x_t = np.asarray(rng.normal((n_samples, dim))[r0:r1],
-                     order=getattr(predictor, "state_order", "C"))
-    prev_est = np.zeros_like(x_t) if predictor.self_conditioning else None
+    # column order for the oracle: x_t.T is then the C-contiguous block its solve reads
+    x_t = np.asarray(rng.normal((n_samples, dim))[r0:r1], order="F" if oracle else "C")
+    prev_est = None if oracle or not model.arch.self_cond else np.zeros_like(x_t)
 
     for t_now, g_now, g_next in grid:
         x_in = _normalize(x_t, g_now, cs)
-        eps = predictor(x_in, gamma=g_now, t=t_now, scale=cs.input_scale, self_cond=prev_est)
+        if oracle:
+            eps = model._eps(np.ascontiguousarray(x_in.T), g_now, cs.input_scale).T
+        else:
+            eps = mlp_forward(model, x_in, t_now, prev_est)
         del x_in
-        # any callable may predict; signal_clamp would hide a +inf
-        eps = ensure_finite(np.asarray(eps, dtype=np.float64), "predicted noise")
-        if eps.shape != x_t.shape:
-            raise ValueError(f"predictor returned shape {eps.shape}, expected {x_t.shape}")
+        # the oracle's kernel is unchecked, and signal_clamp would hide a +inf
+        ensure_finite(eps, "predicted noise")
         if prev_est is not None:
             prev_est = _signal_estimate(x_t, g_now, eps)
             np.clip(prev_est, -SELF_COND_CLAMP, SELF_COND_CLAMP, out=prev_est)
@@ -264,7 +207,7 @@ def _chain(predictor, cs: CompoundSchedule, sc: SamplerConfig, grid,
             x_t = _ddim(x_t, eps, g_now, g_next)
         else:
             x_t = _ddpm(x_t, eps, g_now, g_next, rng.normal((n_samples, dim))[r0:r1])
-        del eps  # freed before the next step's predictor builds its own
+        del eps  # freed before the next step's prediction builds its own
     return x_t
 
 
@@ -276,12 +219,12 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
     the input scale b at the end so outputs live in data space. Returns a
     C-contiguous (n_samples, dim) array.
     """
-    predictor = as_predictor(model)
+    dim = _data_dim(model)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if predictor.requires_raw_input and cs.normalize != "off":
+    if isinstance(model, GaussianOracle) and cs.normalize != "off":
         raise ValueError(
-            "this predictor needs raw chain state; use a compound schedule "
+            "the oracle needs raw chain state; use a compound schedule "
             "with normalize='off'"
         )
     grid = []
@@ -291,7 +234,7 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         _check_gammas(g_now, g_next)
         grid.append((t_now, g_now, g_next))
 
-    chain = functools.partial(_chain, predictor, cs, sc, grid, n_samples)
+    chain = functools.partial(_chain, model, cs, sc, grid, n_samples)
     # pinned, the bits do not depend on the BLAS thread count; unpinned,
     # the processes of a split would compete for cores
     with one_blas_thread() as pinned:
@@ -299,7 +242,7 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
         runs = row_runs(n_samples, processes or 1)
         # np.cov sums in an order that depends on the layout, so stack in C order
         x_t = np.concatenate(fork_map(lambda run: chain(*run), runs),
-                             out=np.empty((n_samples, predictor.dim)))
+                             out=np.empty((n_samples, dim)))
     ensure_finite(x_t, "generated samples")
     x_t /= cs.input_scale
     return x_t

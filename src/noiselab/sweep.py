@@ -81,17 +81,22 @@ def check_sweep(cfg: Config) -> None:
         raise ConfigError("missing [dataset] section for sweep")
     if cfg.sampler is None:
         raise ConfigError("missing [sampler] section for sweep")
-    if cfg.sweep.oracle:
-        if not cfg.dataset.is_gaussian:
-            raise ConfigError(
-                f"oracle sweeps need a Gaussian dataset, got {cfg.dataset.kind!r}"
-            )
+    s, d = cfg.sweep, cfg.dataset
+    if s.oracle:
+        if not d.is_gaussian:
+            raise ConfigError(f"oracle sweeps need a Gaussian dataset, got {d.kind!r}")
         if cfg.train is not None:
             raise ConfigError("oracle sweeps take no training config")
     elif cfg.train is None or cfg.net is None:
         raise ConfigError("missing [train] section for trained sweep")
-    if cfg.sweep.metric == "covariance_error" and not cfg.dataset.is_gaussian:
+    if s.metric == "covariance_error" and not d.is_gaussian:
         raise ConfigError("covariance_error needs a dataset with a known covariance")
+    if s.metric == "covariance_error" and s.n_eval < d.data_dim + 1:
+        raise ConfigError(f"[sweep]: n_eval = {s.n_eval} is below data_dim + 1 = "
+                          f"{d.data_dim + 1}, the fewest samples covariance_error scores")
+    if s.metric != "covariance_error" and d.n_train < 2:  # scored against the data
+        raise ConfigError(f"[dataset]: n_train = {d.n_train} is below 2, the fewest "
+                          f"samples {s.metric} scores against")
     _check_normalize(cfg)
 
 

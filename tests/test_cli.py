@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+import noiselab.sweep as sweep_mod
 from noiselab.cli import main
 from noiselab.config import parse_config
 from noiselab.denoiser import load_params
@@ -66,6 +67,14 @@ def run(args):
     buf = io.StringIO()
     rc = main(args, stdout=buf)
     return rc, buf.getvalue()
+
+
+def fail_every_cell(monkeypatch):
+    """Make every sweep cell raise."""
+    def fail(*args):
+        raise RuntimeError("injected cell failure")
+
+    monkeypatch.setattr(sweep_mod, "_cell", fail)
 
 
 @pytest.fixture
@@ -384,23 +393,20 @@ class TestSweepCommand:
         assert rc == 3
         assert "check failed" in out
 
-    def test_failed_cells_exit_nonzero(self, tmp_path):
-        # n_eval below dim+1 makes covariance_error reject every cell
-        cfg = tmp_path / "bad.txt"
-        cfg.write_text(ORACLE_SWEEP.replace("n_eval = 400", "n_eval = 3"))
+    def test_failed_cells_exit_nonzero(self, sweep_cfg, tmp_path, monkeypatch):
+        fail_every_cell(monkeypatch)
         out_dir = tmp_path / "sw"
-        rc, out = run(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)])
+        rc, out = run(["sweep", "--config", str(sweep_cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert "4 failed" in out
         rows = read_sweep_csv(out_dir / "sweep.csv")
         assert all(status == 1 for *_, status in rows)
         assert all(np.isnan(metric) for _, _, metric, _, _, _ in rows)
 
-    def test_failed_cells_persisted(self, sweep_cfg, tmp_path):
-        cfg = tmp_path / "bad.txt"
-        cfg.write_text(ORACLE_SWEEP.replace("n_eval = 400", "n_eval = 3"))
+    def test_failed_cells_persisted(self, sweep_cfg, tmp_path, monkeypatch):
+        fail_every_cell(monkeypatch)
         out_dir = tmp_path / "sw"
-        rc, out = run(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)])
+        rc, out = run(["sweep", "--config", str(sweep_cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert f"wrote the failed cells to {out_dir / 'sweep_errors.csv'}" in out
         with open(out_dir / "sweep_errors.csv", newline="") as fh:
@@ -409,11 +415,12 @@ class TestSweepCommand:
         rows = read_sweep_csv(out_dir / "sweep.csv")
         assert [(e[0], float(e[1]), int(e[2])) for e in errors] == [
             (sched, scale, seed) for sched, scale, _, _, seed, _ in rows]
-        message = "ValueError: need at least dim+1 = 5 samples, got 3"
+        message = "RuntimeError: injected cell failure"
         assert all(e[3] == message for e in errors)
         assert out.count(f"failed: {message}") == 4
 
         # a clean rerun into the same directory leaves no stale error file
+        monkeypatch.undo()
         rc, out = run(["sweep", "--config", str(sweep_cfg), "--out-dir", str(out_dir)])
         assert rc == 0 and "sweep_errors.csv" not in out
         assert not (out_dir / "sweep_errors.csv").exists()
@@ -445,6 +452,22 @@ class TestSweepCommand:
         rc, _ = run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "label_dropout" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        (ORACLE_SWEEP.replace("n_eval = 400", "n_eval = 4"), "n_eval"),
+        (TRAIN_SAMPLE.replace("n_train = 512", "n_train = 1")
+         + "[sweep]\nschedules = linear\nscales = 1.0\nmetric = sliced_wasserstein\n"
+         "base_seed = 0\nn_eval = 50\n", "n_train"),
+    ], ids=["n_eval", "n_train"])
+    def test_unscorable_sample_count_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     text, key):
+        fail_every_cell(monkeypatch)
+        cfg = tmp_path / "few.txt"
+        cfg.write_text(text)
+        rc, _ = run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"{key} = " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_empty_schedules_rejected_before_work(self, tmp_path):

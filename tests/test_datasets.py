@@ -1,5 +1,7 @@
 """Dataset generators: exact covariances, standardization, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,31 @@ class TestMakeDatasetCommon:
         for spec in self.all_specs():
             other = DatasetSpec(**{**spec.__dict__, "seed": spec.seed + 1})
             assert np.max(np.abs(make_dataset(spec) - make_dataset(other))) > 1e-9
+
+
+# sha256 of the bytes make_dataset returns for the two Gaussian kinds,
+# recorded while each kind still had its own draw. A change here means a
+# dataset moved by at least one bit.
+GAUSSIAN_DIGESTS = {
+    "ar1_dim16": (DatasetSpec(kind="gaussian_ar1", n_train=300, seed=4, dim=16, rho=0.9),
+                  "8e2ba308dbbc374ee80a777ff4144e66e8f5f96b535162f7cd2b9f863b2b399e"),
+    "ar1_dim1": (DatasetSpec(kind="gaussian_ar1", n_train=300, seed=4, dim=1, rho=0.0),
+                 "3e3a9907b5eddac595941d55d11794046d4f3555b61f8415b5ab4f0183155ea4"),
+    "toy_image_up1": (DatasetSpec(kind="toy_image", n_train=200, seed=5, base_res=3, rho=0.8),
+                      "3d07d1781d5a80f65664d387e24efa889916643a6cc16a792c1d7193d3ed3ee1"),
+    "toy_image_up2": (DatasetSpec(kind="toy_image", n_train=200, seed=5, base_res=3, rho=0.8,
+                                  upsample=2),
+                      "d8a57f7deed9913e1bf3b9e5506d7745d91abe514c80ff04304ddb5eb672cbff"),
+    "toy_image_up4": (DatasetSpec(kind="toy_image", n_train=200, seed=5, base_res=4, rho=0.6,
+                                  upsample=4),
+                      "306dddaa1d06166ab9ba89b1e36304f6630e6c5fbd3f675a72a39ae92aefedc9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_DIGESTS))
+def test_gaussian_dataset_digests(name):
+    spec, digest = GAUSSIAN_DIGESTS[name]
+    assert hashlib.sha256(make_dataset(spec).tobytes()).hexdigest() == digest
 
 
 class TestGaussianAr1Data:

@@ -1,7 +1,6 @@
 """The whole-chain row split of sampling: byte-identical to the serial chain,
-opened only for a chain generate() builds itself on at least two row blocks,
-errors raised as the serial chain raises them, and no child process
-outlives generate()."""
+opened only for a chain of at least two row blocks, errors raised as the
+serial chain raises them, and no child process outlives generate()."""
 
 import os
 import signal
@@ -33,7 +32,7 @@ from noiselab.denoiser import (
 from noiselab.forward import CompoundSchedule
 from noiselab.oracle import GaussianOracle
 from noiselab.rowsplit import _most_alike, row_runs, split_processes
-from noiselab.sampler import OraclePredictor, SamplerConfig, generate
+from noiselab.sampler import SamplerConfig, generate
 from noiselab.schedules import ScheduleSpec
 
 LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, normalize="off")
@@ -174,25 +173,6 @@ class TestStaysInProcess:
         assert split_processes(randomized(MlpArch(in_dim=2, hidden_dims=()), 0), 4096) is None
         monkeypatch.delattr(os, "fork", raising=False)
         assert split_processes(p, 4096) is None
-
-    def test_callers_predictor(self, monkeypatch, no_fork):
-        """A callable from the caller runs here, and sees every step."""
-        cpus(monkeypatch, 2)
-        sigma = ar1_covariance(4, 0.5)
-
-        class Counting(OraclePredictor):
-            calls = 0
-
-            def __call__(self, x_in, **kw):
-                self.calls += 1
-                return super().__call__(x_in, **kw)
-
-        pred = Counting(GaussianOracle(sigma))
-        out = generate(pred, LINEAR_OFF, SamplerConfig(steps=7, seed=0), 4096)
-        assert pred.calls == 7
-        cpus(monkeypatch, 1)
-        assert out.tobytes() == generate(GaussianOracle(sigma), LINEAR_OFF,
-                                         SamplerConfig(steps=7, seed=0), 4096).tobytes()
 
     def test_cut_that_rounds_apart(self, monkeypatch, forks):
         """A cut whose output layer BLAS rounds apart from the whole batch's is refused."""

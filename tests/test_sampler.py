@@ -21,13 +21,10 @@ from noiselab.metrics import covariance_error
 from noiselab.oracle import GaussianOracle
 from noiselab.sampler import (
     STEP_KINDS,
-    MlpPredictor,
-    OraclePredictor,
     SamplerConfig,
     _check_gammas,
     _ddim,
     _ddpm,
-    as_predictor,
     generate,
 )
 from noiselab.schedules import ScheduleSpec
@@ -127,32 +124,6 @@ class TestDdpmStep:
         assert shapes == [(4, 2)] * 4  # the start state, then one draw per step
 
 
-class TestPredictorProtocol:
-    def test_mlp_predictor_attrs(self):
-        arch = MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
-        pred = MlpPredictor(init_params(arch, Rng(0)))
-        assert pred.dim == 3
-        assert pred.self_conditioning is True
-        assert pred.requires_raw_input is False
-
-    def test_oracle_predictor_attrs(self):
-        pred = OraclePredictor(GaussianOracle(np.eye(4)))
-        assert pred.dim == 4
-        assert pred.self_conditioning is False
-        assert pred.requires_raw_input is True
-
-    def test_as_predictor_accepts_all_forms(self):
-        arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
-        params = init_params(arch, Rng(1))
-        assert isinstance(as_predictor(params), MlpPredictor)
-        oracle = GaussianOracle(np.eye(2))
-        assert isinstance(as_predictor(oracle), OraclePredictor)
-        ready = OraclePredictor(oracle)
-        assert as_predictor(ready) is ready
-        with pytest.raises(TypeError):
-            as_predictor(42)
-
-
 class TestGenerate:
     def test_ddim_bit_identical_reruns(self):
         oracle = GaussianOracle(ar1_covariance(6, 0.5))
@@ -198,17 +169,16 @@ class TestGenerate:
             generate(params, LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4,
                      labels=np.zeros(4, dtype=np.int64))
 
-    def test_predictor_shape_checked(self):
-        class Bad:
-            dim = 3
-            self_conditioning = False
-            requires_raw_input = False
+    @pytest.mark.parametrize("model, name", [(42, "int"), (lambda x: x, "function")])
+    def test_only_the_two_models(self, monkeypatch, no_fork, model, name):
+        """Anything but DenoiserParams or a GaussianOracle is refused before any draw or fork."""
+        def no_draw(*args):
+            raise AssertionError("drew")
 
-            def __call__(self, x_in, **kw):
-                return np.zeros((2, 2))
-
-        with pytest.raises(ValueError):
-            generate(Bad(), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4)
+        monkeypatch.setattr(Rng, "normal", no_draw)
+        with pytest.raises(TypeError, match=f"^cannot sample from {name}$"):
+            generate(model, LINEAR_OFF, SamplerConfig(steps=2, seed=0), 4)
+        assert no_fork == []
 
     def test_self_cond_estimates_are_threaded(self):
         """Nonzero feedback weights must change the sample path."""
@@ -252,140 +222,60 @@ class TestGenerate:
         assert np.max(np.abs(out)) <= 0.1 + 1e-12
 
 
-class _HookedOracle:
-    """A user-style predictor: the oracle's prediction passed through hook(eps, call)."""
+def hook_oracle(monkeypatch, hook=lambda eps, call: eps):
+    """Pass each step's oracle prediction, a (dim, n) block, through hook(eps, call).
 
-    requires_raw_input = True
-    self_conditioning = False
+    Returns the (gamma, state) of every call so far, the state as (n, dim).
+    """
+    real, seen = GaussianOracle._eps, []
 
-    def __init__(self, sigma, hook=lambda eps, call: eps):
-        self.inner = OraclePredictor(GaussianOracle(sigma))
-        self.dim = self.inner.dim
-        self.hook = hook
-        self.calls = 0
-        self.seen = []  # (gamma, x_in) per step
+    def eps(self, x_cols, gamma_t, scale):
+        seen.append((gamma_t, x_cols.T.copy()))
+        return hook(real(self, x_cols, gamma_t, scale), len(seen))
 
-    def __call__(self, x_in, **kw):
-        self.calls += 1
-        self.seen.append((kw["gamma"], np.array(x_in)))
-        return self.hook(self.inner(x_in, **kw), self.calls)
+    monkeypatch.setattr(GaussianOracle, "_eps", eps)
+    return seen
 
 
 def _poison_step(value, at_call):
     def hook(eps, call):
-        eps = np.array(eps)
         if call == at_call:
-            eps[3, 1] = value
+            eps[1, 3] = value
         return eps
     return hook
 
 
-def _strided(eps, call):
-    wide = np.zeros((eps.shape[0], 2 * eps.shape[1]))
-    wide[:, ::2] = eps
-    return wide[:, ::2]
-
-
 class TestPredictorBoundary:
-    """generate checks what a predictor returns, every step."""
+    """generate checks the predicted noise, every step."""
 
     SIGMA = ar1_covariance(6, 0.7)
 
-    def test_nan_at_one_step_raises(self):
-        pred = _HookedOracle(self.SIGMA, _poison_step(np.nan, 7))
+    def test_nan_at_one_step_raises(self, monkeypatch):
+        seen = hook_oracle(monkeypatch, _poison_step(np.nan, 7))
         with pytest.raises(NonFiniteError):
-            generate(pred, LINEAR_OFF, SamplerConfig(steps=20, seed=1), 40)
-        assert pred.calls == 7
+            generate(GaussianOracle(self.SIGMA), LINEAR_OFF, SamplerConfig(steps=20, seed=1), 40)
+        assert len(seen) == 7
 
     @pytest.mark.parametrize("step_kind", STEP_KINDS)
-    def test_inf_with_signal_clamp_raises(self, step_kind):
+    def test_inf_with_signal_clamp_raises(self, monkeypatch, step_kind):
         """Clipping would turn +inf into a finite estimate; the step check sees it first."""
-        pred = _HookedOracle(self.SIGMA, _poison_step(np.inf, 5))
+        seen = hook_oracle(monkeypatch, _poison_step(np.inf, 5))
         sc = SamplerConfig(steps=20, seed=1, step_kind=step_kind, signal_clamp=2.0)
         with pytest.raises(NonFiniteError):
-            generate(pred, LINEAR_OFF, sc, 40)
-        assert pred.calls == 5
+            generate(GaussianOracle(self.SIGMA), LINEAR_OFF, sc, 40)
+        assert len(seen) == 5
 
     @pytest.mark.parametrize("step_kind", STEP_KINDS)
-    @pytest.mark.parametrize("clamp", [None, 1.0])
-    def test_float32_and_strided_outputs_match_twins(self, step_kind, clamp):
-        sc = SamplerConfig(steps=15, seed=2, step_kind=step_kind, signal_clamp=clamp)
-        f32 = lambda eps, call: eps.astype(np.float32)
-        f32_twin = lambda eps, call: np.ascontiguousarray(eps.astype(np.float32), np.float64)
-        c_twin = lambda eps, call: np.ascontiguousarray(eps)
-        for hook, twin in ((f32, f32_twin), (_strided, c_twin)):
-            a = generate(_HookedOracle(self.SIGMA, hook), LINEAR_OFF, sc, 30)
-            b = generate(_HookedOracle(self.SIGMA, twin), LINEAR_OFF, sc, 30)
-            np.testing.assert_array_equal(a, b)
-            assert a.flags.c_contiguous
-
-    def test_strided_mlp_output_matches_twin(self):
-        """A C-ordered state with empirical normalization and self-conditioning."""
-        arch = MlpArch(in_dim=10, hidden_dims=(8,), time_embed_dim=4, self_cond=True)
-        params = randomized_params(arch, 47)
-        cs = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=0.5,
-                              normalize="empirical")
-
-        class Hooked(MlpPredictor):
-            def __init__(self, params, hook):
-                super().__init__(params)
-                self.hook = hook
-
-            def __call__(self, x_in, **kw):
-                return self.hook(super().__call__(x_in, **kw), None)
-
-        sc = SamplerConfig(steps=12, seed=3, signal_clamp=1.5)
-        a = generate(Hooked(params, _strided), cs, sc, 25)
-        b = generate(Hooked(params, lambda eps, call: eps), cs, sc, 25)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(b, generate(params, cs, sc, 25))
-
-    def test_oracle_state_order_does_not_change_bits(self):
-        """The oracle's column-order chain equals the same chain kept in C order."""
-        for kind in STEP_KINDS:
-            sc = SamplerConfig(steps=20, seed=4, step_kind=kind, signal_clamp=1.0)
-            a = generate(GaussianOracle(self.SIGMA), LINEAR_OFF, sc, 50)
-            b = generate(_HookedOracle(self.SIGMA), LINEAR_OFF, sc, 50)
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("step_kind", STEP_KINDS)
-    def test_returned_array_left_unchanged(self, step_kind):
-        """A step overwrites the state, never an array the predictor returned."""
-        class SameArray:
-            dim, requires_raw_input, self_conditioning = 3, False, False
-
-            def __init__(self, copies):
-                self.eps = 0.2 * Rng(5).normal((40, 3))
-                self.copies = copies
-
-            def __call__(self, x_in, **kw):
-                return self.eps.copy() if self.copies else self.eps
-
-        same = SameArray(copies=False)
-        kept = same.eps.copy()
+    def test_returned_array_left_unchanged(self, monkeypatch, step_kind):
+        """A step overwrites the state, never the array the prediction returned."""
+        same = 0.2 * Rng(5).normal((3, 40))
+        kept = same.copy()
         sc = SamplerConfig(steps=10, seed=6, step_kind=step_kind)
-        out = generate(same, LINEAR_OFF, sc, 40)
-        np.testing.assert_array_equal(same.eps, kept)
-        np.testing.assert_array_equal(out, generate(SameArray(copies=True), LINEAR_OFF, sc, 40))
-
-    @pytest.mark.parametrize("step_kind", STEP_KINDS)
-    @pytest.mark.parametrize("view", [lambda x: x, lambda x: x[:, ::-1]])
-    def test_input_returned_as_noise(self, step_kind, view):
-        """With normalize off the input is the state a step overwrites; a predictor
-        returning it, or a view of it in another order, gives the samples of its copy."""
-        class Echo:
-            dim, requires_raw_input, self_conditioning = 3, False, False
-
-            def __init__(self, copies):
-                self.copies = copies
-
-            def __call__(self, x_in, **kw):
-                eps = view(x_in)
-                return eps.copy() if self.copies else eps
-
-        sc = SamplerConfig(steps=10, seed=7, step_kind=step_kind)
-        np.testing.assert_array_equal(generate(Echo(copies=False), LINEAR_OFF, sc, 40),
-                                      generate(Echo(copies=True), LINEAR_OFF, sc, 40))
+        hook_oracle(monkeypatch, lambda eps, call: same)
+        out = generate(GaussianOracle(np.eye(3)), LINEAR_OFF, sc, 40)
+        np.testing.assert_array_equal(same, kept)
+        hook_oracle(monkeypatch, lambda eps, call: same.copy())
+        np.testing.assert_array_equal(out, generate(GaussianOracle(np.eye(3)), LINEAR_OFF, sc, 40))
 
 
 class TestChainMemory:
@@ -428,26 +318,24 @@ class TestSaturatedGamma:
     SCHEDULE = ScheduleSpec.sigmoid(-3.0, 3.0, 0.05)
 
     def test_oracle_predicts_zero_noise(self):
-        pred = OraclePredictor(GaussianOracle(ar1_covariance(4, 0.5)))
-        x = Rng(0).normal((9, 4))
-        eps = pred(x, gamma=1.0, t=0.05, scale=0.5, self_cond=None)
-        np.testing.assert_array_equal(eps, np.zeros((9, 4)))
+        x_cols = Rng(0).normal((4, 9))
+        eps = GaussianOracle(ar1_covariance(4, 0.5))._eps(x_cols, 1.0, 0.5)
+        np.testing.assert_array_equal(eps, np.zeros((4, 9)))
 
     @pytest.mark.parametrize("step_kind", STEP_KINDS)
-    def test_saturated_steps_leave_state_unchanged(self, step_kind):
+    def test_saturated_steps_leave_state_unchanged(self, monkeypatch, step_kind):
         scale = 0.5
         cs = CompoundSchedule(schedule=self.SCHEDULE, input_scale=scale, normalize="off")
         sc = SamplerConfig(steps=100, seed=6, step_kind=step_kind,
                            inference_schedule=self.SCHEDULE)
-        pred = _HookedOracle(ar1_covariance(8, 0.9))
-        out = generate(pred, cs, sc, 500)
-        saturated = [k for k, (g, _) in enumerate(pred.seen) if g == 1.0]
+        oracle = GaussianOracle(ar1_covariance(8, 0.9))
+        seen = hook_oracle(monkeypatch)
+        out = generate(oracle, cs, sc, 500)
+        saturated = [k for k, (g, _) in enumerate(seen) if g == 1.0]
         assert len(saturated) == 18
-        states = [x for _, x in pred.seen] + [out * scale]
+        states = [x for _, x in seen] + [out * scale]
         for k in saturated:
             np.testing.assert_array_equal(states[k + 1], states[k])
-        np.testing.assert_array_equal(out, generate(GaussianOracle(ar1_covariance(8, 0.9)),
-                                                    cs, sc, 500))
 
 
 class TestSamplerConfigValidation:

@@ -55,6 +55,10 @@ def oracle_cfg(schedules=("cosine:0,1,1",), scales=(1.0,), base_seed=0,
     )
 
 
+def no_cells(*args):
+    raise AssertionError("a cell ran")
+
+
 def trained_cfg(**train_kw):
     """One linear cell at b = 1 on a two-mode mixture; small enough for tier 1."""
     return Config(
@@ -122,12 +126,30 @@ class TestSpecValidation:
             check_sweep(cfg)
 
     def test_run_sweep_checks_before_any_cell(self, monkeypatch):
-        def no_cells(*args):
-            raise AssertionError("a cell ran")
-
         monkeypatch.setattr(sweep_mod, "_cell", no_cells)
         with pytest.raises(ConfigError, match="Gaussian"):
             run_sweep(oracle_cfg(dataset=MIX))
+
+    def test_n_eval_below_dim_plus_one_rejected(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_cell", no_cells)
+        with pytest.raises(ConfigError,
+                           match=r"\[sweep\]: n_eval = 4 is below data_dim \+ 1 = 5"):
+            run_sweep(oracle_cfg(n_eval=4, dataset=AR1_4))
+
+    def test_n_eval_of_dim_plus_one_runs(self):
+        res = run_sweep(oracle_cfg(n_eval=5, steps=10, dataset=AR1_4))
+        assert res.ok
+
+    @pytest.mark.parametrize("metric", ["sliced_wasserstein", "mmd_rbf"])
+    def test_trained_n_train_below_two_rejected(self, monkeypatch, metric):
+        monkeypatch.setattr(sweep_mod, "_cell", no_cells)
+        cfg = trained_cfg()
+        cfg = replace(cfg, dataset=replace(cfg.dataset, n_train=1),
+                      sweep=replace(cfg.sweep, metric=metric))
+        with pytest.raises(ConfigError,
+                           match=rf"\[dataset\]: n_train = 1 is below 2, .* {metric}"):
+            run_sweep(cfg)
+        check_sweep(replace(cfg, dataset=replace(cfg.dataset, n_train=2)))
 
     def test_guidance_weight_rejected(self):
         # class conditioning was removed: a Config built in Python has no
@@ -141,9 +163,6 @@ class TestSpecValidation:
 
     def test_one_dim_empirical_rejected_before_any_cell(self, monkeypatch):
         # the parse-time rule, for a Config built without parsing
-        def no_cells(*args):
-            raise AssertionError("a cell ran")
-
         cfg = trained_cfg()
         cfg = replace(
             cfg,
