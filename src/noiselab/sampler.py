@@ -1,4 +1,4 @@
-"""Generation loop: DDIM/DDPM steps and a decoupled inference schedule.
+"""Generation loop: one DDIM/DDPM step and a decoupled inference schedule.
 
 The chain runs in the scaled space (the signal is b x0) and divides by
 b once at the end, so the step formulas keep their standard
@@ -11,7 +11,7 @@ from a GaussianOracle, which needs the raw chain state: normalize 'off'.
 Checks sit at the boundary of the loop. generate() validates its
 arguments and every (gamma_now, gamma_next) pair of the inference grid
 before the first step; the loop then calls unchecked kernels
-(``_normalize``, ``_ddim``, ``_ddpm``, the oracle's ``_eps``); the
+(``_normalize``, ``_step``, the oracle's ``_eps``); the
 public normalize_input is ``_normalize`` behind its checks. Two
 finiteness checks stay: each step, the predicted noise is checked,
 because the oracle's kernel is unchecked and ``signal_clamp`` would
@@ -105,15 +105,6 @@ def _check_gammas(gamma_now: float, gamma_next: float) -> None:
         )
 
 
-def _scaled_signal(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
-    """sqrt(g_next) times the signal estimate, as a new array in x_t's order."""
-    out = np.multiply(eps, math.sqrt(1.0 - g_now), out=np.empty_like(x_t))
-    np.subtract(x_t, out, out=out)
-    out /= math.sqrt(g_now)
-    out *= math.sqrt(g_next)
-    return out
-
-
 def _clamped_noise(x_t: np.ndarray, eps: np.ndarray, g_now: float, clamp: float) -> np.ndarray:
     """The noise whose signal estimate is eps's clipped to [-clamp, clamp], as a new array."""
     est = _signal_estimate(x_t, g_now, eps)
@@ -124,43 +115,34 @@ def _clamped_noise(x_t: np.ndarray, eps: np.ndarray, g_now: float, clamp: float)
     return est
 
 
-def _ddim(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float) -> np.ndarray:
-    """Deterministic update from noise level g_now to g_next.
+def _step(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
+          z: Optional[np.ndarray] = None) -> np.ndarray:
+    """One reverse update from noise level g_now to g_next.
 
     Projects out the scaled-signal estimate
     (x_t - sqrt(1-g_now) eps) / sqrt(g_now) and re-noises it to the
-    target level with the same predicted noise. The scaled noise is
-    written into x_t, so x_t is overwritten; eps is not. Unchecked:
-    generate() checks the gamma pairs of its grid.
+    target level. Without z this is DDIM: the predicted noise alone
+    re-noises it. With z it is DDPM's ancestral step: z is scaled by the
+    injected variance (1 - g_now/g_next) (1 - g_next) / (1 - g_now),
+    which is 0 at the clean boundary g_next = 1, and the predicted noise
+    is reattenuated so the step's total variance is preserved. The
+    scaled noise is written into x_t and z is scaled in place, so both
+    are overwritten; eps is not. Unchecked: generate() checks the gamma
+    pairs of its grid.
     """
-    out = _scaled_signal(x_t, eps, g_now, g_next)
-    np.multiply(eps, math.sqrt(1.0 - g_next), out=x_t)
-    out += x_t
-    return out
-
-
-def _ddpm(x_t: np.ndarray, eps: np.ndarray, g_now: float, g_next: float,
-          z: np.ndarray) -> np.ndarray:
-    """Ancestral update: DDIM's projection plus calibrated fresh noise z.
-
-    The injected variance is
-    (1 - g_now/g_next) (1 - g_next) / (1 - g_now),
-    which is 0 at the clean boundary g_next = 1, and the predicted
-    noise is reattenuated so the step's total variance is preserved.
-    The chain draws z on every step (even when its coefficient is 0) so
-    sampling consumes the stream identically at all steps. The scaled
-    noise is written into x_t and z is scaled in place, so both are
-    overwritten; eps is not. Unchecked, like _ddim.
-    """
-    if g_now == 1.0:
+    if z is None or g_now == 1.0:
         var = 0.0
     else:
         var = (1.0 - g_now / g_next) * (1.0 - g_next) / (1.0 - g_now)
-    out = _scaled_signal(x_t, eps, g_now, g_next)
+    out = np.multiply(eps, math.sqrt(1.0 - g_now), out=np.empty_like(x_t))
+    np.subtract(x_t, out, out=out)
+    out /= math.sqrt(g_now)
+    out *= math.sqrt(g_next)
     np.multiply(eps, math.sqrt(max(1.0 - g_next - var, 0.0)), out=x_t)
     out += x_t
-    z *= math.sqrt(var)
-    out += z
+    if z is not None:
+        z *= math.sqrt(var)
+        out += z
     return out
 
 
@@ -178,7 +160,9 @@ def _chain(model, cs: CompoundSchedule, sc: SamplerConfig, grid,
     """Rows r0:r1 of the reverse process over the checked grid; the final state, unscaled.
 
     Each random draw is made for all n_samples rows and cut, so the
-    rows equal those of the whole-batch chain. A step holds three
+    rows equal those of the whole-batch chain. DDPM draws its step noise
+    on every step, even where its coefficient is 0, so the stream is
+    consumed alike at every step. A step holds three
     state-sized arrays (state, predicted noise, next state), plus DDPM's
     step noise and the self-conditioning estimate.
     """
@@ -203,11 +187,9 @@ def _chain(model, cs: CompoundSchedule, sc: SamplerConfig, grid,
             np.clip(prev_est, -SELF_COND_CLAMP, SELF_COND_CLAMP, out=prev_est)
         if sc.signal_clamp is not None and g_now < 1.0:
             eps = _clamped_noise(x_t, eps, g_now, sc.signal_clamp)
-        if sc.step_kind == "ddim":
-            x_t = _ddim(x_t, eps, g_now, g_next)
-        else:
-            x_t = _ddpm(x_t, eps, g_now, g_next, rng.normal((n_samples, dim))[r0:r1])
-        del eps  # freed before the next step's prediction builds its own
+        z = None if sc.step_kind == "ddim" else rng.normal((n_samples, dim))[r0:r1]
+        x_t = _step(x_t, eps, g_now, g_next, z)
+        del eps, z  # freed before the next step's prediction builds its own
     return x_t
 
 
@@ -227,12 +209,11 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
             "the oracle needs raw chain state; use a compound schedule "
             "with normalize='off'"
         )
-    grid = []
-    for t_now, t_next in time_grid(sc.steps):
-        g_now = float(gamma(sc.inference_schedule, t_now))
-        g_next = float(gamma(sc.inference_schedule, t_next))
+    times = time_grid(sc.steps)
+    gammas = gamma(sc.inference_schedule, np.array(times)).tolist()
+    for g_now, g_next in gammas:
         _check_gammas(g_now, g_next)
-        grid.append((t_now, g_now, g_next))
+    grid = [(t_now, g_now, g_next) for (t_now, _), (g_now, g_next) in zip(times, gammas)]
 
     chain = functools.partial(_chain, model, cs, sc, grid, n_samples)
     # pinned, the bits do not depend on the BLAS thread count; unpinned,

@@ -106,24 +106,31 @@ class ScheduleSpec:
         return cls("sigmoid", float(start), float(end), float(tau), clip_min)
 
 
-def _curve_ends(spec: ScheduleSpec) -> tuple[float, float]:
-    """The unnormalized cosine or sigmoid curve at t = 0 and at t = 1."""
-    ends = (spec.start, spec.end)
+def _curve(spec: ScheduleSpec, tt: np.ndarray) -> np.ndarray:
+    """The unnormalized cosine or sigmoid curve at the times of a float64 array tt."""
+    s, e, tau = spec.start, spec.end, spec.tau
     if spec.kind == "cosine":
-        v_start, v_end = (math.cos(v * math.pi / 2.0) ** (2.0 * spec.tau) for v in ends)
-    else:
-        v_start, v_end = (float(sigmoid(np.asarray([v / spec.tau]))[0]) for v in ends)
+        return np.cos((tt * (e - s) + s) * (math.pi / 2.0)) ** (2.0 * tau)
+    return sigmoid((tt * (e - s) + s) / tau)
+
+
+def _curve_ends(spec: ScheduleSpec) -> tuple[float, float]:
+    """The unnormalized curve at t = 0 and at t = 1, by gamma's own expression."""
+    v_start, v_end = _curve(spec, np.array([0.0, 1.0])).tolist()
     return v_start, v_end
 
 
 def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     """Evaluate gamma(t) for scalar or array ``t`` in [0, 1].
 
-    Returns a float for scalar input, else an array of t's shape. Values
-    are clipped to [clip_min, 1]; renormalization makes gamma(0) == 1.0
-    and gamma(1) == clip_min exact.
+    Returns a float for scalar input, else an array of t's shape. A
+    scalar goes through the same array expression as an array, so one t
+    gives one value either way (numpy's 0-d cos rounds apart from its
+    array loop). Values are clipped to [clip_min, 1]; since the curve's
+    ends come from the same expression, gamma(0) == 1.0 and
+    gamma(1) == clip_min are exact.
     """
-    tt = np.asarray(t, dtype=np.float64)
+    tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not ((tt >= 0.0) & (tt <= 1.0)).all():  # also false for NaN
         if not np.isfinite(tt).all():
             raise ValueError("t must be finite")
@@ -131,15 +138,10 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     if spec.kind == "linear":
         out = 1.0 - tt
     else:
-        s, e, tau = spec.start, spec.end, spec.tau
-        if spec.kind == "cosine":
-            raw = np.cos((tt * (e - s) + s) * (math.pi / 2.0)) ** (2.0 * tau)
-        else:
-            raw = sigmoid(np.atleast_1d((tt * (e - s) + s) / tau)).reshape(tt.shape)
         v_start, v_end = _curve_ends(spec)
-        out = (v_end - raw) / (v_end - v_start)
+        out = (v_end - _curve(spec, tt)) / (v_end - v_start)
     out = np.minimum(np.maximum(out, spec.clip_min), 1.0)  # np.clip, without its wrapper
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def log_snr(spec: ScheduleSpec, t, scale: float = 1.0) -> float | np.ndarray:

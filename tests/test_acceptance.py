@@ -222,6 +222,7 @@ class TestCriterion07BestScaleStaircase:
         assert bests[2] <= bests[1] <= bests[0], bests
 
 
+@pytest.mark.golden
 class TestCriterion08EndToEnd:
     @pytest.mark.slow  # runs the end_to_end_run fixture's 20k-step set-up
     def test_criterion_08_sw_ratio(self, end_to_end_run):
@@ -236,6 +237,7 @@ class TestCriterion08EndToEnd:
         assert r["final_loss"] == pytest.approx(reference["final_loss"], rel=1e-6)
 
 
+@pytest.mark.golden
 class TestCriterion09Determinism:
     def test_criterion_09_oracle_samples_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

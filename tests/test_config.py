@@ -386,6 +386,7 @@ normalize = off
 """
 
 
+@pytest.mark.golden
 class TestGoldenText:
     """The exact resolved text; reruns and stored digests depend on its key order."""
 

@@ -44,11 +44,13 @@ class TestRngDeterminism:
         b = Rng(42).normal((1000,))
         assert np.array_equal(a, b)
 
+    @pytest.mark.golden
     def test_matches_golden_values(self):
         z = Rng(42).normal((1000,))
         np.testing.assert_array_equal(z[:4], GOLDEN_FIRST4)
         assert hashlib.sha256(z.tobytes()).hexdigest() == GOLDEN_SHA256
 
+    @pytest.mark.golden
     def test_bit_identical_across_processes(self):
         code = (
             "import hashlib; from noiselab.core import Rng; "

@@ -194,6 +194,7 @@ GAUSSIAN_DIGESTS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(GAUSSIAN_DIGESTS))
 def test_gaussian_dataset_digests(name):
     spec, digest = GAUSSIAN_DIGESTS[name]

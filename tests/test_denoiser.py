@@ -326,6 +326,7 @@ GOLDEN_HEADERS = [
 class TestFileFormat:
     """params.bin is the header line, then weights and bias per layer."""
 
+    @pytest.mark.golden
     @pytest.mark.parametrize("arch, header", GOLDEN_HEADERS, ids=["plain", "cond", "sc"])
     def test_golden_bytes(self, arch, header, tmp_path):
         widths = [arch.input_width, *arch.hidden_dims, arch.in_dim]

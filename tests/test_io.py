@@ -66,6 +66,7 @@ class TestSamplesCsv:
         assert out.shape == (2, 1)
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.golden
     def test_golden_bytes(self, tmp_path):
         # repr text: signed zero, exponent forms, shortest round-trip digits
         x = np.array([[-0.0, 1e-7, 1e17], [0.1, -2.5, 123456.789]])

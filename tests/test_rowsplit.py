@@ -212,17 +212,17 @@ class TestStaysInProcess:
 
 
 def in_children(monkeypatch, act):
-    """Run act(x_t) in every child of a split, after each of its DDIM steps."""
+    """Run act(x_t) in every child of a split, after each of its steps."""
     parent = os.getpid()
-    real = sampler_mod._ddim
+    real = sampler_mod._step
 
-    def ddim(*args):
+    def step(*args):
         out = real(*args)
         if os.getpid() != parent:
             act(out)
         return out
 
-    monkeypatch.setattr(sampler_mod, "_ddim", ddim)
+    monkeypatch.setattr(sampler_mod, "_step", step)
 
 
 def die_in_children(monkeypatch, how):
@@ -346,10 +346,10 @@ class TestFailures:
         """The caller's error ends the children at once, and they are reaped."""
         cpus(monkeypatch, 2)
         pids = forked_pids(monkeypatch)
-        parent, real, calls = os.getpid(), sampler_mod._ddim, []
+        parent, real, calls = os.getpid(), sampler_mod._step, []
 
-        def ddim(x_t, eps, g_now, g_next):
-            out = real(x_t, eps, g_now, g_next)
+        def step(x_t, eps, g_now, g_next, z):
+            out = real(x_t, eps, g_now, g_next, z)
             if os.getpid() == parent:
                 calls.append(g_now)
                 if len(calls) == 2:
@@ -363,7 +363,7 @@ class TestFailures:
             killed.append((pid, sig))
             real_kill(pid, sig)
 
-        monkeypatch.setattr(sampler_mod, "_ddim", ddim)
+        monkeypatch.setattr(sampler_mod, "_step", step)
         monkeypatch.setattr(os, "kill", kill)
         with pytest.raises(NonFiniteError):
             generate(mlp(64, True), LINEAR_OFF, SamplerConfig(steps=500, seed=0), 2048)

@@ -23,8 +23,7 @@ from noiselab.sampler import (
     STEP_KINDS,
     SamplerConfig,
     _check_gammas,
-    _ddim,
-    _ddpm,
+    _step,
     generate,
 )
 from noiselab.schedules import ScheduleSpec
@@ -47,13 +46,13 @@ class TestDdimStep:
     def test_hand_value(self):
         x_t = np.array([[1.0]])
         eps = np.array([[0.5]])
-        out = _ddim(x_t, eps, 0.5, 1.0)
+        out = _step(x_t, eps, 0.5, 1.0)
         assert out[0, 0] == pytest.approx(0.9142135623730951, abs=1e-15)
 
     def test_fixed_point(self):
         x_t = Rng(0).normal((6, 3))
         eps = Rng(1).normal((6, 3))
-        np.testing.assert_allclose(_ddim(x_t.copy(), eps, 0.4, 0.4), x_t, atol=1e-12)
+        np.testing.assert_allclose(_step(x_t.copy(), eps, 0.4, 0.4), x_t, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_true_noise_inverts_forward(self, scale):
@@ -64,16 +63,16 @@ class TestDdimStep:
         t = 0.3
         sample = diffuse(x0, t, None, cs, eps=eps)
         g = float(sample.gamma_t[0])
-        out = _ddim(sample.x_t, eps, g, 1.0)
+        out = _step(sample.x_t, eps, g, 1.0)
         np.testing.assert_allclose(out, scale * x0, atol=1e-10)
 
     def test_deterministic_no_rng(self):
-        """_ddim overwrites x_t, so each call gets its own copy; eps stays as it was."""
+        """Without z, _step overwrites x_t, so each call gets its own copy; eps stays as it was."""
         x_t = Rng(4).normal((5, 2))
         eps = Rng(5).normal((5, 2))
         eps_before = eps.copy()
         np.testing.assert_array_equal(
-            _ddim(x_t.copy(), eps, 0.3, 0.7), _ddim(x_t.copy(), eps, 0.3, 0.7)
+            _step(x_t.copy(), eps, 0.3, 0.7), _step(x_t.copy(), eps, 0.3, 0.7)
         )
         np.testing.assert_array_equal(eps, eps_before)
 
@@ -91,7 +90,7 @@ class TestDdpmStep:
         """10^4 repeats of one step from fixed inputs: var within 3%."""
         x_t = np.full((10_000, 1), 0.7)
         eps = np.full((10_000, 1), -0.3)
-        out = _ddpm(x_t, eps, 0.5, 0.8, Rng(11).normal(x_t.shape))
+        out = _step(x_t, eps, 0.5, 0.8, Rng(11).normal(x_t.shape))
         want = (1.0 - 0.5 / 0.8) * (1.0 - 0.8) / (1.0 - 0.5)
         assert float(np.var(out)) == pytest.approx(want, rel=0.03)
 
@@ -99,17 +98,27 @@ class TestDdpmStep:
         """gamma_next = 1: injected variance and eps coefficient vanish."""
         x_t = Rng(6).normal((8, 3))
         eps = Rng(7).normal((8, 3))
-        out = _ddpm(x_t.copy(), eps, 0.6, 1.0, Rng(8).normal(x_t.shape))
+        out = _step(x_t.copy(), eps, 0.6, 1.0, Rng(8).normal(x_t.shape))
         sig = (x_t - math.sqrt(0.4) * eps) / math.sqrt(0.6)
         np.testing.assert_allclose(out, sig, atol=1e-12)
 
+    @pytest.mark.parametrize("g_now", [0.6, 1e-9, 1.0])
+    def test_clean_boundary_equals_ddim(self, g_now):
+        """gamma_next = 1 injects no noise, so the step is DDIM's to the last bit."""
+        x_t = Rng(12).normal((8, 3))
+        eps = Rng(13).normal((8, 3))
+        np.testing.assert_array_equal(
+            _step(x_t.copy(), eps, g_now, 1.0, Rng(14).normal(x_t.shape)),
+            _step(x_t.copy(), eps, g_now, 1.0),
+        )
+
     def test_seed_determinism(self):
-        """_ddpm overwrites x_t, so each call gets its own copy; eps stays as it was."""
+        """With z, _step overwrites x_t, so each call gets its own copy; eps stays as it was."""
         x_t = Rng(9).normal((8, 3))
         eps = Rng(10).normal((8, 3))
         eps_before = eps.copy()
-        a = _ddpm(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
-        b = _ddpm(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
+        a = _step(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
+        b = _step(x_t.copy(), eps, 0.3, 0.6, Rng(21).normal(x_t.shape))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(eps, eps_before)
 
@@ -471,6 +480,7 @@ GOLDEN_SAMPLING_DIGESTS = {
 SPLIT_GOLDEN_CASES = ("oracle_ddim_ar1", "oracle_ddpm_ar1", "mlp_ddim_clamp")
 
 
+@pytest.mark.golden
 class TestGoldenSamplingBits:
     """generate() reproduces recorded samples byte for byte."""
 

@@ -249,9 +249,9 @@ class TestStringForms:
 
 
 @st.composite
-def valid_specs(draw):
+def valid_specs(draw, kinds=("linear", "cosine", "sigmoid")):
     """Any spec the constructor accepts, shapes well outside the reference set."""
-    kind = draw(st.sampled_from(["linear", "cosine", "sigmoid"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "linear":
         return ScheduleSpec.linear(clip_min=draw(st.sampled_from([1e-9, 1e-4, 0.1])))
     lo, hi = (0.0, 1.0) if kind == "cosine" else (-50.0, 50.0)
@@ -281,3 +281,26 @@ class TestScheduleProperties:
     def test_format_then_parse_is_identity(self, spec):
         assume(spec.clip_min == 1e-9)  # the string form carries no clip_min
         assert parse_schedule(format_schedule(spec)) == spec
+
+
+def assert_one_gamma_per_t(spec, ts):
+    """Scalar and array t give the same bits, and both forms hit the exact ends."""
+    np.testing.assert_array_equal([gamma(spec, float(t)) for t in ts], gamma(spec, ts))
+    for t, want in ((0.0, 1.0), (1.0, spec.clip_min)):
+        assert gamma(spec, t) == want
+        assert gamma(spec, np.array([t]))[0] == want
+
+
+class TestOneGammaPerT:
+    """One t means one gamma, whether it comes alone (the sampler's grid once
+    did) or in an array (training's batches)."""
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=format_schedule)
+    def test_reference_specs(self, spec):
+        assert_one_gamma_per_t(spec, np.random.default_rng(0).random(2000))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=valid_specs(kinds=("cosine", "sigmoid")),
+           ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_cosine_and_sigmoid_specs(self, spec, ts):
+        assert_one_gamma_per_t(spec, np.array(ts))

@@ -295,6 +295,7 @@ class TestRunSweep:
         assert res.rows[0].metric >= 0.0
 
 
+@pytest.mark.golden
 class TestGoldenRows:
     """Exact rows of two small sweeps, recorded before the sweep ran from Config.
 
@@ -367,6 +368,7 @@ class TestParallelCells:
         assert strip_wall(parallel) == strip_wall(serial)
         assert parallel.ok and all(r.wall_ms >= 0 for r in parallel.rows)
 
+    @pytest.mark.golden
     def test_golden_oracle_rows_in_workers(self, two_workers, forks):
         cfg = oracle_cfg(schedules=("linear",), scales=(0.4, 0.8), n_eval=400,
                          steps=10, dataset=AR1_4)

@@ -814,6 +814,7 @@ GOLDEN_DIGESTS = {
 }
 
 
+@pytest.mark.golden
 class TestGoldenTrainingBits:
     """`noiselab train` reproduces recorded artifacts byte for byte."""
 
