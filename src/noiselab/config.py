@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import check_seed
-from .datasets import DatasetSpec
+from .datasets import _KIND_EXTRAS, _KIND_SPECIFIC, DatasetSpec
 from .denoiser import MlpArch
 from .forward import NORMALIZE_MODES, CompoundSchedule, check_analytic_scale
 from .metrics import METRIC_NAMES
@@ -168,16 +168,6 @@ _SECTION_CLASSES = {
     "sweep": {"sweep": SweepSettings},
 }
 
-# The dataset keys each kind takes beyond the ones every kind takes.
-_DATASET_EXTRAS = {
-    "gaussian_ar1": ("dim", "rho"),
-    "mixture2d": ("modes", "radius", "std"),
-    "checkerboard": (),
-    "toy_image": ("base_res", "rho", "upsample"),
-}
-_KIND_SPECIFIC = frozenset().union(*_DATASET_EXTRAS.values())
-
-
 def _convert(raw: str, typ: str, lineno: int, key: str):
     try:
         if typ == "int":
@@ -260,13 +250,12 @@ def _check_normalize(cfg: Config) -> None:
             )
 
 
-def _check_dataset_keys(cfg: Config, lines: dict) -> None:
-    """A [dataset] key of another kind would be dropped from config.txt."""
-    if cfg.dataset is None:
-        return
-    kind = cfg.dataset.kind
+def _check_dataset_keys(values: dict, lines: dict) -> None:
+    """A [dataset] key of another kind, by its line, before the spec rejects it."""
+    kind = values.get("dataset", {}).get("dataset", {}).get("kind")
     for (sect, key), lineno in lines.items():
-        if sect == "dataset" and key in _KIND_SPECIFIC and key not in _DATASET_EXTRAS[kind]:
+        if (sect == "dataset" and kind in _KIND_EXTRAS and key in _KIND_SPECIFIC
+                and key not in _KIND_EXTRAS[kind]):
             raise ConfigError(f"line {lineno}: key '{key}' does not apply to [dataset] kind {kind}")
 
 
@@ -289,12 +278,12 @@ def parse_config_text(text: str) -> Config:
         attr, name = _RENAMES.get((sect, key), (sect, key))
         section.setdefault(attr, {})[name] = value
 
+    _check_dataset_keys(values, lines)
     cfg = Config()
     for sect, classes in _SECTION_CLASSES.items():
         if sect in values:
             for attr, ctor in classes.items():
                 setattr(cfg, attr, _build(sect, ctor, values[sect].get(attr, {})))
-    _check_dataset_keys(cfg, lines)
     _check_normalize(cfg)
     return cfg
 
@@ -325,7 +314,7 @@ def _written_keys(section: str, settings) -> tuple:
     keys = tuple(_SECTION_KEYS[section])
     if section != "dataset":
         return keys
-    extras = _DATASET_EXTRAS[settings.kind]
+    extras = _KIND_EXTRAS[settings.kind]
     return tuple(k for k in keys if k not in _KIND_SPECIFIC or k in extras)
 
 

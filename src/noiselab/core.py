@@ -15,7 +15,8 @@ across platforms, processes, and library versions.
 A matrix product can round differently with the number of BLAS threads,
 so code that must give the same bits on every machine runs inside
 ``one_blas_thread``. Work that runs in parallel sizes itself by
-``usable_cpus`` and forks through ``fork_map``.
+``usable_cpus``, which alone decides whether it may fork, and forks
+through ``fork_map``.
 """
 
 from __future__ import annotations
@@ -240,22 +241,22 @@ def _openblas_thread_funcs():
 
 
 @contextmanager
-def one_blas_thread() -> Iterator[bool]:
+def one_blas_thread() -> Iterator[None]:
     """Run the body with OpenBLAS on one thread, then restore the old count.
 
-    Yields True when the count was set and False when numpy's BLAS
-    cannot be reached, in which case nothing changes. Processes forked
-    inside the body inherit the setting.
+    Where numpy's BLAS cannot be reached nothing changes (and
+    usable_cpus() is 1). Processes forked inside the body inherit the
+    setting.
     """
     funcs = _openblas_thread_funcs()
     if funcs is None:
-        yield False
+        yield
         return
     get, set_ = funcs
     old = get()
     set_(1)
     try:
-        yield True
+        yield
     finally:
         set_(old)
 
@@ -264,12 +265,17 @@ _forked = False  # set while a fork_map of several parts runs, in the caller and
 
 
 def usable_cpus() -> int:
-    """CPUs this process may compute on: 1 inside a fork_map of several parts,
-    else its affinity set.
+    """CPUs this process may compute on, and so the most processes its work may fork into.
 
-    Without an affinity call on the platform, the CPU count (1 if unknown).
+    This is the one place that decides whether work may fork. It is 1
+    inside a fork_map of several parts, where os.fork does not exist,
+    and where numpy's OpenBLAS cannot be reached: one_blas_thread cannot
+    pin it there, so the bits could move with the thread count and
+    forked processes would compete for its threads' cores. Otherwise it
+    is the affinity set's size, or without an affinity call on the
+    platform, the CPU count (1 if unknown).
     """
-    if _forked:
+    if _forked or not hasattr(os, "fork") or _openblas_thread_funcs() is None:
         return 1
     try:
         return len(os.sched_getaffinity(0))

@@ -11,7 +11,7 @@ without changing per-coordinate statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -28,9 +28,18 @@ __all__ = [
     "upsample_covariance",
 ]
 
-DATASET_KINDS = ("gaussian_ar1", "mixture2d", "checkerboard", "toy_image")
-
 UPSAMPLE_FACTORS = (1, 2, 4)
+
+# Each kind and the fields it takes beyond the ones every kind takes: the
+# only declaration of both, which config reads for the [dataset] keys.
+_KIND_EXTRAS = {
+    "gaussian_ar1": ("dim", "rho"),
+    "mixture2d": ("modes", "radius", "std"),
+    "checkerboard": (),
+    "toy_image": ("base_res", "rho", "upsample"),
+}
+DATASET_KINDS = tuple(_KIND_EXTRAS)
+_KIND_SPECIFIC = frozenset().union(*_KIND_EXTRAS.values())
 
 
 def ar1_covariance(dim: int, rho: float) -> np.ndarray:
@@ -58,7 +67,8 @@ class DatasetSpec:
     gaussian_ar1: dim, rho. mixture2d: modes, radius, std. checkerboard:
     no extras. toy_image: base_res, rho, upsample in {1, 2, 4}; samples
     are flattened (base_res * upsample)^2 grids of a separable AR(1)
-    field, nearest-neighbor upsampled.
+    field, nearest-neighbor upsampled. A field of another kind must keep
+    its default.
     """
 
     kind: str
@@ -78,6 +88,10 @@ class DatasetSpec:
         if self.n_train < 1:
             raise ValueError(f"n_train must be >= 1, got {self.n_train}")
         check_seed(self.seed)
+        for f in fields(self):
+            if (f.name in _KIND_SPECIFIC and f.name not in _KIND_EXTRAS[self.kind]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{f.name} does not apply to dataset kind {self.kind}")
         if self.kind == "gaussian_ar1":
             if self.dim is None or self.dim < 1:
                 raise ValueError("gaussian_ar1 needs dim >= 1")

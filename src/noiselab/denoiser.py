@@ -32,7 +32,6 @@ __all__ = [
     "load_params",
     "mlp_backward",
     "mlp_forward",
-    "mlp_forward_cached",
     "save_params",
     "time_embedding",
 ]
@@ -230,8 +229,12 @@ def _hidden(p: DenoiserParams, a: np.ndarray, out: np.ndarray,
             cache["acts"].append(a)
 
 
-def _forward(p: DenoiserParams, x, t, self_cond, cache: Optional[dict]) -> np.ndarray:
-    """The forward pass behind mlp_forward and mlp_forward_cached: checks, then _forward_rows."""
+def mlp_forward(p: DenoiserParams, x, t, self_cond=None,
+                cache: Optional[dict] = None) -> np.ndarray:
+    """Predicted noise for a batch; t is a scalar or one time per row.
+
+    A given cache dict is filled for mlp_backward.
+    """
     arch = p.arch
     x = as_f64(x, "mlp input")
     if x.ndim != 2 or x.shape[1] != arch.in_dim:
@@ -263,7 +266,7 @@ def _forward_rows(p: DenoiserParams, a0: np.ndarray, cache: Optional[dict] = Non
     BLAS picks a kernel by the product's size, and blocks would move its
     last ulp. A sampling chain split by rows runs this pass on a run of
     blocks only where the run's output layer rounds as the whole batch's
-    (rowsplit.split_processes).
+    (sampler.split_processes).
     """
     n_hidden = len(p.arch.hidden_dims)
     last = np.empty((len(a0), p.arch.hidden_dims[-1])) if n_hidden else a0
@@ -274,24 +277,13 @@ def _forward_rows(p: DenoiserParams, a0: np.ndarray, cache: Optional[dict] = Non
     return last @ p.weights[n_hidden] + p.biases[n_hidden]
 
 
-def mlp_forward_cached(p: DenoiserParams, x, t, self_cond=None):
-    """Forward pass returning (eps_pred, cache) for mlp_backward."""
-    cache: dict = {}
-    return _forward(p, x, t, self_cond, cache), cache
-
-
-def mlp_forward(p: DenoiserParams, x, t, self_cond=None) -> np.ndarray:
-    """Predicted noise for a batch; t is a scalar or one time per row."""
-    return _forward(p, x, t, self_cond, None)
-
-
 def mlp_backward(p: DenoiserParams, cache: dict, grad_out: np.ndarray, *,
                  out: Optional[DenoiserParams] = None) -> DenoiserParams:
     """Exact reverse-mode gradients of the cached forward pass.
 
     Args:
         p: parameters used in the forward pass.
-        cache: second output of mlp_forward_cached.
+        cache: the dict that mlp_forward filled.
         grad_out: dLoss/d(eps_pred), shape (batch, in_dim).
         out: optional gradient buffer in p's layout, overwritten and
             returned, so a training loop allocates it once.

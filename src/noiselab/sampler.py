@@ -27,13 +27,19 @@ chain. Reductions such as np.cov do sum in a layout-dependent order, so
 generate() returns the samples C-contiguous.
 
 The chain runs with OpenBLAS on one thread, so its bits do not depend on
-the machine's core count. Every part of a step acts row by row, so a
-large batch splits by rows across forked processes (core.fork_map over
-rowsplit.row_runs), one per usable CPU: each runs the whole chain,
-checks included, on its own run of row blocks, and the samples are the
-same to the last bit.
-Each process draws the whole batch's noise from the seed's stream and
-keeps its own rows, so the stream is consumed as in the serial chain.
+the machine's core count. Every part of a step acts row by row, so the
+chain run on a contiguous run of the batch's row blocks
+(denoiser._row_blocks) gives those rows of the whole-batch chain, checks
+included. generate() cuts a large batch into row_runs, one per process
+of split_processes, runs each through core.fork_map in its own process
+and stacks the final rows. Each process draws the whole batch's noise
+from the seed's stream and keeps its own rows, so the stream is
+consumed as in the serial chain. One matrix product a step grows with
+the row count: the MLP's output layer, and the oracle's Sigma @ y. BLAS
+may pick its kernel by a product's size (OpenBLAS has one for small
+products), and kernels round differently. So split_processes takes only
+a cut each of whose runs rounds that product as the whole batch does,
+and the samples are the same to the last bit.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, check_seed, ensure_finite, fork_map, one_blas_thread
-from noiselab.denoiser import DenoiserParams, mlp_forward
+from noiselab.core import Rng, check_seed, ensure_finite, fork_map, one_blas_thread, usable_cpus
+from noiselab.denoiser import DenoiserParams, _row_blocks, mlp_forward
 from noiselab.forward import (
     SELF_COND_CLAMP,
     CompoundSchedule,
@@ -54,7 +60,6 @@ from noiselab.forward import (
     _signal_estimate,
 )
 from noiselab.oracle import GaussianOracle
-from noiselab.rowsplit import row_runs, split_processes
 from noiselab.schedules import ScheduleSpec, gamma, time_grid
 
 __all__ = [
@@ -216,14 +221,62 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
     grid = [(t_now, g_now, g_next) for (t_now, _), (g_now, g_next) in zip(times, gammas)]
 
     chain = functools.partial(_chain, model, cs, sc, grid, n_samples)
-    # pinned, the bits do not depend on the BLAS thread count; unpinned,
-    # the processes of a split would compete for cores
-    with one_blas_thread() as pinned:
-        processes = split_processes(model, n_samples) if pinned else None
-        runs = row_runs(n_samples, processes or 1)
+    with one_blas_thread():
+        runs = row_runs(n_samples, split_processes(model, n_samples))
         # np.cov sums in an order that depends on the layout, so stack in C order
         x_t = np.concatenate(fork_map(lambda run: chain(*run), runs),
                              out=np.empty((n_samples, dim)))
     ensure_finite(x_t, "generated samples")
     x_t /= cs.input_scale
     return x_t
+
+
+def split_processes(model, n_rows: int) -> int:
+    """Processes to split a chain of model on n_rows over; 1 for no split.
+
+    model is DenoiserParams with hidden layers or a GaussianOracle. There
+    is at most one process per usable CPU and per row block. On two CPUs
+    a 100-step chain of 512 rows, two blocks, already runs faster split;
+    forking and reaping cost a few ms.
+    """
+    if isinstance(model, DenoiserParams) and model.arch.hidden_dims:
+        product = ("rows", model.arch.hidden_dims[-1], model.arch.in_dim)  # output layer
+    elif isinstance(model, GaussianOracle):
+        product = ("cols", model.dim, model.dim)  # Sigma @ y
+    else:
+        return 1
+    most = min(usable_cpus(), len(_row_blocks(n_rows)))
+    return _most_alike(product, n_rows, most) if most > 1 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def _most_alike(product: tuple[str, int, int], n_rows: int, most: int) -> int:
+    """The most processes, up to `most`, whose runs round product as the whole; at least 1.
+
+    product is ("rows", k, c) for (n_rows, k) @ (k, c), or ("cols", k, k)
+    for (k, k) @ (k, n_rows). It is probed on fixed random data.
+    """
+    kind, k, c = product
+    gen = np.random.default_rng(0)
+    if kind == "rows":
+        a, b = gen.standard_normal((n_rows, k)), gen.standard_normal((k, c))
+    else:
+        a, b = gen.standard_normal((k, k)), gen.standard_normal((k, n_rows))
+    whole = a @ b
+
+    def alike(r0, r1):
+        if kind == "rows":
+            return (a[r0:r1] @ b).tobytes() == whole[r0:r1].tobytes()
+        return (a @ np.ascontiguousarray(b[:, r0:r1])).tobytes() == whole[:, r0:r1].tobytes()
+
+    for processes in range(most, 1, -1):
+        if all(alike(r0, r1) for r0, r1 in row_runs(n_rows, processes)):
+            return processes
+    return 1
+
+
+def row_runs(n_rows: int, processes: int) -> list[tuple[int, int]]:
+    """n_rows cut into `processes` contiguous runs of whole row blocks, as (start, stop)."""
+    blocks = _row_blocks(n_rows)
+    cuts = [len(blocks) * k // processes for k in range(processes + 1)]
+    return [(blocks[a][0], blocks[b - 1][1]) for a, b in zip(cuts[:-1], cuts[1:])]

@@ -12,7 +12,6 @@ fit-then-sample loop on the configured dataset.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -143,20 +142,15 @@ def _row(cfg: Config, model, data, reference, sched_str, scale, seed) -> SweepRo
     return SweepRow(sched_str, scale, value, wall_ms, seed, status, error)
 
 
-def _workers(n_cells: int) -> int:
-    """One process per usable CPU, and no more than there are cells."""
-    return min(usable_cpus(), n_cells)
-
-
 def run_sweep(cfg: Config) -> SweepResult:
     """Run every grid cell; failures record an error row and continue.
 
     Cells run with OpenBLAS on one thread, so their bits do not depend
     on the machine's core count. They are cut into one contiguous chunk
-    per usable CPU, which core.fork_map runs in this process and in
-    forked children. The sweep stays in this process for a single cell
-    or CPU, without fork, or when the BLAS thread count cannot be set.
-    The rows are the same either way, apart from wall_ms.
+    per usable CPU (core.usable_cpus, 1 where work may not fork) and
+    per cell at most, which core.fork_map runs in this process and in
+    forked children. The rows are the same either way, apart from
+    wall_ms.
     """
     check_sweep(cfg)
     s = cfg.sweep
@@ -172,8 +166,8 @@ def run_sweep(cfg: Config) -> SweepResult:
     def rows(chunk):
         return [_row(cfg, model, data, reference, *cell) for cell in chunk]
 
-    with one_blas_thread() as pinned:
-        workers = _workers(len(cells)) if pinned and hasattr(os, "fork") else 1
+    with one_blas_thread():
+        workers = min(usable_cpus(), len(cells))
         cuts = [len(cells) * k // workers for k in range(workers + 1)]
         chunks = fork_map(rows, [cells[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
     return SweepResult(rows=tuple(row for chunk in chunks for row in chunk),

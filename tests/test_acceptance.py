@@ -23,7 +23,7 @@ from noiselab.denoiser import (
     clone_params,
     init_params,
     mlp_backward,
-    mlp_forward_cached,
+    mlp_forward,
 )
 from noiselab.forward import CompoundSchedule, diffuse
 from noiselab.io import write_samples_csv
@@ -138,7 +138,8 @@ class TestCriterion04GradientCheck:
 
     @staticmethod
     def _loss_and_grads(p, x, t, target, self_cond):
-        pred, cache = mlp_forward_cached(p, x, t, self_cond)
+        cache = {}
+        pred = mlp_forward(p, x, t, self_cond, cache=cache)
         diff = pred - target
         return float(np.mean(diff**2)), mlp_backward(p, cache, 2.0 * diff / diff.size)
 

@@ -327,6 +327,15 @@ class TestSerialization:
         assert "modes" not in text
         assert parse_config_text(text) == cfg
 
+    def test_python_built_dataset_round_trips(self):
+        # before, a mixture2d spec built with dim = 7 serialized without dim,
+        # and so parsed back to another Config
+        with pytest.raises(ValueError, match="^dim does not apply to dataset kind mixture2d$"):
+            DatasetSpec(kind="mixture2d", n_train=8, seed=0, modes=2, radius=1.0, std=0.2, dim=7)
+        cfg = Config(dataset=DatasetSpec(kind="mixture2d", n_train=8, seed=0, modes=2,
+                                         radius=1.0, std=0.2))
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
     def test_serialized_floats_reparse_exactly(self):
         cfg = parse_config_text("[compound]\nschedule = linear\ninput_scale = 0.1\n")
         again = parse_config_text(serialize_config(cfg))

@@ -198,7 +198,16 @@ class TestSigmoid:
         np.testing.assert_array_equal(x, [-3.0, 0.0, 2.0])
 
 
+def reachable_blas(monkeypatch):
+    """Let usable_cpus() count CPUs whether or not numpy's OpenBLAS is reachable here."""
+    monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: ("get", "set"))
+
+
 class TestUsableCpus:
+    @pytest.fixture(autouse=True)
+    def blas(self, monkeypatch):
+        reachable_blas(monkeypatch)
+
     def test_affinity_set(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert usable_cpus() == 3
@@ -213,6 +222,18 @@ class TestUsableCpus:
     def test_one_in_a_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(noiselab.core, "_forked", True)
+        assert usable_cpus() == 1
+
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert usable_cpus() == 1
+
+    def test_one_where_blas_is_unreachable(self, monkeypatch):
+        """one_blas_thread cannot pin the thread count there, so nothing forks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert usable_cpus() == 2
+        monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
         assert usable_cpus() == 1
 
 
@@ -241,6 +262,7 @@ class TestForkMap:
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        reachable_blas(monkeypatch)
 
     def test_results_in_part_order(self, monkeypatch):
         pids = forked_pids(monkeypatch)

@@ -97,6 +97,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DatasetSpec(kind="toy_image", n_train=10, seed=0, base_res=2, rho=0.5, upsample=3)
 
+    @pytest.mark.parametrize("kind, own, foreign", [
+        ("gaussian_ar1", dict(dim=4, rho=0.5), dict(upsample=4)),
+        ("mixture2d", dict(modes=2, radius=1.0, std=0.2), dict(dim=7)),
+        ("checkerboard", {}, dict(rho=0.5)),
+        ("toy_image", dict(base_res=2, rho=0.5), dict(modes=3)),
+    ])
+    def test_field_of_another_kind_rejected(self, kind, own, foreign):
+        # before, gaussian_ar1 with upsample = 4 built and then failed mid-run
+        # in make_dataset with a TypeError
+        (name,) = foreign
+        with pytest.raises(ValueError, match=rf"^{name} does not apply to dataset kind {kind}$"):
+            DatasetSpec(kind=kind, n_train=8, seed=0, **own, **foreign)
+        make_dataset(DatasetSpec(kind=kind, n_train=8, seed=0, **own))
+
     def test_counts(self):
         with pytest.raises(ValueError):
             DatasetSpec(kind="checkerboard", n_train=0, seed=0)

@@ -17,7 +17,6 @@ from noiselab.denoiser import (
     load_params,
     mlp_backward,
     mlp_forward,
-    mlp_forward_cached,
     save_params,
     time_embedding,
 )
@@ -50,7 +49,8 @@ def batch_for(arch: MlpArch, n: int, seed: int):
 
 
 def mse_loss_and_grads(p, x, t, target, self_cond):
-    pred, cache = mlp_forward_cached(p, x, t, self_cond)
+    cache = {}
+    pred = mlp_forward(p, x, t, self_cond, cache=cache)
     diff = pred - target
     loss = float(np.mean(diff**2))
     grads = mlp_backward(p, cache, 2.0 * diff / diff.size)
@@ -161,8 +161,6 @@ class TestForward:
         x, t, _, _ = batch_for(arch, 4, 2)
         with pytest.raises(TypeError):
             mlp_forward(p, x, t, labels=np.array([0, 0, 0, 0]))
-        with pytest.raises(TypeError):
-            mlp_forward_cached(p, x, t, labels=np.array([0, 0, 0, 0]))
 
 
 class TestSelfConditioning:
@@ -449,7 +447,7 @@ def recomputing_backward(p, cache, d):
 
 
 class TestBlockedForward:
-    """mlp_forward runs the hidden layers in row blocks; mlp_forward_cached
+    """mlp_forward runs the hidden layers in row blocks; with a cache it
     runs the whole batch as one block. Both come from one layer loop."""
 
     def test_row_blocks_tile_the_batch(self):
@@ -471,7 +469,7 @@ class TestBlockedForward:
         if not per_row_t:
             t = 0.37
         blocked = mlp_forward(p, x, t, sc)
-        whole, _ = mlp_forward_cached(p, x, t, sc)
+        whole = mlp_forward(p, x, t, sc, cache={})
         assert blocked.tobytes() == whole.tobytes()
         assert blocked.tobytes() == whole_batch_forward(p, x, t, sc).tobytes()
 
@@ -497,7 +495,7 @@ class TestBlockedForward:
         np.testing.assert_allclose(blocked, reference, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(reference)))
         assert mlp_forward(p, x, t, sc).tobytes() == blocked.tobytes()
-        assert mlp_forward_cached(p, x, t, sc)[0].tobytes() == reference.tobytes()
+        assert mlp_forward(p, x, t, sc, cache={}).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 0.999, 1.0])
     @pytest.mark.parametrize("n", [1, 3, 8, 11, 257, 16385])
@@ -517,7 +515,8 @@ class TestBlockedForward:
     def test_backward_with_cached_sigmoid_bit_identical(self, arch):
         p = randomized_params(arch, 13)
         x, t, target, sc = batch_for(arch, 128, 5)
-        pred, cache = mlp_forward_cached(p, x, t, sc)
+        cache = {}
+        pred = mlp_forward(p, x, t, sc, cache=cache)
         d = 2.0 * (pred - target) / pred.size
         grads = mlp_backward(p, cache, d)
         reference = recomputing_backward(p, cache, d)
@@ -527,7 +526,8 @@ class TestBlockedForward:
         arch = GRAD_CHECK_ARCHS[1]
         p = randomized_params(arch, 9)
         x, t, _, sc = batch_for(arch, 7, 3)
-        _, cache = mlp_forward_cached(p, x, t, sc)
+        cache = {}
+        mlp_forward(p, x, t, sc, cache=cache)
         assert len(cache["sigs"]) == len(cache["pres"]) == len(arch.hidden_dims)
         for z, s, a in zip(cache["pres"], cache["sigs"], cache["acts"][1:]):
             assert s.tobytes() == sigmoid(z).tobytes()

@@ -24,6 +24,11 @@ def test_every_module_is_listed():
     assert {"noiselab.denoiser", "noiselab.training"} <= set(MODULES)
 
 
+def test_readme_names_every_module():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [name for name in MODULES[1:] if f"`{name}`" not in readme] == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)

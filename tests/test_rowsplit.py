@@ -26,13 +26,12 @@ from noiselab.denoiser import (
     MlpArch,
     _row_blocks,
     init_params,
-    mlp_forward_cached,
+    mlp_forward,
     save_params,
 )
 from noiselab.forward import CompoundSchedule
 from noiselab.oracle import GaussianOracle
-from noiselab.rowsplit import _most_alike, row_runs, split_processes
-from noiselab.sampler import SamplerConfig, generate
+from noiselab.sampler import SamplerConfig, _most_alike, generate, row_runs, split_processes
 from noiselab.schedules import ScheduleSpec
 
 LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, normalize="off")
@@ -162,17 +161,17 @@ class TestStaysInProcess:
         p = mlp(16, False)
         cpus(monkeypatch, 4)
         assert [split_processes(p, n) for n in (511, 512, 768, 1024, 4096)] \
-            == [None, 2, 3, 4, 4]
+            == [1, 2, 3, 4, 4]
         cpus(monkeypatch, 1)
-        assert split_processes(p, 16384) is None
+        assert split_processes(p, 16384) == 1
 
     def test_no_split_without_hidden_layers_or_fork(self, monkeypatch):
         cpus(monkeypatch, 2)
         p = mlp(16, False)
         assert split_processes(p, 4096) == 2
-        assert split_processes(randomized(MlpArch(in_dim=2, hidden_dims=()), 0), 4096) is None
+        assert split_processes(randomized(MlpArch(in_dim=2, hidden_dims=()), 0), 4096) == 1
         monkeypatch.delattr(os, "fork", raising=False)
-        assert split_processes(p, 4096) is None
+        assert split_processes(p, 4096) == 1
 
     def test_cut_that_rounds_apart(self, monkeypatch, forks):
         """A cut whose output layer BLAS rounds apart from the whole batch's is refused."""
@@ -186,7 +185,7 @@ class TestStaysInProcess:
         generate(mlp(100, False, in_dim=3), LINEAR_OFF, SamplerConfig(steps=2, seed=0), 5000)
         assert forks == [1]
         with one_blas_thread():
-            assert _most_alike(("rows", 100, 3), 5000, 2) is None
+            assert _most_alike(("rows", 100, 3), 5000, 2) == 1
 
     def test_in_a_worker(self, monkeypatch, no_fork):
         cpus(monkeypatch, 2)
@@ -207,7 +206,8 @@ class TestStaysInProcess:
         monkeypatch.setattr(os, "fork", refuse)
         p = mlp(64, False)
         x = Rng(0).normal((4096, 2))
-        out, cache = mlp_forward_cached(p, x, 0.5)
+        cache = {}
+        out = mlp_forward(p, x, 0.5, cache=cache)
         assert out.shape == (4096, 2) and cache["acts"][-1].shape == (4096, 64)
 
 

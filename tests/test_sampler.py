@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import noiselab
-import noiselab.rowsplit
+import noiselab.sampler
 from conftest import traced_peak
 from noiselab.core import NonFiniteError, Rng, _openblas_thread_funcs
 from noiselab.datasets import DatasetSpec, ar1_covariance, dataset_covariance, make_dataset
@@ -300,7 +300,7 @@ class TestChainMemory:
     N, DIM = 4000, 16
 
     def peak_states(self, monkeypatch, model, cs, sc):
-        monkeypatch.setattr(noiselab.rowsplit, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(noiselab.sampler, "usable_cpus", lambda: 1)
         generate(model, cs, sc, 8)  # first-call imports are not the chain's
         return traced_peak(lambda: generate(model, cs, sc, self.N)) / (self.N * self.DIM * 8)
 

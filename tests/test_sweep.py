@@ -14,7 +14,7 @@ import pytest
 import noiselab
 import noiselab.sweep as sweep_mod
 from noiselab.cli import main
-from noiselab.core import _openblas_thread_funcs, one_blas_thread
+from noiselab.core import _openblas_thread_funcs
 from noiselab.config import (
     Config,
     ConfigError,
@@ -342,7 +342,7 @@ needs_pin = pytest.mark.skipif(_openblas_thread_funcs() is None,
 @pytest.fixture
 def two_workers(monkeypatch):
     """Cut the cells into two chunks whatever the CPU count."""
-    monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: min(2, n_cells))
+    monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 2)
 
 
 def pid_cells(monkeypatch):
@@ -362,7 +362,7 @@ class TestParallelCells:
         cfg = oracle_cfg(**self.GRID)
         parallel = run_sweep(cfg)
         assert forks == [2, 1, 1, 1]  # the caller's chunk samples unsplit
-        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
         assert forks == [2, 1, 1, 1] + [1] * 7
         assert strip_wall(parallel) == strip_wall(serial)
@@ -383,7 +383,7 @@ class TestParallelCells:
         cfg = replace(cfg, sweep=replace(cfg.sweep, scales=(1.0, 0.5)))
         parallel = run_sweep(cfg)
         assert forks == [2, 1]
-        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
         assert strip_wall(parallel) == strip_wall(serial)
         # the first cell is TestGoldenRows' trained cell
@@ -410,7 +410,7 @@ class TestParallelCells:
         monkeypatch.setattr(sweep_mod, "_cell", flaky)
         cfg = oracle_cfg(**self.GRID)
         parallel = run_sweep(cfg)
-        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 1)
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
         assert forks[0] == 2 and set(forks[1:]) == {1}
         assert strip_wall(parallel) == strip_wall(serial)
@@ -427,7 +427,7 @@ class TestParallelCells:
             "from noiselab.config import Config, SweepSettings\n"
             "from noiselab.datasets import DatasetSpec\n"
             "from noiselab.sampler import SamplerConfig\n"
-            "sw._workers = lambda n_cells: 2\n"
+            "sw.usable_cpus = lambda: 2\n"
             "parent = os.getpid()\n"
             "sw._cell = lambda *args: os._exit(3) if os.getpid() != parent else None\n"
             "cfg = Config(sweep=SweepSettings(schedules=('linear',), scales=(0.5, 1.0),\n"
@@ -455,7 +455,7 @@ class TestParallelCells:
                 os._exit(3)
             return real(*args)
 
-        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 2)
         monkeypatch.setattr(sweep_mod, "_cell", die_in_child)
         cfg = tmp_path / "sweep.txt"
         cfg.write_text(TestSpecFromConfig.ORACLE_TEXT.replace("scales = 1.0",
@@ -511,25 +511,38 @@ class TestParallelCells:
 
 
 class TestWorkerCount:
-    def test_usable_cpus_capped_by_cells(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert [sweep_mod._workers(n) for n in (1, 2, 3, 30)] == [1, 2, 3, 3]
+    """One chunk of cells per usable CPU and per cell at most, through core.usable_cpus."""
 
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
+    @staticmethod
+    def sweep(n_cells):
+        return run_sweep(oracle_cfg(scales=tuple((k + 1) / n_cells for k in range(n_cells)),
+                                    n_eval=400, steps=10, dataset=AR1_4))
+
+    @needs_pin
+    def test_usable_cpus_capped_by_cells(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        pid_cells(monkeypatch)
+        for n_cells in (1, 2, 3, 30):
+            self.sweep(n_cells)
+        assert forks == [1, 2, 3, 3]
+
+    @needs_pin
+    def test_cpu_count_without_affinity_call(self, monkeypatch, forks):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert [sweep_mod._workers(n) for n in (1, 3, 30)] == [1, 3, 4]
+        pid_cells(monkeypatch)
+        for n_cells in (1, 3, 30):
+            self.sweep(n_cells)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sweep_mod._workers(30) == 1
+        self.sweep(30)
+        assert forks == [1, 3, 4, 1]
 
     def test_unreachable_blas_stays_serial(self, monkeypatch, no_fork):
-        monkeypatch.setattr(sweep_mod, "_workers", lambda n_cells: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
         pid_cells(monkeypatch)
-        with one_blas_thread() as pinned:
-            assert pinned is False
-        res = run_sweep(oracle_cfg(schedules=("linear",), scales=(0.5, 1.0), n_eval=400,
-                                   steps=10, dataset=AR1_4))
+        assert noiselab.core.usable_cpus() == 1
+        res = self.sweep(2)
         assert {r.error for r in res.rows} == {f"RuntimeError: pid {os.getpid()}"}
 
 

@@ -22,7 +22,6 @@ from noiselab.denoiser import (
     init_params,
     mlp_backward,
     mlp_forward,
-    mlp_forward_cached,
 )
 from noiselab.forward import (
     SELF_COND_CLAMP,
@@ -317,7 +316,8 @@ class TestStepPiecesBitwise:
             x, t, sc, target = rng.normal((6, 2)), rng.uniform((6,)), rng.normal((6, 2)), rng.normal((6, 2))
             grads = {}
             for k in params:
-                pred, cache = mlp_forward_cached(params[k], x, t, sc)
+                cache = {}
+                pred = mlp_forward(params[k], x, t, sc, cache=cache)
                 d = 2.0 * (pred - target) / pred.size
                 grads[k] = mlp_backward(params[k], cache, d, out=buffer if k == "reused" else None)
                 lamb_step(params[k], grads[k], states[k], cfg, lr=0.05)
@@ -328,7 +328,8 @@ class TestStepPiecesBitwise:
     def test_backward_out_must_match_layout(self):
         arch = MlpArch(in_dim=2, hidden_dims=(4,), time_embed_dim=2)
         p = init_params(arch, Rng(60))
-        _, cache = mlp_forward_cached(p, Rng(61).normal((5, 2)), 0.5)
+        cache = {}
+        mlp_forward(p, Rng(61).normal((5, 2)), 0.5, cache=cache)
         other = DenoiserParams(MlpArch(in_dim=2, hidden_dims=(5,), time_embed_dim=2))
         with pytest.raises(ValueError, match="layout"):
             mlp_backward(p, cache, np.ones((5, 2)), out=other)
@@ -585,7 +586,8 @@ def step_loop_loss(x0, params, cs, rng, self_cond_rate):
             est = _signal_estimate(sample.x_t, sample.gamma_t[:, None],
                                    mlp_forward(params, x_in, t))
             self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
-    pred, cache = mlp_forward_cached(params, x_in, t, self_cond)
+    cache = {}
+    pred = mlp_forward(params, x_in, t, self_cond, cache=cache)
     diff = pred - sample.eps
     loss = float((diff * diff).mean())
     return loss, mlp_backward(params, cache, 2.0 * diff / diff.size), sample.gamma_t
