@@ -12,7 +12,6 @@ from noiselab.schedules import (
     log_snr,
     parse_schedule,
     format_schedule,
-    solve_t_for_logsnr,
     time_grid,
 )
 from noiselab.forward import (
@@ -39,7 +38,6 @@ __all__ = [
     "log_snr",
     "parse_schedule",
     "format_schedule",
-    "solve_t_for_logsnr",
     "time_grid",
     "CompoundSchedule",
     "NoisySample",

@@ -25,7 +25,6 @@ __all__ = [
     "dataset_covariance",
     "make_dataset",
     "mixture2d_standardizer",
-    "upsample_covariance",
 ]
 
 UPSAMPLE_FACTORS = (1, 2, 4)
@@ -50,14 +49,6 @@ def ar1_covariance(dim: int, rho: float) -> np.ndarray:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     idx = np.arange(dim)
     return rho ** np.abs(idx[:, None] - idx[None, :])
-
-
-def upsample_covariance(base: np.ndarray, factor: int) -> np.ndarray:
-    """Covariance of a vector whose coordinates are replicated ``factor`` times."""
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    reps = np.repeat(np.arange(base.shape[0]), factor)
-    return base[np.ix_(reps, reps)]
 
 
 @dataclass(frozen=True)

@@ -149,15 +149,3 @@ def write_pgm(path, image: np.ndarray, value_range: float = 3.0) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Parse back a P5 file written by write_pgm; returns uint8 pixels."""
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError(f"{path} is not an 8-bit P5 file")
-    w, h = (int(tok) for tok in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"{path} pixel payload is {pixels.size} bytes, expected {w * h}")
-    return pixels.reshape(h, w).copy()

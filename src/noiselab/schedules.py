@@ -1,7 +1,7 @@
 """Signal-retention schedules gamma(t) on continuous time t in [0, 1].
 
 A schedule maps diffusion time to the retained signal power gamma, with
-gamma(0) = 1 (clean data) and gamma(1) = clip_min (pure noise). Three
+gamma(0) = 1 (clean data) and gamma(1) = CLIP_MIN (pure noise). Three
 families are provided, each renormalized so the endpoints are exact:
 
 * linear:   gamma = 1 - t
@@ -18,29 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from noiselab.core import sigmoid
 
 __all__ = [
+    "CLIP_MIN",
     "REFERENCE_SPECS",
     "ScheduleSpec",
     "format_schedule",
     "gamma",
     "log_snr",
     "parse_schedule",
-    "solve_t_for_logsnr",
     "time_grid",
 ]
 
 _KINDS = ("linear", "cosine", "sigmoid")
 
-# Bisection bracket for logSNR inversion, clear of the clipped endpoints.
-_T_LO = 1e-6
-_T_HI = 1.0 - 1e-6
-_BISECT_ITERS = 64
+CLIP_MIN = 1e-9  # the floor gamma clips to: gamma(1) for every schedule
 
 
 @dataclass(frozen=True)
@@ -50,21 +46,17 @@ class ScheduleSpec:
     ``start``/``end``/``tau`` are unused by the linear family. Cosine
     requires 0 <= start < end <= 1; sigmoid requires start < end; both
     require finite values, tau > 0, and a curve that moves across the
-    window in float64, since gamma divides by that move. ``clip_min`` is
-    the floor applied to gamma.
+    window in float64, since gamma divides by that move.
     """
 
     kind: str
     start: float | None = None
     end: float | None = None
     tau: float | None = None
-    clip_min: float = 1e-9
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {_KINDS}")
-        if not 0.0 < self.clip_min < 1.0:
-            raise ValueError(f"clip_min must lie in (0, 1), got {self.clip_min}")
         if self.kind == "linear":
             if not (self.start is None and self.end is None and self.tau is None):
                 raise ValueError("linear schedule takes no shape parameters")
@@ -92,18 +84,16 @@ class ScheduleSpec:
             )
 
     @classmethod
-    def linear(cls, clip_min: float = 1e-9) -> "ScheduleSpec":
-        return cls("linear", clip_min=clip_min)
+    def linear(cls) -> "ScheduleSpec":
+        return cls("linear")
 
     @classmethod
-    def cosine(cls, start: float = 0.0, end: float = 1.0, tau: float = 1.0,
-               clip_min: float = 1e-9) -> "ScheduleSpec":
-        return cls("cosine", float(start), float(end), float(tau), clip_min)
+    def cosine(cls, start: float = 0.0, end: float = 1.0, tau: float = 1.0) -> "ScheduleSpec":
+        return cls("cosine", float(start), float(end), float(tau))
 
     @classmethod
-    def sigmoid(cls, start: float = -3.0, end: float = 3.0, tau: float = 1.0,
-                clip_min: float = 1e-9) -> "ScheduleSpec":
-        return cls("sigmoid", float(start), float(end), float(tau), clip_min)
+    def sigmoid(cls, start: float = -3.0, end: float = 3.0, tau: float = 1.0) -> "ScheduleSpec":
+        return cls("sigmoid", float(start), float(end), float(tau))
 
 
 def _curve(spec: ScheduleSpec, tt: np.ndarray) -> np.ndarray:
@@ -126,9 +116,9 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     Returns a float for scalar input, else an array of t's shape. A
     scalar goes through the same array expression as an array, so one t
     gives one value either way (numpy's 0-d cos rounds apart from its
-    array loop). Values are clipped to [clip_min, 1]; since the curve's
+    array loop). Values are clipped to [CLIP_MIN, 1]; since the curve's
     ends come from the same expression, gamma(0) == 1.0 and
-    gamma(1) == clip_min are exact.
+    gamma(1) == CLIP_MIN are exact.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not ((tt >= 0.0) & (tt <= 1.0)).all():  # also false for NaN
@@ -140,7 +130,7 @@ def gamma(spec: ScheduleSpec, t) -> float | np.ndarray:
     else:
         v_start, v_end = _curve_ends(spec)
         out = (v_end - _curve(spec, tt)) / (v_end - v_start)
-    out = np.minimum(np.maximum(out, spec.clip_min), 1.0)  # np.clip, without its wrapper
+    out = np.minimum(np.maximum(out, CLIP_MIN), 1.0)  # np.clip, without its wrapper
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -159,31 +149,6 @@ def log_snr(spec: ScheduleSpec, t, scale: float = 1.0) -> float | np.ndarray:
         raise ValueError("logSNR undefined where gamma(t) == 1 (t too close to 0)")
     out = 2.0 * math.log(scale) + np.log(garr) - np.log1p(-garr)
     return float(out) if np.ndim(t) == 0 else out
-
-
-def solve_t_for_logsnr(spec: ScheduleSpec, scale: float, target: float) -> float:
-    """Invert log_snr in t by bisection on [1e-6, 1 - 1e-6].
-
-    The map is strictly decreasing; 64 fixed iterations land within
-    1e-10 of the target in logSNR. Raises when the target lies outside
-    the achievable range on the bracket.
-    """
-    if not math.isfinite(target):
-        raise ValueError("target logSNR must be finite")
-    lo, hi = _T_LO, _T_HI
-    f_lo = log_snr(spec, lo, scale)
-    f_hi = log_snr(spec, hi, scale)
-    if not (f_hi <= target <= f_lo):
-        raise ValueError(
-            f"target logSNR {target:.6g} outside achievable range [{f_hi:.6g}, {f_lo:.6g}]"
-        )
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if log_snr(spec, mid, scale) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def time_grid(steps: int) -> tuple[tuple[float, float], ...]:

@@ -1,12 +1,15 @@
 """Prints a one-line PASS/FAIL verdict per acceptance criterion, fails any
-test that leaves a child process behind, spies on core.fork_map, and
-measures the peak memory a call allocates."""
+test that leaves a child process behind, spies on core.fork_map, measures
+the peak memory a call allocates, and reads back the PGM files the package
+writes."""
 
 import os
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noiselab.core
@@ -90,6 +93,16 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def read_pgm(path) -> np.ndarray:
+    """The uint8 pixels of a P5 file, asserting the header and size io.write_pgm writes."""
+    parts = Path(path).read_bytes().split(b"\n", 3)
+    assert len(parts) == 4 and parts[0] == b"P5" and parts[2] == b"255", f"{path} is not 8-bit P5"
+    w, h = (int(tok) for tok in parts[1].split())
+    pixels = np.frombuffer(parts[3], dtype=np.uint8)
+    assert pixels.size == w * h, f"{path} holds {pixels.size} pixels, not {w} x {h}"
+    return pixels.reshape(h, w)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -30,7 +30,14 @@ from noiselab.io import write_samples_csv
 from noiselab.metrics import covariance_error, sliced_wasserstein
 from noiselab.oracle import GaussianOracle
 from noiselab.sampler import SamplerConfig, generate
-from noiselab.schedules import REFERENCE_SPECS, ScheduleSpec, format_schedule, gamma, log_snr
+from noiselab.schedules import (
+    CLIP_MIN,
+    REFERENCE_SPECS,
+    ScheduleSpec,
+    format_schedule,
+    gamma,
+    log_snr,
+)
 from noiselab.sweep import best_scale, run_sweep
 from noiselab.training import (
     TrainConfig,
@@ -85,7 +92,7 @@ class TestCriterion01Schedules:
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=format_schedule)
     def test_criterion_01_endpoints_and_monotone(self, spec):
         assert gamma(spec, 0.0) == 1.0
-        assert gamma(spec, 1.0) == spec.clip_min
+        assert gamma(spec, 1.0) == CLIP_MIN
         g = gamma(spec, np.linspace(0.0, 1.0, 1000))
         assert np.all(np.diff(g) <= 0.0)
 
@@ -93,7 +100,7 @@ class TestCriterion01Schedules:
         """Plain cosine is cos^2(pi t / 2) clipped below, within 1e-12."""
         spec = ScheduleSpec.cosine(0.0, 1.0, 1.0)
         t = np.linspace(0.0, 1.0, 1000)
-        want = np.maximum(np.cos(np.pi * t / 2.0) ** 2, spec.clip_min)
+        want = np.maximum(np.cos(np.pi * t / 2.0) ** 2, CLIP_MIN)
         np.testing.assert_allclose(gamma(spec, t), want, rtol=0, atol=1e-12)
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import noiselab.sweep as sweep_mod
+from conftest import read_pgm
 from noiselab.cli import main
 from noiselab.config import parse_config
 from noiselab.denoiser import load_params
-from noiselab.io import read_loss_csv, read_pgm, read_samples_csv, read_sweep_csv
+from noiselab.io import read_loss_csv, read_samples_csv, read_sweep_csv
 
 ORACLE_SWEEP = """
 [dataset]

@@ -12,7 +12,6 @@ from noiselab.datasets import (
     dataset_covariance,
     make_dataset,
     mixture2d_standardizer,
-    upsample_covariance,
 )
 
 N_BIG = 20_000
@@ -45,10 +44,17 @@ class TestAr1Covariance:
 
 
 class TestUpsampleCovariance:
+    """toy_image's covariance replicates each base pixel over a u x u block."""
+
+    @staticmethod
+    def cov(upsample):
+        return dataset_covariance(DatasetSpec(kind="toy_image", n_train=1, seed=0,
+                                              base_res=2, rho=0.3, upsample=upsample))
+
     def test_hand_value(self):
-        base = np.array([[1.0, 0.3], [0.3, 1.0]])
-        got = upsample_covariance(base, 2)
-        want = np.array(
+        # each axis of the 4x4 grid repeats the 2 base rows twice, and the
+        # field is separable, so the covariance is this 1-D matrix's kron square
+        axis = np.array(
             [
                 [1.0, 1.0, 0.3, 0.3],
                 [1.0, 1.0, 0.3, 0.3],
@@ -56,17 +62,17 @@ class TestUpsampleCovariance:
                 [0.3, 0.3, 1.0, 1.0],
             ]
         )
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(self.cov(2), np.kron(axis, axis))
 
     def test_factor_one_identity(self):
-        base = ar1_covariance(3, 0.4)
-        np.testing.assert_array_equal(upsample_covariance(base, 1), base)
+        k = ar1_covariance(2, 0.3)
+        np.testing.assert_array_equal(self.cov(1), np.kron(k, k))
 
     def test_singular_for_factor_above_one(self):
-        cov = upsample_covariance(ar1_covariance(3, 0.4), 2)
+        cov = self.cov(2)
         eigs = np.linalg.eigvalsh(cov)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.matrix_rank(cov) == 3
+        assert np.linalg.matrix_rank(cov) == 4  # the base pixel count
 
 
 class TestSpecValidation:

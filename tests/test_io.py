@@ -10,11 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import noiselab.io as nio
-from conftest import traced_peak
+from conftest import read_pgm, traced_peak
 from noiselab.core import Rng, as_f64
 from noiselab.io import (
     read_loss_csv,
-    read_pgm,
     read_samples_csv,
     read_sweep_csv,
     tile_images,
@@ -269,15 +268,3 @@ class TestPgm:
             write_pgm(tmp_path / "x.pgm", np.zeros(4))
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), value_range=0.0)
-
-    def test_read_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "fake.pgm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-        with pytest.raises(ValueError):
-            read_pgm(path)
-
-    def test_read_rejects_truncated(self, tmp_path):
-        path = tmp_path / "trunc.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(ValueError):
-            read_pgm(path)

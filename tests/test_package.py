@@ -1,7 +1,8 @@
 """Package surface: every module imports, every exported name exists, no module
-pulls in a dependency beyond numpy, and the SweepRow field order that
-positional readers rely on."""
+pulls in a dependency beyond numpy or imports a name it does not use, and the
+SweepRow field order that positional readers rely on."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +19,7 @@ from noiselab.core import _openblas_thread_funcs
 from noiselab.sweep import SweepRow
 
 MODULES = ["noiselab"] + [f"noiselab.{m.name}" for m in pkgutil.iter_modules(noiselab.__path__)]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_module_is_listed():
@@ -25,7 +27,7 @@ def test_every_module_is_listed():
 
 
 def test_readme_names_every_module():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in MODULES[1:] if f"`{name}`" not in readme] == []
 
 
@@ -35,6 +37,34 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names an import binds in the file at path that nothing there reads.
+
+    A name listed in the module's __all__ counts as read.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in bound.items() if name not in read]
+
+
+def test_every_import_is_used():
+    paths = sorted((ROOT / "src" / "noiselab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []
 
 
 def test_sweep_row_field_order():

@@ -22,7 +22,7 @@ from noiselab.config import (
     SweepSettings,
     parse_config_text,
 )
-from noiselab.datasets import DatasetSpec, ar1_covariance, upsample_covariance
+from noiselab.datasets import DatasetSpec, ar1_covariance
 from noiselab.forward import CompoundSchedule
 from noiselab.io import read_sweep_csv, write_sweep_csv
 from noiselab.metrics import covariance_error
@@ -620,7 +620,8 @@ class TestRedundancyShiftsBestScale:
 
     def test_upsampled_data_prefers_smaller_scale(self):
         sig_base = ar1_covariance(8, 0.0)
-        sig_up = upsample_covariance(sig_base, 2)
+        reps = np.repeat(np.arange(8), 2)  # each coordinate twice, side by side
+        sig_up = sig_base[np.ix_(reps, reps)]
         bests = {}
         for name, sig in (("base", sig_base), ("up2", sig_up)):
             oracle = GaussianOracle(sig)
