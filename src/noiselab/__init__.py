@@ -16,7 +16,6 @@ from noiselab.schedules import (
 )
 from noiselab.forward import (
     CompoundSchedule,
-    NoisySample,
     analytic_variance,
     diffuse,
     effective_gamma,
@@ -40,7 +39,6 @@ __all__ = [
     "format_schedule",
     "time_grid",
     "CompoundSchedule",
-    "NoisySample",
     "analytic_variance",
     "diffuse",
     "effective_gamma",

@@ -184,6 +184,8 @@ def _cmd_sample(args, stdout) -> int:
 
 
 def _cmd_sweep(args, stdout) -> int:
+    if args.check is not None and not math.isfinite(args.check):
+        raise ConfigError(f"--check must be finite, got {args.check!r}")
     cfg = parse_config(args.config)
     if cfg.sweep is not None:
         cfg = replace(cfg, sweep=_with_seed(cfg.sweep, "base_seed", args.seed))

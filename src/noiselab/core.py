@@ -126,9 +126,7 @@ class Rng:
             shape = (int(shape),)
         shape = tuple(int(s) for s in shape)
         n = math.prod(shape)
-        m = (n + 1) // 2
-        u1, u2 = self._gen.random(size=m), self._gen.random(size=m)
-        z = _box_muller(u1, u2, np.empty((2, m))).ravel()[:n]
+        z = _normals(self._gen.random(size=2 * ((n + 1) // 2)), n)
         return float(z[0]) if shape == () else z.reshape(shape)
 
     def integers(self, n: int, shape: int | Sequence[int] = ()) -> np.ndarray | int:
@@ -138,6 +136,18 @@ class Rng:
         u = self._gen.random(size=shape)
         out = np.floor(u * n).astype(np.int64)
         return int(out) if np.ndim(out) == 0 else out
+
+
+def _normals(u: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from each row of 2 ceil(n/2) uniforms, which are overwritten.
+
+    A row's halves are Box-Muller's (u1, u2); its normals are every
+    r cos(2 pi u2), then every r sin(2 pi u2), the last dropped when n is
+    odd. This is Rng.normal's layout, so k rows give k successive draws.
+    """
+    m = u.shape[-1] // 2
+    z = _box_muller(u[..., :m], u[..., m:], np.empty(u.shape[:-1] + (2, m)))
+    return z.reshape(u.shape[:-1] + (2 * m,))[..., :n]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:

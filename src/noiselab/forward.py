@@ -1,7 +1,7 @@
 """Forward diffusion with input scaling and network-input normalization.
 
 A compound noising strategy bundles a gamma schedule, an input scale b,
-and a normalization mode. The forward process draws
+and a normalization mode. From the caller's noise eps, diffusion gives
 
     x_t = sqrt(gamma(t)) * b * x0 + sqrt(1 - gamma(t)) * eps
 
@@ -19,18 +19,16 @@ which shifts the logSNR curve by 2 ln b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from noiselab.core import Rng, as_f64, ensure_finite
+from noiselab.core import as_f64, ensure_finite
 from noiselab.schedules import ScheduleSpec, gamma
 
 __all__ = [
     "NORMALIZE_MODES",
     "CompoundSchedule",
     "DegenerateInputError",
-    "NoisySample",
     "SELF_COND_CLAMP",
     "analytic_variance",
     "check_analytic_scale",
@@ -84,38 +82,16 @@ def check_analytic_scale(scale: float, key: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class NoisySample:
-    """One diffused batch: the noisy input plus everything that made it."""
+def diffuse(x0, t, cs: CompoundSchedule, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Diffuse a clean (batch, dim) batch x0 with noise eps to per-example times t.
 
-    x_t: np.ndarray
-    t: np.ndarray
-    gamma_t: np.ndarray
-    eps: np.ndarray
-
-
-def _per_example(values: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Reshape a (batch,) vector to broadcast over ``like``'s feature axes."""
-    return values.reshape((like.shape[0],) + (1,) * (like.ndim - 1))
-
-
-def diffuse(x0: np.ndarray, t, rng: Optional[Rng], cs: CompoundSchedule,
-            eps: Optional[np.ndarray] = None) -> NoisySample:
-    """Diffuse a clean batch to per-example times t.
-
-    Args:
-        x0: (batch, ...) clean data.
-        t: scalar or (batch,) times in [0, 1].
-        rng: stream for the noise draw; may be None when ``eps`` is given.
-        cs: compound noising strategy (its normalize mode is not applied here).
-        eps: optional pre-drawn noise with x0's shape, for deterministic tests.
-
-    Returns:
-        NoisySample with x_t = sqrt(gamma) * b * x0 + sqrt(1 - gamma) * eps.
+    t is a scalar or (batch,) times in [0, 1]; cs's normalize mode is not
+    applied here. Returns x_t = sqrt(gamma) * b * x0 + sqrt(1 - gamma) * eps
+    and the (batch,) gamma_t = gamma(t).
     """
     x0 = as_f64(x0, "diffuse x0")
-    if x0.ndim < 2:
-        raise ValueError("diffuse expects a batched x0 with ndim >= 2")
+    if x0.ndim != 2:
+        raise ValueError(f"diffuse expects a (batch, dim) x0, got shape {x0.shape}")
     if x0.size == 0:
         raise ValueError(f"diffuse needs a nonempty batch, got x0 of shape {x0.shape}")
     n = x0.shape[0]
@@ -125,18 +101,13 @@ def diffuse(x0: np.ndarray, t, rng: Optional[Rng], cs: CompoundSchedule,
     if tt.shape != (n,):
         raise ValueError(f"t has shape {tt.shape}, expected ({n},)")
     g = np.asarray(gamma(cs.schedule, tt))
-    if eps is None:
-        if rng is None:
-            raise ValueError("diffuse needs an rng when eps is not supplied")
-        eps = rng.normal(x0.shape)
-    else:
-        eps = as_f64(eps, "diffuse eps")
-        if eps.shape != x0.shape:
-            raise ValueError(f"eps shape {eps.shape} does not match x0 {x0.shape}")
-    gb = _per_example(g, x0)
+    eps = as_f64(eps, "diffuse eps")
+    if eps.shape != x0.shape:
+        raise ValueError(f"eps shape {eps.shape} does not match x0 {x0.shape}")
+    gb = g[:, None]
     x_t = np.sqrt(gb) * cs.input_scale * x0 + np.sqrt(1.0 - gb) * eps
     ensure_finite(x_t, "diffuse output")
-    return NoisySample(x_t=x_t, t=tt, gamma_t=g, eps=eps)
+    return x_t, g
 
 
 def analytic_variance(gamma_t, scale: float):
@@ -174,12 +145,10 @@ def normalize_input(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarra
     empirical std falls below 1e-12.
     """
     x_t = as_f64(x_t, "normalize_input x_t")
-    if x_t.ndim < 2:
-        raise ValueError("normalize_input expects a batched x_t with ndim >= 2")
-    if cs.normalize == "analytic":
+    if x_t.ndim != 2:
+        raise ValueError(f"normalize_input expects a (batch, dim) x_t, got shape {x_t.shape}")
+    if cs.normalize == "analytic" and np.ndim(gamma_t) != 0:
         gamma_t = np.asarray(gamma_t, dtype=np.float64)
-        if gamma_t.ndim == 0:
-            gamma_t = np.full(x_t.shape[0], float(gamma_t))
         if gamma_t.shape != (x_t.shape[0],):
             raise ValueError(f"gamma_t has shape {gamma_t.shape}, expected ({x_t.shape[0]},)")
     return _normalize(x_t, gamma_t, cs)
@@ -188,20 +157,20 @@ def normalize_input(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarra
 def _normalize(x_t: np.ndarray, gamma_t, cs: CompoundSchedule) -> np.ndarray:
     """normalize_input without the input checks.
 
-    gamma_t is one float or a (batch,) array; analytic_variance still
-    checks its range.
+    x_t is (batch, dim); gamma_t is one float or a (batch,) array, and
+    analytic_variance still checks its range.
     """
     if cs.normalize == "off":
         return x_t
     if cs.normalize == "empirical":
-        std = x_t.std(axis=tuple(range(1, x_t.ndim)))
+        std = x_t.std(axis=1)
         if np.any(std < _STD_FLOOR):
             raise DegenerateInputError(
                 "empirical normalization hit a near-constant example (std < 1e-12)"
             )
-        return x_t / _per_example(std, x_t)
+        return x_t / std[:, None]
     std = np.sqrt(analytic_variance(gamma_t, cs.input_scale))
-    return x_t / (_per_example(std, x_t) if np.ndim(std) else std)
+    return x_t / (std[:, None] if np.ndim(std) else std)
 
 
 def _signal_estimate(x_t: np.ndarray, gamma_t, eps_hat: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .core import as_f64
 
 SWEEP_HEADER = "schedule,scale,metric,wall_ms,seed,status"
 SWEEP_ERRORS_HEADER = "schedule,scale,seed,error"
+PGM_RANGE = 3.0  # write_pgm maps [-PGM_RANGE, PGM_RANGE] onto the 256 gray levels
 _WRITE_VALUES = 1024  # values write_samples_csv formats and writes at a time
 
 
@@ -123,8 +124,8 @@ def read_sweep_csv(path):
 def tile_images(flat: np.ndarray, side: int) -> np.ndarray:
     """Arrange flattened side*side images into one near-square mosaic."""
     x = as_f64(flat, "flat")
-    if x.ndim != 2 or x.shape[1] != side * side:
-        raise ValueError(f"expected (n, {side * side}) array, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != side * side:
+        raise ValueError(f"expected a nonempty (n, {side * side}) array, got shape {x.shape}")
     n = x.shape[0]
     cols = int(math.ceil(math.sqrt(n)))
     rows = int(math.ceil(n / cols))
@@ -135,14 +136,12 @@ def tile_images(flat: np.ndarray, side: int) -> np.ndarray:
     return grid
 
 
-def write_pgm(path, image: np.ndarray, value_range: float = 3.0) -> None:
-    """Binary P5 8-bit PGM; values clipped to [-value_range, value_range]."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary P5 8-bit PGM; values clipped to [-PGM_RANGE, PGM_RANGE]."""
     img = as_f64(image, "image")
     if img.ndim != 2 or img.size == 0:
         raise ValueError(f"image must be a nonempty 2-D array, got shape {img.shape}")
-    if value_range <= 0:
-        raise ValueError(f"value_range must be > 0, got {value_range}")
-    unit = np.clip((img + value_range) / (2.0 * value_range), 0.0, 1.0)
+    unit = np.clip((img + PGM_RANGE) / (2.0 * PGM_RANGE), 0.0, 1.0)
     pixels = np.round(unit * 255.0).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as fh:

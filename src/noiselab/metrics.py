@@ -17,6 +17,7 @@ from noiselab.oracle import GaussianOracle
 
 __all__ = [
     "METRIC_NAMES",
+    "MMD_BANDWIDTH",
     "covariance_error",
     "mmd_rbf",
     "redundancy_curve",
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("sliced_wasserstein", "mmd_rbf", "covariance_error")
+
+MMD_BANDWIDTH = 1.0  # the Gaussian kernel's bandwidth in mmd_rbf
 
 DEFAULT_PROJECTION_SEED = 19
 _SW_CHUNK = 8  # directions projected and sorted together
@@ -91,17 +94,15 @@ def sliced_wasserstein(a, b, n_proj: int = 64, rng: Rng | None = None) -> float:
     return out
 
 
-def mmd_rbf(a, b, bandwidth: float = 1.0) -> float:
+def mmd_rbf(a, b) -> float:
     """Unbiased squared maximum mean discrepancy with a Gaussian kernel.
 
-    k(x, y) = exp(-||x - y||^2 / (2 bandwidth^2)). The diagonal terms are
-    excluded from the within-set sums, so same-distribution inputs give a
-    value centered on zero (possibly slightly negative).
+    k(x, y) = exp(-||x - y||^2 / (2 MMD_BANDWIDTH^2)). The diagonal terms
+    are excluded from the within-set sums, so same-distribution inputs
+    give a value centered on zero (possibly slightly negative).
     """
     a, b = _two_sample_args(a, b, min_each=2)
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    denom = 2.0 * bandwidth * bandwidth
+    denom = 2.0 * MMD_BANDWIDTH * MMD_BANDWIDTH
 
     def sq_dists(x, y):
         xx = np.sum(x**2, axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noiselab.core import Rng, _box_muller, as_f64, check_seed, ensure_finite, one_blas_thread
+from noiselab.core import Rng, _normals, as_f64, check_seed, ensure_finite, one_blas_thread
 from noiselab.denoiser import (
     DenoiserParams,
     MlpArch,
@@ -238,33 +238,34 @@ class _Batches:
     """What a block of training steps takes from the RNG stream and the data alone.
 
     After its batch indices a step draws ``draws`` uniforms: times t,
-    Box-Muller pairs and, with self-conditioning on, one coin. fill()
-    turns a block's draws into gamma(t), eps, x_t and the C-ordered input
-    rows of each step with whole-block ufuncs, which round as one step's.
+    ``eps_draws`` that core._normals turns into eps as Rng.normal would
+    and, with self-conditioning on, one coin. fill() turns a block's draws
+    into gamma(t), eps, x_t and the C-ordered input rows of each step with
+    whole-block ufuncs, which round as one step's.
     """
 
     def __init__(self, arch: MlpArch, cs: CompoundSchedule, batch: int,
                  self_cond_rate: float, steps: int):
         self.arch, self.cs, self.b = arch, cs, batch
         self.rate = self_cond_rate if arch.self_cond else 0.0
-        self.m = (batch * arch.in_dim + 1) // 2  # Box-Muller pairs a step
-        self.draws = batch + 2 * self.m + (self.rate > 0.0)
+        self.eps_draws = 2 * ((batch * arch.in_dim + 1) // 2)
+        self.draws = batch + self.eps_draws + (self.rate > 0.0)
         self.k = max(1, min(steps, _BLOCK_BYTES // (8 * batch * arch.input_width)))
         self.rows = np.empty((self.k, batch, arch.input_width))
 
     def fill(self, u: np.ndarray, x0: np.ndarray) -> None:
         """Build the first len(u) steps from their uniforms, which are overwritten,
         and their clean (steps, batch, in_dim) batches x0."""
-        k, b, d, m = len(u), self.b, self.arch.in_dim, self.m
+        k, b, d = len(u), self.b, self.arch.in_dim
         t = u[:, :b].ravel()
-        z = _box_muller(u[:, b : b + m], u[:, b + m : b + 2 * m], np.empty((k, 2, m)))
-        eps = z.reshape(k, 2 * m)[:, : b * d].reshape(k * b, d)  # a copy when b * d is odd
-        s = diffuse(x0.reshape(k * b, d), t, None, self.cs, eps=eps)
-        _input_rows(self.arch, normalize_input(s.x_t, s.gamma_t, self.cs),
+        # a copy when b * d is odd
+        eps = _normals(u[:, b : b + self.eps_draws], b * d).reshape(k * b, d)
+        x_t, g = diffuse(x0.reshape(k * b, d), t, self.cs, eps)
+        _input_rows(self.arch, normalize_input(x_t, g, self.cs),
                     time_embedding(t, self.arch.time_embed_dim), None,
                     self.rows[:k].reshape(k * b, -1))
-        self.x_t, self.eps = s.x_t.reshape(k, b, d), s.eps.reshape(k, b, d)
-        self.gamma, self.coin = s.gamma_t.reshape(k, b), u[:, -1]
+        self.x_t, self.eps = x_t.reshape(k, b, d), eps.reshape(k, b, d)
+        self.gamma, self.coin = g.reshape(k, b), u[:, -1]
 
     def loss(self, j: int, params: DenoiserParams, cache: dict) -> tuple[float, np.ndarray]:
         """Step j's loss and gradient in the cached prediction, self-conditioned on its coin."""

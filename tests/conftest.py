@@ -1,7 +1,7 @@
 """Prints a one-line PASS/FAIL verdict per acceptance criterion, fails any
-test that leaves a child process behind, spies on core.fork_map, measures
-the peak memory a call allocates, and reads back the PGM files the package
-writes."""
+test that leaves a child process behind, spies on core.fork_map and
+os.fork, measures the peak memory a call allocates, and reads back the
+PGM files the package writes."""
 
 import os
 import re
@@ -79,6 +79,28 @@ def forks(monkeypatch):
 def no_fork(monkeypatch):
     """Fail any fork_map call of several parts."""
     return spy_on_forks(monkeypatch, refuse=True)
+
+
+def forked_pids(monkeypatch):
+    """The pid of every child forked from now on, in fork order."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Assert that some child was forked and that every one has been reaped."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def traced_peak(fn) -> int:

@@ -394,6 +394,17 @@ class TestSweepCommand:
         assert rc == 3
         assert "check failed" in out
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_check_is_config_error(self, sweep_cfg, tmp_path, capsys, monkeypatch,
+                                              bound):
+        # a NaN bound passed every sweep: worst > nan is false
+        fail_every_cell(monkeypatch)
+        rc, out = run(["sweep", "--config", str(sweep_cfg), "--out-dir", str(tmp_path / "x"),
+                       f"--check={bound}"])
+        assert rc == 1 and out == ""
+        assert f"--check must be finite, got {float(bound)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_failed_cells_exit_nonzero(self, sweep_cfg, tmp_path, monkeypatch):
         fail_every_cell(monkeypatch)
         out_dir = tmp_path / "sw"

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import noiselab.core
+from conftest import assert_reaped, forked_pids
 from noiselab.core import (
     DecompositionError,
     NonFiniteError,
     Rng,
     _cho_solve,
+    _normals,
     cholesky_factor,
     ensure_finite,
     fork_map,
@@ -91,6 +93,17 @@ class TestGaussian:
 
     def test_all_finite(self):
         assert np.all(np.isfinite(Rng(3).normal((10000,))))
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_normals_rows_are_successive_draws(self, n):
+        """_normals on k rows of 2 ceil(n/2) uniforms is k successive normal(n) draws,
+        bit for bit: the trainer draws a block of steps' eps this way."""
+        k = 3
+        z = _normals(Rng(11).uniform((k, 2 * ((n + 1) // 2))), n)
+        rng = Rng(11)
+        assert z.shape == (k, n)
+        for row in z:
+            assert row.tobytes() == rng.normal(n).tobytes()
 
 
 def cholesky_solve(a, b):
@@ -235,27 +248,6 @@ class TestUsableCpus:
         assert usable_cpus() == 2
         monkeypatch.setattr(noiselab.core, "_openblas_thread_funcs", lambda: None)
         assert usable_cpus() == 1
-
-
-def forked_pids(monkeypatch):
-    """The pid of every child forked from now on, in fork order."""
-    pids, real = [], os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_reaped(pids):
-    assert pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 class TestForkMap:

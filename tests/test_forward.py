@@ -1,6 +1,7 @@
 """Forward diffusion, the variance law, and input normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,55 +31,57 @@ class TestDiffuse:
 
     def test_hand_value(self):
         """gamma = 0.25 (linear t = 0.75), b = 1, x0 = 2, eps = 1."""
-        out = diffuse(np.array([[2.0]]), 0.75, None, compound(), eps=np.array([[1.0]]))
-        assert out.x_t[0, 0] == pytest.approx(1.0 + np.sqrt(0.75), abs=1e-15)
-        assert out.gamma_t[0] == 0.25
+        x_t, g = diffuse(np.array([[2.0]]), 0.75, compound(), np.array([[1.0]]))
+        assert x_t[0, 0] == pytest.approx(1.0 + np.sqrt(0.75), abs=1e-15)
+        assert g[0] == 0.25
 
     def test_t_zero_returns_data_exactly(self):
         x0 = np.arange(6.0).reshape(2, 3)
-        out = diffuse(x0, 0.0, Rng(0), compound())
-        np.testing.assert_array_equal(out.x_t, x0)
+        x_t, _ = diffuse(x0, 0.0, compound(), Rng(0).normal(x0.shape))
+        np.testing.assert_array_equal(x_t, x0)
 
     def test_t_zero_scaled(self):
-        out = diffuse(np.array([[2.0]]), 0.0, Rng(0), compound(scale=0.5))
-        assert out.x_t[0, 0] == 1.0
+        x_t, _ = diffuse(np.array([[2.0]]), 0.0, compound(scale=0.5), Rng(0).normal((1, 1)))
+        assert x_t[0, 0] == 1.0
 
     def test_per_example_times(self):
         x0 = np.ones((3, 2))
-        eps = np.zeros((3, 2))
-        out = diffuse(x0, np.array([0.0, 0.5, 1.0]), None, compound(), eps=eps)
-        np.testing.assert_allclose(out.x_t[:, 0], np.sqrt([1.0, 0.5, 1e-9]), rtol=1e-12)
+        x_t, _ = diffuse(x0, np.array([0.0, 0.5, 1.0]), compound(), np.zeros((3, 2)))
+        np.testing.assert_allclose(x_t[:, 0], np.sqrt([1.0, 0.5, 1e-9]), rtol=1e-12)
 
     def test_noise_standardizes_at_t_one(self):
         """At t = 1 the output is (almost) the raw noise draw."""
         x0 = np.full((4, 8), 100.0)
-        rng = Rng(3)
-        out = diffuse(x0, 1.0, rng, compound())
-        np.testing.assert_allclose(out.x_t, out.eps, rtol=0, atol=1e-2)
+        eps = Rng(3).normal(x0.shape)
+        x_t, _ = diffuse(x0, 1.0, compound(), eps)
+        np.testing.assert_allclose(x_t, eps, rtol=0, atol=1e-2)
 
     def test_deterministic_given_seed(self):
+        """A function of its inputs alone, which it leaves as they were."""
         x0 = Rng(1).normal((16, 4))
-        a = diffuse(x0, 0.3, Rng(9), compound())
-        b = diffuse(x0, 0.3, Rng(9), compound())
-        np.testing.assert_array_equal(a.x_t, b.x_t)
-        np.testing.assert_array_equal(a.eps, Rng(9).normal(x0.shape))
+        eps = Rng(9).normal(x0.shape)
+        a, _ = diffuse(x0, 0.3, compound(), eps)
+        b, _ = diffuse(x0, 0.3, compound(), Rng(9).normal(x0.shape))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(x0, Rng(1).normal((16, 4)))
+        np.testing.assert_array_equal(eps, Rng(9).normal(x0.shape))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            diffuse(np.ones((3, 2)), np.array([0.1, 0.2]), Rng(0), compound())
-        with pytest.raises(ValueError):
-            diffuse(np.ones((3, 2)), 0.5, None, compound(), eps=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^t has shape \(2,\), expected \(3,\)$"):
+            diffuse(np.ones((3, 2)), np.array([0.1, 0.2]), compound(), np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"^eps shape \(2, 2\) does not match x0 \(3, 2\)$"):
+            diffuse(np.ones((3, 2)), 0.5, compound(), np.ones((2, 2)))
 
-    def test_needs_rng_or_eps(self):
-        with pytest.raises(ValueError):
-            diffuse(np.ones((2, 2)), 0.5, None, compound())
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_batch_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=rf"^diffuse expects a \(batch, dim\) x0, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            diffuse(np.ones(shape), 0.5, compound(), np.ones(shape))
 
-    @pytest.mark.parametrize("noise", ["rng", "eps"])
-    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
-    def test_empty_batch_rejected(self, noise, shape):
-        rng, eps = (Rng(0), None) if noise == "rng" else (None, np.zeros(shape))
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["shape0-eps", "shape1-eps"])
+    def test_empty_batch_rejected(self, shape):
         with pytest.raises(ValueError, match=r"diffuse needs a nonempty batch, got x0 of shape"):
-            diffuse(np.zeros(shape), 0.5, rng, compound(), eps=eps)
+            diffuse(np.zeros(shape), 0.5, compound(), np.zeros(shape))
 
 
 class TestVarianceLaw:
@@ -101,8 +104,8 @@ class TestVarianceLaw:
         n = 100_000
         rng = Rng(int(1000 * g) * 101 + int(100 * b))
         x0 = rng.normal((n, 1))
-        out = diffuse(x0, 1.0 - g, None, compound(scale=b), eps=rng.normal((n, 1)))
-        empirical = float(out.x_t.var())
+        x_t, _ = diffuse(x0, 1.0 - g, compound(scale=b), rng.normal((n, 1)))
+        empirical = float(x_t.var())
         assert empirical == pytest.approx(analytic_variance(g, b), rel=0.02)
 
     def test_bad_inputs(self):
@@ -150,11 +153,28 @@ class TestNormalizeInput:
         np.testing.assert_allclose(got[0], [1.0, 1.0], rtol=1e-15)
         np.testing.assert_allclose(got[1], [2.0, 2.0], rtol=1e-15)
 
+    def test_analytic_scalar_gamma_matches_per_example(self):
+        x = Rng(0).normal((4, 3))
+        cs = compound(scale=0.5, normalize="analytic")
+        np.testing.assert_array_equal(normalize_input(x, 0.7, cs),
+                                      normalize_input(x, np.full(4, 0.7), cs))
+
+    @pytest.mark.parametrize("normalize", ["off", "empirical", "analytic"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_batch_must_be_2d(self, normalize, shape):
+        with pytest.raises(ValueError, match=rf"^normalize_input expects a \(batch, dim\) x_t, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            normalize_input(np.ones(shape), 0.5, compound(normalize=normalize))
+
+    def test_analytic_gamma_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^gamma_t has shape \(3,\), expected \(2,\)$"):
+            normalize_input(np.ones((2, 2)), np.full(3, 0.5), compound(normalize="analytic"))
+
     def test_empirical_restores_unit_std(self):
         rng = Rng(5)
         x0 = rng.normal((64, 32))
-        out = diffuse(x0, 0.4, rng, compound(scale=0.2))
-        normed = normalize_input(out.x_t, out.gamma_t, compound(scale=0.2, normalize="empirical"))
+        x_t, g = diffuse(x0, 0.4, compound(scale=0.2), rng.normal(x0.shape))
+        normed = normalize_input(x_t, g, compound(scale=0.2, normalize="empirical"))
         np.testing.assert_allclose(normed.std(axis=1), np.ones(64), rtol=1e-12)
 
 
@@ -168,8 +188,8 @@ class TestScalingScheduleEquivalence:
         x0 = rng.normal((8, 5))
         eps = rng.normal((8, 5))
         t = 1.0 - g  # linear schedule: gamma(t) = 1 - t
-        scaled = diffuse(x0, t, None, compound(scale=b), eps=eps)
-        lhs = normalize_input(scaled.x_t, scaled.gamma_t, compound(scale=b, normalize="analytic"))
+        x_t, g_t = diffuse(x0, t, compound(scale=b), eps)
+        lhs = normalize_input(x_t, g_t, compound(scale=b, normalize="analytic"))
         g_eff = effective_gamma(g, b)
         rhs = np.sqrt(g_eff) * x0 + np.sqrt(1.0 - g_eff) * eps
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
@@ -246,10 +266,10 @@ class TestForwardProperties:
         sign = np.array(signs)[:, None]
         x0 = sign * np.array([[1.0], [1.0], [-1.0], [-1.0]])
         eps = sign * np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        out = diffuse(x0, t, None, compound(scale=b, schedule=spec), eps=eps)
+        x_t, _ = diffuse(x0, t, compound(scale=b, schedule=spec), eps)
         g = gamma(spec, t)
-        assert float(np.mean(out.x_t**2)) == pytest.approx(analytic_variance(g, b),
-                                                          rel=1e-12, abs=0.0)
+        assert float(np.mean(x_t**2)) == pytest.approx(analytic_variance(g, b),
+                                                      rel=1e-12, abs=0.0)
         assert analytic_variance(g, b) == pytest.approx(b * b * g + (1.0 - g), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -258,16 +278,15 @@ class TestForwardProperties:
         """normalize = analytic at scale b is the unit-scale process at effective_gamma."""
         rng = Rng(seed)
         x0, eps = rng.normal((6, 3)), rng.normal((6, 3))
-        scaled = diffuse(x0, t, None, compound(scale=b, schedule=spec), eps=eps)
+        x_t, g_t = diffuse(x0, t, compound(scale=b, schedule=spec), eps)
         # the gamma the scaled process ran at: the scalar gamma(spec, t) can
         # differ from diffuse's array form in the last ulp
-        g = float(scaled.gamma_t[0])
+        g = float(g_t[0])
         # sqrt(1 - gamma_eff) turns the last ulp of gamma_eff into more
         # than 1e-12 once 1 - gamma_eff is below about 1e-6
         assume(g <= 1.0 - 1e-6)
-        lhs = normalize_input(scaled.x_t, scaled.gamma_t,
-                              compound(scale=b, normalize="analytic", schedule=spec))
+        lhs = normalize_input(x_t, g_t, compound(scale=b, normalize="analytic", schedule=spec))
         g_eff = effective_gamma(g, b)
-        unit = diffuse(x0, 0.0, None, compound(), eps=eps)  # x_t = x0 at t = 0
-        rhs = math.sqrt(g_eff) * unit.x_t + math.sqrt(1.0 - g_eff) * eps
+        unit, _ = diffuse(x0, 0.0, compound(), eps)  # x_t = x0 at t = 0
+        rhs = math.sqrt(g_eff) * unit + math.sqrt(1.0 - g_eff) * eps
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)

@@ -235,6 +235,12 @@ class TestTileImages:
         with pytest.raises(ValueError):
             tile_images(np.zeros((2, 5)), 2)
 
+    def test_rejects_empty_batch(self):
+        # ceil(n / cols) divided by zero here
+        with pytest.raises(ValueError, match=r"^expected a nonempty \(n, 4\) array, "
+                                             r"got shape \(0, 4\)$"):
+            tile_images(np.zeros((0, 4)), 2)
+
 
 class TestPgm:
     def test_round_trip_and_header(self, tmp_path):
@@ -250,7 +256,7 @@ class TestPgm:
     def test_value_mapping(self, tmp_path):
         img = np.array([[-3.0, 0.0, 3.0, -10.0, 10.0]])
         path = tmp_path / "map.pgm"
-        write_pgm(path, img, value_range=3.0)
+        write_pgm(path, img)
         pixels = read_pgm(path)
         # endpoints of the range map to 0 and 255, center to 128,
         # out-of-range values clip
@@ -266,5 +272,3 @@ class TestPgm:
     def test_rejects_bad_inputs(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", np.zeros(4))
-        with pytest.raises(ValueError):
-            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), value_range=0.0)

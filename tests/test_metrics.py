@@ -11,6 +11,7 @@ from noiselab.datasets import ar1_covariance
 from noiselab.metrics import (
     DEFAULT_PROJECTION_SEED,
     METRIC_NAMES,
+    MMD_BANDWIDTH,
     _quantiles,
     covariance_error,
     mmd_rbf,
@@ -167,7 +168,7 @@ class TestMmdRbf:
         """Two tight clusters far apart: within-terms 1, cross-term 0."""
         a = np.zeros((10, 2))
         b = np.full((10, 2), 50.0)
-        val = mmd_rbf(a, b, bandwidth=1.0)
+        val = mmd_rbf(a, b)
         assert val == pytest.approx(2.0, abs=1e-12)
         assert val > 0.5
 
@@ -181,19 +182,20 @@ class TestMmdRbf:
         a = np.array([[0.0], [1.0]])
         b = np.array([[0.0], [1.0]])
         want = np.exp(-0.5) - 1.0
-        assert mmd_rbf(a, b, 1.0) == pytest.approx(want, abs=1e-12)
+        assert MMD_BANDWIDTH == 1.0
+        assert mmd_rbf(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_null_distribution_band(self):
         """Disjoint halves of one draw: estimate within 3 permutation stds."""
         rng = Rng(42)
         pool = rng.normal((400, 3))
-        observed = mmd_rbf(pool[:200], pool[200:], bandwidth=1.0)
+        observed = mmd_rbf(pool[:200], pool[200:])
 
         perm = np.random.default_rng(0)
         null_vals = []
         for _ in range(200):
             order = perm.permutation(400)
-            null_vals.append(mmd_rbf(pool[order[:200]], pool[order[200:]], bandwidth=1.0))
+            null_vals.append(mmd_rbf(pool[order[:200]], pool[order[200:]]))
         null_std = float(np.std(null_vals))
         assert abs(observed) < 3.0 * null_std
 
@@ -204,7 +206,7 @@ class TestMmdRbf:
         for _ in range(200):
             x = rng.normal((60, 2))
             y = rng.normal((60, 2))
-            vals.append(mmd_rbf(x, y, bandwidth=1.0))
+            vals.append(mmd_rbf(x, y))
         vals = np.asarray(vals)
         se = float(np.std(vals) / np.sqrt(len(vals)))
         assert abs(float(np.mean(vals))) < 3.0 * se
@@ -213,13 +215,11 @@ class TestMmdRbf:
         rng = Rng(13)
         x = rng.normal((300, 2))
         y = rng.normal((300, 2)) + 1.5
-        assert mmd_rbf(x, y, bandwidth=1.0) > 0.05
+        assert mmd_rbf(x, y) > 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mmd_rbf(np.zeros((1, 2)), np.zeros((5, 2)))
-        with pytest.raises(ValueError):
-            mmd_rbf(np.zeros((5, 2)), np.zeros((5, 2)), bandwidth=0.0)
 
 
 class TestCovarianceError:

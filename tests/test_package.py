@@ -67,6 +67,13 @@ def test_every_import_is_used():
     assert [hit for path in paths for hit in unused_imports(path)] == []
 
 
+def test_only_core_names_box_muller():
+    """Normal draws have one layout: the trainer takes core._normals, not the transform."""
+    paths = sorted((ROOT / "src" / "noiselab").glob("*.py"))
+    assert [p.name for p in paths if "_box_muller" in p.read_text(encoding="utf-8")] \
+        == ["core.py"]
+
+
 def test_sweep_row_field_order():
     # rows read back from sweep.csv are rebuilt positionally as SweepRow(*row)
     assert [f.name for f in fields(SweepRow)] == [

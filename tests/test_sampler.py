@@ -61,9 +61,8 @@ class TestDdimStep:
         x0 = Rng(2).normal((200, 4))
         eps = Rng(3).normal((200, 4))
         t = 0.3
-        sample = diffuse(x0, t, None, cs, eps=eps)
-        g = float(sample.gamma_t[0])
-        out = _step(sample.x_t, eps, g, 1.0)
+        x_t, g = diffuse(x0, t, cs, eps)
+        out = _step(x_t, eps, float(g[0]), 1.0)
         np.testing.assert_allclose(out, scale * x0, atol=1e-10)
 
     def test_deterministic_no_rng(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import noiselab.core
 import noiselab.sampler as sampler_mod
-from conftest import spy_on_forks
+from conftest import assert_reaped, forked_pids, spy_on_forks
 from noiselab.cli import main
 from noiselab.core import (
     NonFiniteError,
@@ -247,27 +247,6 @@ def poison_noise(monkeypatch, row, children_only):
         return out
 
     monkeypatch.setattr(sampler_mod, "mlp_forward", forward)
-
-
-def forked_pids(monkeypatch):
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_reaped(pids):
-    assert pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 SAMPLE_CONFIG = ("[dataset]\nkind = mixture2d\nn_train = 16\nseed = 0\nmodes = 2\n"

@@ -577,20 +577,20 @@ def step_loop_loss(x0, params, cs, rng, self_cond_rate):
     and build one batch in stream order."""
     arch = params.arch
     t = rng.uniform((x0.shape[0],))
-    sample = diffuse(x0, t, rng, cs)
-    x_in = normalize_input(sample.x_t, sample.gamma_t, cs)
+    eps = rng.normal(x0.shape)
+    x_t, g = diffuse(x0, t, cs, eps)
+    x_in = normalize_input(x_t, g, cs)
     self_cond = None
     if arch.self_cond and self_cond_rate > 0.0:
         coin = float(rng.uniform((1,))[0])
         if coin < self_cond_rate:
-            est = _signal_estimate(sample.x_t, sample.gamma_t[:, None],
-                                   mlp_forward(params, x_in, t))
+            est = _signal_estimate(x_t, g[:, None], mlp_forward(params, x_in, t))
             self_cond = np.clip(est, -SELF_COND_CLAMP, SELF_COND_CLAMP)
     cache = {}
     pred = mlp_forward(params, x_in, t, self_cond, cache=cache)
-    diff = pred - sample.eps
+    diff = pred - eps
     loss = float((diff * diff).mean())
-    return loss, mlp_backward(params, cache, 2.0 * diff / diff.size), sample.gamma_t
+    return loss, mlp_backward(params, cache, 2.0 * diff / diff.size), g
 
 
 def step_loop_train(dataset, arch, cs, cfg):
