@@ -142,9 +142,7 @@ def _cmd_train(args, stdout) -> int:
     tcfg = _with_seed(_require(cfg, "train"), "seed", args.seed)
 
     out = _ensure_dir(args.out_dir)
-    data = make_dataset(dspec)
-    arch = cfg.net.build_arch(data.shape[1])
-    params, ema, history = train(data, arch, compound, tcfg)
+    params, ema, history = train(make_dataset(dspec), compound, tcfg)
 
     save_params(out / "params.bin", params)
     save_params(out / "ema.bin", ema)

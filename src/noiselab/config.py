@@ -14,7 +14,6 @@ from typing import Optional
 
 from .core import check_seed
 from .datasets import _KIND_EXTRAS, _KIND_SPECIFIC, DatasetSpec
-from .denoiser import MlpArch
 from .forward import NORMALIZE_MODES, CompoundSchedule, check_analytic_scale
 from .metrics import METRIC_NAMES
 from .sampler import SamplerConfig
@@ -24,31 +23,6 @@ from .training import TrainConfig
 
 class ConfigError(Exception):
     """Unparseable or invalid run configuration."""
-
-
-@dataclass(frozen=True)
-class NetSettings:
-    """Denoiser shape knobs; in_dim comes from the dataset at build time."""
-
-    hidden_dims: tuple = (64, 64)
-    time_embed_dim: int = 16
-    self_cond: bool = False
-
-    def __post_init__(self):
-        if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_dims}")
-        # named by its run-file key: a bad value is a config error, raised
-        # before a command makes its output directory
-        if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
-            raise ValueError(f"time_embed must be even and >= 2, got {self.time_embed_dim}")
-
-    def build_arch(self, in_dim: int) -> MlpArch:
-        return MlpArch(
-            in_dim=in_dim,
-            hidden_dims=tuple(self.hidden_dims),
-            time_embed_dim=self.time_embed_dim,
-            self_cond=self.self_cond,
-        )
 
 
 @dataclass(frozen=True)
@@ -102,15 +76,14 @@ class Config:
     dataset: Optional[DatasetSpec] = None
     compound: Optional[CompoundSchedule] = None
     train: Optional[TrainConfig] = None
-    net: Optional[NetSettings] = None
     sampler: Optional[SamplerConfig] = None
     sweep: Optional[SweepSettings] = None
 
 
 # The only declaration of the run-file keys: one table per section,
 # mapping each key to its value type, in the order serialize_config
-# writes them. A key is named after the field it sets unless it is in
-# _RENAMES or _RETIRED.
+# writes them. Each key sets the field of its name in its section's
+# class, unless it is in _RETIRED.
 _SECTION_KEYS = {
     "dataset": {
         "kind": "str", "n_train": "int", "seed": "int", "dim": "int",
@@ -139,15 +112,6 @@ _SECTION_KEYS = {
     },
 }
 
-# (section, key) -> (Config attribute, field) for keys that set a field of
-# another name or of another class.
-_RENAMES = {
-    ("train", "hidden"): ("net", "hidden_dims"),
-    ("train", "time_embed"): ("net", "time_embed_dim"),
-    ("train", "self_cond"): ("net", "self_cond"),
-    ("sampler", "schedule"): ("sampler", "inference_schedule"),
-}
-
 # Keys of the class conditioning the package no longer has, with their
 # neutral value: the only value they accept, and the one they are written
 # with, so every config.txt keeps the bytes of the earlier runs. They set
@@ -158,14 +122,14 @@ _RETIRED = {
     ("sampler", "guidance_weight"): 0.0,
 }
 
-# The Config attributes each section builds, in build order. A present
-# section builds all of them, from defaults where it sets no key.
+# The class each section builds, into the Config attribute of its name.
+# A present section builds it, from defaults where it sets no key.
 _SECTION_CLASSES = {
-    "dataset": {"dataset": DatasetSpec},
-    "compound": {"compound": CompoundSchedule},
-    "train": {"net": NetSettings, "train": TrainConfig},
-    "sampler": {"sampler": SamplerConfig},
-    "sweep": {"sweep": SweepSettings},
+    "dataset": DatasetSpec,
+    "compound": CompoundSchedule,
+    "train": TrainConfig,
+    "sampler": SamplerConfig,
+    "sweep": SweepSettings,
 }
 
 def _convert(raw: str, typ: str, lineno: int, key: str):
@@ -252,7 +216,7 @@ def _check_normalize(cfg: Config) -> None:
 
 def _check_dataset_keys(values: dict, lines: dict) -> None:
     """A [dataset] key of another kind, by its line, before the spec rejects it."""
-    kind = values.get("dataset", {}).get("dataset", {}).get("kind")
+    kind = values.get("dataset", {}).get("kind")
     for (sect, key), lineno in lines.items():
         if (sect == "dataset" and kind in _KIND_EXTRAS and key in _KIND_SPECIFIC
                 and key not in _KIND_EXTRAS[kind]):
@@ -260,8 +224,8 @@ def _check_dataset_keys(values: dict, lines: dict) -> None:
 
 
 def parse_config_text(text: str) -> Config:
-    # values[section][attribute] holds the fields set by that section's keys;
-    # a section is present once it has a key, even one that sets no field
+    # values[section] holds the fields set by that section's keys; a
+    # section is present once it has a key, even one that sets no field
     values: dict = {}
     lines: dict = {}
     for lineno, sect, key, raw in _section_lines(text):
@@ -275,15 +239,13 @@ def parse_config_text(text: str) -> Config:
                     f"{_RETIRED[sect, key]!r}: class conditioning was removed"
                 )
             continue
-        attr, name = _RENAMES.get((sect, key), (sect, key))
-        section.setdefault(attr, {})[name] = value
+        section[key] = value
 
     _check_dataset_keys(values, lines)
     cfg = Config()
-    for sect, classes in _SECTION_CLASSES.items():
+    for sect, ctor in _SECTION_CLASSES.items():
         if sect in values:
-            for attr, ctor in classes.items():
-                setattr(cfg, attr, _build(sect, ctor, values[sect].get(attr, {})))
+            setattr(cfg, sect, _build(sect, ctor, values[sect]))
     _check_normalize(cfg)
     return cfg
 
@@ -321,18 +283,13 @@ def _written_keys(section: str, settings) -> tuple:
 def serialize_config(cfg: Config) -> str:
     """Render every present section with all keys resolved to values."""
     out = []
-    for sect, classes in _SECTION_CLASSES.items():
-        if getattr(cfg, sect) is None:
+    for sect in _SECTION_CLASSES:
+        settings = getattr(cfg, sect)
+        if settings is None:
             continue
-        objs = {attr: ctor() if getattr(cfg, attr) is None else getattr(cfg, attr)
-                for attr, ctor in classes.items()}
         out.append(f"[{sect}]")
-        for key in _written_keys(sect, objs[sect]):
-            if (sect, key) in _RETIRED:
-                value = _RETIRED[sect, key]
-            else:
-                attr, name = _RENAMES.get((sect, key), (sect, key))
-                value = getattr(objs[attr], name)
+        for key in _written_keys(sect, settings):
+            value = _RETIRED[sect, key] if (sect, key) in _RETIRED else getattr(settings, key)
             out.append(f"{key} = {_fmt(value)}")
         out.append("")
     return "\n".join(out)

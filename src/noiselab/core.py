@@ -125,13 +125,20 @@ class Rng:
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         shape = tuple(int(s) for s in shape)
+        if any(s < 0 for s in shape):
+            raise ValueError(f"negative dimensions are not allowed, got shape {shape}")
         n = math.prod(shape)
         z = _normals(self._gen.random(size=2 * ((n + 1) // 2)), n)
         return float(z[0]) if shape == () else z.reshape(shape)
 
     def integers(self, n: int, shape: int | Sequence[int] = ()) -> np.ndarray | int:
-        """Uniform integers in [0, n), derived from the uniform stream."""
-        if n <= 0:
+        """Uniform integers in [0, n), derived from the uniform stream.
+
+        TypeError for a bool or a non-integer n, ValueError for n < 1.
+        """
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise TypeError(f"integers() needs an int n, got {type(n).__name__}")
+        if n < 1:
             raise ValueError(f"integers() needs n >= 1, got {n}")
         u = self._gen.random(size=shape)
         out = np.floor(u * n).astype(np.int64)

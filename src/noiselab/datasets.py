@@ -128,30 +128,25 @@ def dataset_covariance(spec: DatasetSpec) -> np.ndarray:
         return ar1_covariance(spec.dim, spec.rho)
     if spec.kind == "toy_image":
         k = ar1_covariance(spec.base_res, spec.rho)
-        base = np.kron(k, k)
-        if spec.upsample == 1:
-            return base
-        # replicate pixels in 2-D: index map (i, j) -> (i//u, j//u)
-        res = spec.base_res * spec.upsample
-        rows = np.arange(res) // spec.upsample
-        flat = (rows[:, None] * spec.base_res + rows[None, :]).ravel()
-        return base[np.ix_(flat, flat)]
+        p = _base_pixels(spec)
+        return np.kron(k, k)[np.ix_(p, p)]
     raise ValueError(f"{spec.kind} has no closed-form covariance")
+
+
+def _base_pixels(spec: DatasetSpec) -> np.ndarray:
+    """The base-grid pixel each pixel of the flattened toy_image copies: (i, j) -> (i//u, j//u)."""
+    rows = np.arange(spec.base_res * spec.upsample) // spec.upsample
+    return (rows[:, None] * spec.base_res + rows[None, :]).ravel()
 
 
 def _make_gaussian(spec: DatasetSpec, rng: Rng) -> np.ndarray:
     """Draws of a Gaussian family; toy_image draws its base grid, then replicates pixels."""
     L = cholesky_factor(dataset_covariance(replace(spec, upsample=1)))
     x = rng.normal((spec.n_train, L.shape[0])) @ L.T
-    r, u = spec.base_res, spec.upsample
-    if u == 1:
-        return x
-    grids = x.reshape(spec.n_train, r, r)
-    grids = np.repeat(np.repeat(grids, u, axis=1), u, axis=2)
     # replication copies unit-variance coordinates, so the upsampled data
     # is already standardized; no empirical rescale that would perturb
     # the exact covariance.
-    return grids.reshape(spec.n_train, (r * u) ** 2)
+    return x if spec.upsample == 1 else x[:, _base_pixels(spec)]
 
 
 def mixture2d_standardizer(modes: int, radius: float, std: float):

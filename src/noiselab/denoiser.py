@@ -64,8 +64,9 @@ class MlpArch:
             raise ValueError(f"in_dim must be >= 1, got {self.in_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        # named by its key in a run file and in a checkpoint header
         if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
-            raise ValueError(f"time_embed_dim must be even and >= 2, got {self.time_embed_dim}")
+            raise ValueError(f"time_embed must be even and >= 2, got {self.time_embed_dim}")
 
     @property
     def input_width(self) -> int:

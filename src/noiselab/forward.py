@@ -18,6 +18,7 @@ which shifts the logSNR curve by 2 ln b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,10 @@ def diffuse(x0, t, cs: CompoundSchedule, eps) -> tuple[np.ndarray, np.ndarray]:
 def analytic_variance(gamma_t, scale: float):
     """Marginal variance (b^2 - 1) gamma + 1 of x_t for unit-variance data."""
     g = np.asarray(gamma_t, dtype=np.float64)
-    if np.any(g < 0.0) or np.any(g > 1.0):
+    if not ((g >= 0.0) & (g <= 1.0)).all():  # also false for NaN
         raise ValueError("gamma_t must lie in [0, 1]")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     out = (scale * scale - 1.0) * g + 1.0
     return float(out) if np.ndim(gamma_t) == 0 else out
 

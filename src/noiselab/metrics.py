@@ -16,6 +16,7 @@ from noiselab.datasets import ar1_covariance
 from noiselab.oracle import GaussianOracle
 
 __all__ = [
+    "METRICS",
     "METRIC_NAMES",
     "MMD_BANDWIDTH",
     "covariance_error",
@@ -23,8 +24,6 @@ __all__ = [
     "redundancy_curve",
     "sliced_wasserstein",
 ]
-
-METRIC_NAMES = ("sliced_wasserstein", "mmd_rbf", "covariance_error")
 
 MMD_BANDWIDTH = 1.0  # the Gaussian kernel's bandwidth in mmd_rbf
 
@@ -145,6 +144,17 @@ def covariance_error(samples, sigma_ref) -> float:
     out = float(np.linalg.norm(c_hat - sigma_ref) / ref_norm)
     ensure_finite(np.asarray(out), "covariance_error")
     return out
+
+
+# Each metric a sweep scores by, by name: metric(samples, reference), where
+# the reference is the target covariance for covariance_error and the
+# data set for the others.
+METRICS = {
+    "sliced_wasserstein": sliced_wasserstein,
+    "mmd_rbf": mmd_rbf,
+    "covariance_error": covariance_error,
+}
+METRIC_NAMES = tuple(METRICS)
 
 
 def redundancy_curve(rho_grid, gamma_grid, dim: int, scale: float = 1.0) -> np.ndarray:

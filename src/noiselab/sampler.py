@@ -75,8 +75,9 @@ STEP_KINDS = ("ddim", "ddpm")
 class SamplerConfig:
     """Generation settings.
 
-    The default inference schedule is the plain cosine over the full
-    range, independent of whatever schedule trained the denoiser.
+    ``schedule`` is the inference schedule, by default the plain cosine
+    over the full range, independent of whatever schedule trained the
+    denoiser.
     ``signal_clamp`` optionally bounds the implied signal estimate each
     step (off by default; useful for data with known range).
     """
@@ -84,7 +85,7 @@ class SamplerConfig:
     steps: int
     seed: int
     step_kind: str = "ddim"
-    inference_schedule: ScheduleSpec = field(
+    schedule: ScheduleSpec = field(
         default_factory=lambda: ScheduleSpec.cosine(0.0, 1.0, 1.0)
     )
     signal_clamp: Optional[float] = None
@@ -215,7 +216,7 @@ def generate(model, cs: CompoundSchedule, sc: SamplerConfig, n_samples: int) -> 
             "with normalize='off'"
         )
     times = time_grid(sc.steps)
-    gammas = gamma(sc.inference_schedule, np.array(times)).tolist()
+    gammas = gamma(sc.schedule, np.array(times)).tolist()
     for g_now, g_next in gammas:
         _check_gammas(g_now, g_next)
     grid = [(t_now, g_now, g_next) for (t_now, _), (g_now, g_next) in zip(times, gammas)]

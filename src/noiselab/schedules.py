@@ -141,8 +141,8 @@ def log_snr(spec: ScheduleSpec, t, scale: float = 1.0) -> float | np.ndarray:
     between two input scales is exactly 2 ln(b1/b2) in floating point.
     Raises where gamma(t) == 1 (logSNR is infinite there).
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     g = gamma(spec, t)
     garr = np.asarray(g)
     if np.any(garr >= 1.0):

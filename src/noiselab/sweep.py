@@ -21,7 +21,7 @@ from .config import Config, ConfigError, _check_normalize
 from .core import fork_map, one_blas_thread, usable_cpus
 from .datasets import dataset_covariance, make_dataset
 from .forward import CompoundSchedule
-from .metrics import METRIC_NAMES, covariance_error, mmd_rbf, sliced_wasserstein
+from .metrics import METRICS
 from .oracle import GaussianOracle
 from .sampler import generate
 from .schedules import parse_schedule
@@ -86,7 +86,7 @@ def check_sweep(cfg: Config) -> None:
             raise ConfigError(f"oracle sweeps need a Gaussian dataset, got {d.kind!r}")
         if cfg.train is not None:
             raise ConfigError("oracle sweeps take no training config")
-    elif cfg.train is None or cfg.net is None:
+    elif cfg.train is None:
         raise ConfigError("missing [train] section for trained sweep")
     if s.metric == "covariance_error" and not d.is_gaussian:
         raise ConfigError("covariance_error needs a dataset with a known covariance")
@@ -97,17 +97,6 @@ def check_sweep(cfg: Config) -> None:
         raise ConfigError(f"[dataset]: n_train = {d.n_train} is below 2, the fewest "
                           f"samples {s.metric} scores against")
     _check_normalize(cfg)
-
-
-def _score(metric: str, samples: np.ndarray, reference: np.ndarray) -> float:
-    """Metric of the samples against the covariance or the data set."""
-    if metric == "covariance_error":
-        return covariance_error(samples, reference)
-    if metric == "sliced_wasserstein":
-        return sliced_wasserstein(samples, reference)
-    if metric == "mmd_rbf":
-        return mmd_rbf(samples, reference)
-    raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
 
 def _cell(cfg: Config, model, data, sched_str, scale, seed) -> np.ndarray:
@@ -121,10 +110,9 @@ def _cell(cfg: Config, model, data, sched_str, scale, seed) -> np.ndarray:
     schedule = parse_schedule(sched_str)
     cs = CompoundSchedule(schedule=schedule, input_scale=scale, normalize=s.normalize)
     if s.oracle:
-        sc = replace(cfg.sampler, inference_schedule=schedule, seed=seed + 1)
+        sc = replace(cfg.sampler, schedule=schedule, seed=seed + 1)
     else:
-        arch = cfg.net.build_arch(data.shape[1])
-        _, model, _ = train(data, arch, cs, replace(cfg.train, seed=seed))
+        _, model, _ = train(data, cs, replace(cfg.train, seed=seed))
         sc = replace(cfg.sampler, seed=seed + 1)
     return generate(model, cs, sc, s.n_eval)
 
@@ -134,7 +122,7 @@ def _row(cfg: Config, model, data, reference, sched_str, scale, seed) -> SweepRo
     t0 = time.perf_counter()
     try:
         samples = _cell(cfg, model, data, sched_str, scale, seed)
-        value = float(_score(cfg.sweep.metric, samples, reference))
+        value = float(METRICS[cfg.sweep.metric](samples, reference))
         status, error = 0, ""
     except Exception as e:  # noqa: BLE001 - cell isolation is the contract
         value, status, error = float("nan"), 1, f"{type(e).__name__}: {e}"

@@ -1,10 +1,11 @@
 """Denoiser training: diffusion loss, LAMB/Adam, EMA, LR decay.
 
-The whole loop is a deterministic function of (dataset, arch, compound
-schedule, config). Per step the RNG stream is consumed in a fixed
-order: batch indices, per-example times t, noise eps, then one
-self-conditioning coin (only when the architecture supports it and the
-rate is positive), drawn for a block of steps at once in that order.
+The whole loop is a deterministic function of (dataset, compound
+schedule, config), and the config holds the net's shape. Per step the
+RNG stream is consumed in a fixed order: batch indices, per-example
+times t, noise eps, then one self-conditioning coin (only when the
+architecture supports it and the rate is positive), drawn for a block
+of steps at once in that order.
 Keeping that order stable is what makes loss histories bit-reproducible.
 """
 
@@ -66,11 +67,12 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters.
+    """Loop hyperparameters and the net's shape; the data sets its width.
 
     Defaults follow the reference recipe: LAMB with beta1=0.9,
     beta2=0.999, weight decay 0.01, EMA decay 0.9999, self-conditioning
-    rate 0.9, and cosine LR decay over the first 70% of steps.
+    rate 0.9, cosine LR decay over the first 70% of steps, and two
+    hidden layers of 64.
     """
 
     steps: int
@@ -87,6 +89,9 @@ class TrainConfig:
     ema_decay: float = 0.9999
     self_cond_rate: float = 0.9
     log_every: int = 100
+    hidden: tuple = (64, 64)
+    time_embed: int = 16
+    self_cond: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -118,6 +123,11 @@ class TrainConfig:
             raise ValueError(f"self_cond_rate must lie in [0, 1], got {self.self_cond_rate}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        self.arch(1)  # MlpArch checks the net keys
+
+    def arch(self, in_dim: int) -> MlpArch:
+        """The net of this shape for data of width in_dim."""
+        return MlpArch(in_dim, self.hidden, self.time_embed, self.self_cond)
 
 
 @dataclass
@@ -281,8 +291,8 @@ class _Batches:
         return loss, diff
 
 
-def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainConfig):
-    """Run the full training loop.
+def train(dataset: np.ndarray, cs: CompoundSchedule, cfg: TrainConfig):
+    """Run the full training loop on a net of cfg's shape and the dataset's width.
 
     Returns (params, ema_params, history) where history is a list of
     (step, loss, lr) rows recorded every cfg.log_every steps and at the
@@ -293,9 +303,8 @@ def train(dataset: np.ndarray, arch: MlpArch, cs: CompoundSchedule, cfg: TrainCo
     dataset = as_f64(dataset, "train dataset")
     if dataset.ndim != 2 or dataset.shape[0] < 1:
         raise ValueError("dataset must be a nonempty (n, dim) array")
-    if dataset.shape[1] != arch.in_dim:
-        raise ValueError(f"dataset dim {dataset.shape[1]} does not match arch.in_dim {arch.in_dim}")
 
+    arch = cfg.arch(dataset.shape[1])
     rng = Rng(cfg.seed)
     params = init_params(arch, rng)
     ema_params = clone_params(params)

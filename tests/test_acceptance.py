@@ -63,10 +63,9 @@ def end_to_end_pipeline():
     data = make_dataset(DatasetSpec(n_train=8192, seed=101, **MIXTURE))
     held = make_dataset(DatasetSpec(n_train=16384, seed=202, **MIXTURE))
     cs = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, normalize="off")
-    arch = MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16)
     cfg = TrainConfig(steps=20000, batch_size=128, lr=3e-3, seed=7,
                       ema_decay=0.999, log_every=5000)
-    params, ema, history = train(data, arch, cs, cfg)
+    params, ema, history = train(data, cs, cfg)
     samples = generate(ema, cs, SamplerConfig(steps=100, seed=303, signal_clamp=2.0), 16384)
     sw = sliced_wasserstein(samples, held)
     sw_base = sliced_wasserstein(Rng(404).normal((16384, 2)), held)

@@ -145,6 +145,21 @@ class TestTrainCommand:
         resolved = parse_config(out_dir / "config.txt")
         assert resolved.train.steps == 40
 
+    def test_no_hidden_layer_trains_and_samples(self, tmp_path):
+        # hidden = with no width: one linear layer from the input row to the output
+        cfg = tmp_path / "linear_net.txt"
+        cfg.write_text(TRAIN_SAMPLE.replace("hidden = 16", "hidden ="))
+        out_dir = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out-dir", str(out_dir)])[0] == 0
+        assert b" hidden=- " in (out_dir / "ema.bin").read_bytes().split(b"\n")[0]
+        assert load_params(out_dir / "ema.bin").arch.hidden_dims == ()
+        assert parse_config(out_dir / "config.txt").train.hidden == ()
+        rc, _ = run(["sample", "--config", str(cfg), "--checkpoint", str(out_dir / "ema.bin"),
+                     "--n", "25", "--out-dir", str(tmp_path / "samples")])
+        assert rc == 0
+        samples = read_samples_csv(tmp_path / "samples" / "samples.csv")
+        assert samples.shape == (25, 2) and np.all(np.isfinite(samples))
+
     def test_zero_steps_prints_no_loss(self, tmp_path):
         cfg = tmp_path / "zero.txt"
         cfg.write_text(TRAIN_SAMPLE.replace("steps = 40", "steps = 0"))

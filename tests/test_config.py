@@ -1,14 +1,18 @@
 """Config parsing, validation errors with line numbers, and round trips."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noiselab.config import (
+    _RETIRED,
+    _SECTION_CLASSES,
+    _SECTION_KEYS,
     Config,
     ConfigError,
-    NetSettings,
     SweepSettings,
     parse_config,
     parse_config_text,
@@ -73,10 +77,10 @@ class TestParsing:
         assert cfg.compound.schedule == ScheduleSpec.linear()
         assert cfg.train.steps == 200
         assert cfg.train.lr == 0.003
-        assert cfg.net.hidden_dims == (32, 32)
-        assert cfg.net.time_embed_dim == 8
+        assert cfg.train.hidden == (32, 32)
+        assert cfg.train.time_embed == 8
         assert cfg.sampler.step_kind == "ddpm"
-        assert cfg.sampler.inference_schedule == ScheduleSpec.cosine(0.2, 1.0, 1.0)
+        assert cfg.sampler.schedule == ScheduleSpec.cosine(0.2, 1.0, 1.0)
         assert cfg.sampler.signal_clamp == 4.0
         assert cfg.sweep.schedules == ("linear", "sigmoid:-3,3,0.9")
         assert cfg.sweep.scales == (0.25, 1.0)
@@ -87,7 +91,8 @@ class TestParsing:
         )
         assert cfg.train.optimizer == "lamb"
         assert cfg.train.ema_decay == 0.9999
-        assert cfg.net == NetSettings()
+        assert cfg.train.hidden == (64, 64) and cfg.train.time_embed == 16
+        assert cfg.train.self_cond is False
         assert cfg.dataset is None and cfg.sweep is None
 
     def test_table_one_style_schedule_string(self):
@@ -475,13 +480,11 @@ _TRAINS = st.builds(
     beta1=_floats(0.0, 1.0, exclude_max=True), beta2=_floats(0.0, 1.0, exclude_max=True),
     eps_opt=_floats(1e-12, 1.0), weight_decay=_floats(0.0, 1.0), ema_decay=_UNIT,
     self_cond_rate=_UNIT, log_every=st.integers(1, 10**4),
+    hidden=st.lists(st.integers(1, 512), max_size=4).map(tuple),
+    time_embed=st.integers(1, 32).map(lambda k: 2 * k), self_cond=st.booleans(),
 )
-_NETS = st.builds(NetSettings, hidden_dims=st.lists(st.integers(1, 512), min_size=1,
-                                                    max_size=4).map(tuple),
-                  time_embed_dim=st.integers(1, 32).map(lambda k: 2 * k),
-                  self_cond=st.booleans())
 _SAMPLERS = st.builds(SamplerConfig, steps=st.integers(1, 10**4), seed=_SEEDS,
-                      step_kind=st.sampled_from(STEP_KINDS), inference_schedule=_SCHEDULES,
+                      step_kind=st.sampled_from(STEP_KINDS), schedule=_SCHEDULES,
                       signal_clamp=st.none() | _floats(1e-3, 10.0))
 
 
@@ -510,8 +513,6 @@ def _configs(draw):
         sampler=draw(st.none() | _SAMPLERS),
         sweep=draw(st.none() | _sweeps()),
     )
-    if cfg.train is not None:
-        cfg.net = draw(_NETS)
     # empirical normalization of a single coordinate is rejected at parse time
     if cfg.dataset is not None and cfg.dataset.data_dim == 1:
         assume(all(s is None or s.normalize != "empirical" for s in (cfg.compound, cfg.sweep)))
@@ -528,27 +529,47 @@ class TestRoundTripProperty:
         assert serialize_config(again) == text
 
 
+TRAIN_KEYS = "[train]\nsteps = 1\nbatch_size = 1\nlr = 0.1\nseed = 0\n"
+
+
 class TestNetSettings:
+    """The net keys of [train], hidden, time_embed and self_cond, set TrainConfig's fields."""
+
     def test_build_arch_unconditional(self):
-        arch = NetSettings(hidden_dims=(8,), time_embed_dim=4).build_arch(3)
-        assert arch == MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4)
+        cfg = TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0, hidden=(8,), time_embed=4)
+        assert cfg.arch(3) == MlpArch(in_dim=3, hidden_dims=(8,), time_embed_dim=4)
 
     def test_build_arch_conditional(self):
         # class conditioning was removed: no field can ask for a class table
         with pytest.raises(TypeError, match="cond_classes"):
-            NetSettings(cond_classes=5)
+            TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0, cond_classes=5)
 
     def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            NetSettings(hidden_dims=())
-        with pytest.raises(ValueError):
-            NetSettings(hidden_dims=(8, 0))
+        with pytest.raises(ConfigError, match=r"\[train\]: hidden dims must be >= 1"):
+            parse_config_text(TRAIN_KEYS + "hidden = 8 0\n")
 
     @pytest.mark.parametrize("value", [-2, 0, 1, 3, 17])
     def test_rejects_bad_time_embed_at_parse_time(self, value):
         with pytest.raises(ConfigError, match=rf"\[train\]: time_embed must be even and >= 2, "
                                               rf"got {value}$"):
-            parse_config_text(f"[train]\ntime_embed = {value}\n")
+            parse_config_text(TRAIN_KEYS + f"time_embed = {value}\n")
+
+    def test_no_hidden_layer(self):
+        # MlpArch, the checkpoint header, train and generate all run such a net
+        cfg = parse_config_text(TRAIN_KEYS + "hidden =\n")
+        assert cfg.train.hidden == ()
+        assert cfg.train.arch(2).layer_dims() == [(2 + 16, 2)]
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+class TestEachKeySetsItsField:
+    def test_sections_are_the_config_attributes(self):
+        assert list(_SECTION_KEYS) == list(_SECTION_CLASSES) == [f.name for f in fields(Config)]
+
+    @pytest.mark.parametrize("section", list(_SECTION_KEYS))
+    def test_keys_are_the_field_names(self, section):
+        keys = [key for key in _SECTION_KEYS[section] if (section, key) not in _RETIRED]
+        assert sorted(keys) == sorted(f.name for f in fields(_SECTION_CLASSES[section]))
 
 
 class TestRetiredConditioningKeys:

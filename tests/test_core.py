@@ -79,6 +79,29 @@ class TestRngDeterminism:
         assert draws.min() >= 0 and draws.max() <= 6
         assert set(np.unique(draws)) == set(range(7))
 
+    @pytest.mark.parametrize("n", [float("nan"), 2.5, 2.0, True, "3"])
+    def test_integers_needs_an_int_n(self, n):
+        # a NaN n floored to INT64_MIN, and 2.5 drew from {0, 1, 2}
+        with pytest.raises(TypeError, match="integers\\(\\) needs an int n"):
+            Rng(0).integers(n, (2,))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_integers_needs_n_at_least_one(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Rng(0).integers(n, (2,))
+
+    def test_integers_takes_a_numpy_int(self):
+        assert Rng(5).integers(np.int64(7), (4,)).tolist() == Rng(5).integers(7, (4,)).tolist()
+
+    @pytest.mark.parametrize("shape", [-1, (-1,), (-2,), (3, -1), (-1, -1)])
+    @pytest.mark.parametrize("method", ["normal", "uniform", "integers"])
+    def test_negative_dimensions_rejected(self, method, shape):
+        # normal(-1) asked for no uniforms and reshaped them to an empty array
+        rng = Rng(0)
+        draw = getattr(rng, method)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            draw(4, shape) if method == "integers" else draw(shape)
+
 
 class TestGaussian:
     """Moment sanity and shape of Rng.normal draws."""

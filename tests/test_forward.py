@@ -114,6 +114,30 @@ class TestVarianceLaw:
         with pytest.raises(ValueError):
             analytic_variance(0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        # "g < 0 or g > 1" is false for NaN, which then came out as the variance
+        with pytest.raises(ValueError, match=r"gamma_t must lie in \[0, 1\]"):
+            analytic_variance(bad, 0.5)
+        with pytest.raises(ValueError, match=r"gamma_t must lie in \[0, 1\]"):
+            analytic_variance(np.array([0.5, bad]), 0.5)
+        with pytest.raises(ValueError, match=r"gamma_t must lie in \[0, 1\]"):
+            effective_gamma(bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            analytic_variance(0.5, bad)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            effective_gamma(0.5, bad)
+
+    def test_analytic_normalize_rejects_nan_gamma(self):
+        x = np.array([[1.0, -2.0]])
+        with pytest.raises(ValueError, match=r"gamma_t must lie in \[0, 1\]"):
+            normalize_input(x, math.nan, compound(scale=0.5, normalize="analytic"))
+        with pytest.raises(ValueError, match=r"gamma_t must lie in \[0, 1\]"):
+            normalize_input(x, np.array([math.nan]), compound(scale=0.5, normalize="analytic"))
+
 
 class TestNormalizeInput:
     """The three normalization modes."""

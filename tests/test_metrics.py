@@ -11,6 +11,7 @@ from noiselab.datasets import ar1_covariance
 from noiselab.metrics import (
     DEFAULT_PROJECTION_SEED,
     METRIC_NAMES,
+    METRICS,
     MMD_BANDWIDTH,
     _quantiles,
     covariance_error,
@@ -290,4 +291,7 @@ class TestMetricReport:
     """The metric names a sweep may report."""
 
     def test_registry(self):
-        assert set(METRIC_NAMES) == {"sliced_wasserstein", "mmd_rbf", "covariance_error"}
+        # one table; the names keep the order the config error messages list
+        assert METRIC_NAMES == ("sliced_wasserstein", "mmd_rbf", "covariance_error")
+        assert METRICS == {"sliced_wasserstein": sliced_wasserstein, "mmd_rbf": mmd_rbf,
+                           "covariance_error": covariance_error}

@@ -335,7 +335,7 @@ class TestSaturatedGamma:
         scale = 0.5
         cs = CompoundSchedule(schedule=self.SCHEDULE, input_scale=scale, normalize="off")
         sc = SamplerConfig(steps=100, seed=6, step_kind=step_kind,
-                           inference_schedule=self.SCHEDULE)
+                           schedule=self.SCHEDULE)
         oracle = GaussianOracle(ar1_covariance(8, 0.9))
         seen = hook_oracle(monkeypatch)
         out = generate(oracle, cs, sc, 500)
@@ -349,7 +349,7 @@ class TestSaturatedGamma:
 class TestSamplerConfigValidation:
     def test_default_inference_schedule(self):
         sc = SamplerConfig(steps=10, seed=0)
-        assert sc.inference_schedule == ScheduleSpec.cosine(0.0, 1.0, 1.0)
+        assert sc.schedule == ScheduleSpec.cosine(0.0, 1.0, 1.0)
         assert sc.step_kind == "ddim"
 
     @pytest.mark.parametrize(
@@ -398,9 +398,9 @@ class TestOracleClosure:
         """Cosine vs linear inference grids visit different gammas."""
         oracle = GaussianOracle(ar1_covariance(4, 0.5))
         lin = SamplerConfig(steps=10, seed=2,
-                            inference_schedule=ScheduleSpec.linear())
+                            schedule=ScheduleSpec.linear())
         cos = SamplerConfig(steps=10, seed=2,
-                            inference_schedule=ScheduleSpec.cosine(0.0, 1.0, 1.0))
+                            schedule=ScheduleSpec.cosine(0.0, 1.0, 1.0))
         a = generate(oracle, LINEAR_OFF, lin, 40)
         b = generate(oracle, LINEAR_OFF, cos, 40)
         assert np.max(np.abs(a - b)) > 1e-9
@@ -412,12 +412,11 @@ class TestScheduleDecouplingIntegration:
         data = make_dataset(
             DatasetSpec(kind="mixture2d", n_train=2048, seed=5, modes=2, radius=1.0, std=0.2)
         )
-        arch = MlpArch(in_dim=2, hidden_dims=(32, 32), time_embed_dim=8)
         cfg = TrainConfig(steps=3000, batch_size=64, lr=3e-3, seed=7,
-                          ema_decay=0.999, log_every=500)
-        params, ema, _ = train(data, arch, LINEAR_OFF, cfg)
+                          ema_decay=0.999, log_every=500, hidden=(32, 32), time_embed=8)
+        params, ema, _ = train(data, LINEAR_OFF, cfg)
         sc = SamplerConfig(steps=25, seed=11, signal_clamp=3.0,
-                           inference_schedule=ScheduleSpec.cosine(0.0, 1.0, 1.0))
+                           schedule=ScheduleSpec.cosine(0.0, 1.0, 1.0))
         out = generate(ema, LINEAR_OFF, sc, 500)
         assert out.shape == (500, 2)
         assert np.all(np.isfinite(out))
@@ -430,10 +429,9 @@ def _golden_mlp_checkpoint():
     data = make_dataset(
         DatasetSpec(kind="mixture2d", n_train=8192, seed=101, modes=8, radius=1.0, std=0.2)
     )
-    arch = MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16)
     cfg = TrainConfig(steps=200, batch_size=128, lr=3e-3, seed=7, ema_decay=0.999,
                       log_every=50)
-    return train(data, arch, LINEAR_OFF, cfg)[1]
+    return train(data, LINEAR_OFF, cfg)[1]
 
 
 def _golden_case(name: str) -> np.ndarray:
@@ -442,7 +440,7 @@ def _golden_case(name: str) -> np.ndarray:
         kind = name.split("_")[1]
         oracle = GaussianOracle(ar1_covariance(16, 0.9))
         cs = CompoundSchedule(schedule=linear, input_scale=0.3, normalize="off")
-        sc = SamplerConfig(steps=50, seed=17, step_kind=kind, inference_schedule=linear)
+        sc = SamplerConfig(steps=50, seed=17, step_kind=kind, schedule=linear)
         return generate(oracle, cs, sc, 2000)
     if name in ("oracle_ddim_toy_image_clamp", "oracle_ddim_toy_image64_clamp"):
         base_res = 4 if name == "oracle_ddim_toy_image64_clamp" else 3
@@ -450,7 +448,7 @@ def _golden_case(name: str) -> np.ndarray:
                            upsample=2)
         oracle = GaussianOracle(dataset_covariance(spec))
         cs = CompoundSchedule(schedule=linear, input_scale=0.5, normalize="off")
-        sc = SamplerConfig(steps=50, seed=23, inference_schedule=linear, signal_clamp=1.5)
+        sc = SamplerConfig(steps=50, seed=23, schedule=linear, signal_clamp=1.5)
         return generate(oracle, cs, sc, 500)
     if name == "mlp_ddim_clamp":
         sc = SamplerConfig(steps=100, seed=303, signal_clamp=2.0)

@@ -143,6 +143,12 @@ class TestLogSnr:
         with pytest.raises(ValueError):
             log_snr(ScheduleSpec.linear(), 0.5, scale=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        # NaN passed a bare "scale <= 0" test and came out as the logSNR, as inf did
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            log_snr(ScheduleSpec.linear(), 0.5, scale=bad)
+
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=format_schedule)
     @pytest.mark.parametrize("scale", SCALE_GRID)
     def test_shift_identity(self, spec, scale):

@@ -18,7 +18,6 @@ from noiselab.core import _openblas_thread_funcs
 from noiselab.config import (
     Config,
     ConfigError,
-    NetSettings,
     SweepSettings,
     parse_config_text,
 )
@@ -68,8 +67,7 @@ def trained_cfg(**train_kw):
                             radius=1.0, std=0.2),
         sampler=SamplerConfig(steps=10, seed=0, signal_clamp=3.0),
         train=TrainConfig(steps=60, batch_size=32, lr=0.003, seed=0, log_every=30,
-                          **train_kw),
-        net=NetSettings(hidden_dims=(16,), time_embed_dim=4),
+                          hidden=(16,), time_embed=4, **train_kw),
     )
 
 
@@ -109,9 +107,8 @@ class TestSpecValidation:
         )
         with pytest.raises(ConfigError, match="train"):
             check_sweep(cfg)
-        with pytest.raises(ConfigError, match="train"):
-            check_sweep(replace(cfg, train=TrainConfig(steps=1, batch_size=1, lr=0.1,
-                                                       seed=0)))
+        # the net's keys are [train]'s, so [train] alone completes a trained sweep
+        check_sweep(replace(cfg, train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0)))
 
     def test_covariance_metric_needs_known_covariance(self):
         cfg = Config(
@@ -120,7 +117,6 @@ class TestSpecValidation:
             dataset=MIX,
             sampler=SamplerConfig(steps=10, seed=0),
             train=TrainConfig(steps=1, batch_size=1, lr=0.1, seed=0),
-            net=NetSettings(),
         )
         with pytest.raises(ConfigError, match="covariance"):
             check_sweep(cfg)
@@ -630,7 +626,7 @@ class TestRedundancyShiftsBestScale:
                 cs = CompoundSchedule(schedule=ScheduleSpec.linear(),
                                       input_scale=b, normalize="off")
                 sc = SamplerConfig(steps=80, seed=500 + k,
-                                   inference_schedule=ScheduleSpec.linear())
+                                   schedule=ScheduleSpec.linear())
                 out = generate(oracle, cs, sc, 8000)
                 rows.append(SweepRow("linear", b, covariance_error(out, sig),
                                      1, 500 + k, 0))

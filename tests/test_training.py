@@ -48,7 +48,8 @@ LINEAR_OFF = CompoundSchedule(schedule=ScheduleSpec.linear(), input_scale=1.0, n
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
-    base = dict(steps=10, batch_size=16, lr=1e-3, seed=0, log_every=1)
+    base = dict(steps=10, batch_size=16, lr=1e-3, seed=0, log_every=1, hidden=(16, 16),
+                time_embed=8)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -110,9 +111,8 @@ class TestTrainLoss:
 
     def test_rejects_empty_batch(self):
         """Batches are drawn from the dataset, so train rejects an empty one at entry."""
-        arch = MlpArch(in_dim=2, hidden_dims=(), time_embed_dim=2)
         with pytest.raises(ValueError, match="nonempty"):
-            train(np.zeros((0, 2)), arch, LINEAR_OFF, tiny_cfg())
+            train(np.zeros((0, 2)), LINEAR_OFF, tiny_cfg(hidden=(), time_embed=2))
 
 
 class TestAdamStep:
@@ -456,7 +456,7 @@ class TestConfigValidation:
 
 
 class TestTrainLoop:
-    ARCH = MlpArch(in_dim=2, hidden_dims=(16, 16), time_embed_dim=8)
+    ARCH = tiny_cfg().arch(2)
 
     def small_data(self):
         spec = DatasetSpec(kind="mixture2d", n_train=512, seed=5, modes=2, radius=1.0, std=0.2)
@@ -465,7 +465,7 @@ class TestTrainLoop:
     def test_steps_zero_returns_init(self):
         data = self.small_data()
         cfg = tiny_cfg(steps=0)
-        params, ema, history = train(data, self.ARCH, LINEAR_OFF, cfg)
+        params, ema, history = train(data, LINEAR_OFF, cfg)
         fresh = init_params(self.ARCH, Rng(cfg.seed))
         for a, b in zip(params.arrays, fresh.arrays):
             np.testing.assert_array_equal(a, b)
@@ -483,7 +483,7 @@ class TestTrainLoop:
         old = get()
         set_(2)
         try:
-            train(self.small_data(), self.ARCH, LINEAR_OFF, tiny_cfg(steps=3))
+            train(self.small_data(), LINEAR_OFF, tiny_cfg(steps=3))
             after = get()
         finally:
             set_(old)
@@ -493,8 +493,8 @@ class TestTrainLoop:
     def test_bit_exact_determinism(self):
         data = self.small_data()
         cfg = tiny_cfg(steps=25, seed=9)
-        p1, e1, h1 = train(data, self.ARCH, LINEAR_OFF, cfg)
-        p2, e2, h2 = train(data, self.ARCH, LINEAR_OFF, cfg)
+        p1, e1, h1 = train(data, LINEAR_OFF, cfg)
+        p2, e2, h2 = train(data, LINEAR_OFF, cfg)
         assert h1 == h2
         for a, b in zip(p1.arrays, p2.arrays):
             np.testing.assert_array_equal(a, b)
@@ -503,14 +503,14 @@ class TestTrainLoop:
 
     def test_seed_changes_history(self):
         data = self.small_data()
-        h1 = train(data, self.ARCH, LINEAR_OFF, tiny_cfg(steps=10, seed=1))[2]
-        h2 = train(data, self.ARCH, LINEAR_OFF, tiny_cfg(steps=10, seed=2))[2]
+        h1 = train(data, LINEAR_OFF, tiny_cfg(steps=10, seed=1))[2]
+        h2 = train(data, LINEAR_OFF, tiny_cfg(steps=10, seed=2))[2]
         assert [r[1] for r in h1] != [r[1] for r in h2]
 
     def test_history_schedule(self):
         data = self.small_data()
         cfg = tiny_cfg(steps=25, log_every=10)
-        history = train(data, self.ARCH, LINEAR_OFF, cfg)[2]
+        history = train(data, LINEAR_OFF, cfg)[2]
         assert [row[0] for row in history] == [10, 20, 25]
         for _, loss, lr in history:
             assert loss >= 0.0 and lr >= 0.0
@@ -518,13 +518,13 @@ class TestTrainLoop:
     def test_ema_in_convex_hull(self):
         """Per coordinate, EMA stays between the extremes of raw params."""
         data = self.small_data()
-        arch = MlpArch(in_dim=2, hidden_dims=(8,), time_embed_dim=4)
-        cfg = tiny_cfg(steps=30, ema_decay=0.5, seed=3)
+        cfg = tiny_cfg(steps=30, ema_decay=0.5, seed=3, hidden=(8,), time_embed=4)
+        arch = cfg.arch(2)
 
         # replay: track raw params per step by training step-by-step
         lo = [a.copy() for a in init_params(arch, Rng(cfg.seed)).arrays]
         hi = [a.copy() for a in lo]
-        params, ema, _ = train(data, arch, LINEAR_OFF, cfg)
+        params, ema, _ = train(data, LINEAR_OFF, cfg)
         # bounds from a parallel manual run
         rng = Rng(cfg.seed)
         manual = init_params(arch, rng)
@@ -552,9 +552,9 @@ class TestTrainLoop:
         cfg = tiny_cfg(steps=5, lr=1e154, optimizer="adam", weight_decay=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as ref:
-                step_loop_train(data, self.ARCH, LINEAR_OFF, cfg)
+                step_loop_train(data, LINEAR_OFF, cfg)
             with pytest.raises(TrainingDiverged) as got:
-                train(data, self.ARCH, LINEAR_OFF, cfg)
+                train(data, LINEAR_OFF, cfg)
         assert str(ref.value).startswith("non-finite loss at step 1 (lr ")
         assert _Batches(self.ARCH, LINEAR_OFF, cfg.batch_size, 0.0, cfg.steps).k == 5
         assert str(got.value) == str(ref.value)
@@ -565,11 +565,7 @@ class TestTrainLoop:
         data[7, 1] = bad
         monkeypatch.setattr(training, "_Batches", None)  # nothing is drawn or built
         with pytest.raises(NonFiniteError, match=r"^train dataset: non-finite values encountered$"):
-            train(data, self.ARCH, LINEAR_OFF, tiny_cfg())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            train(np.zeros((10, 3)), self.ARCH, LINEAR_OFF, tiny_cfg())
+            train(data, LINEAR_OFF, tiny_cfg())
 
 
 def step_loop_loss(x0, params, cs, rng, self_cond_rate):
@@ -593,10 +589,10 @@ def step_loop_loss(x0, params, cs, rng, self_cond_rate):
     return loss, mlp_backward(params, cache, 2.0 * diff / diff.size), g
 
 
-def step_loop_train(dataset, arch, cs, cfg):
+def step_loop_train(dataset, cs, cfg):
     """The reference for train: each step draws and builds its own batch, then updates."""
     rng = Rng(cfg.seed)
-    params = init_params(arch, rng)
+    params = init_params(cfg.arch(dataset.shape[1]), rng)
     ema = clone_params(params)
     state = init_optimizer_state(params)
     step_fn = adam_step if cfg.optimizer == "adam" else lamb_step
@@ -659,8 +655,9 @@ class TestBlockTrainingEqualsStepLoop:
             times, extra = around
             cfg = TrainConfig(steps=times * k + extra, batch_size=batch, lr=0.01, seed=seed,
                               optimizer=optimizer, self_cond_rate=0.5, ema_decay=0.9,
-                              log_every=2)
-            assert outcome(train, data, arch, cs, cfg) == outcome(step_loop_train, data, arch, cs, cfg)
+                              log_every=2, hidden=tuple(hidden), time_embed=4,
+                              self_cond=self_cond)
+            assert outcome(train, data, cs, cfg) == outcome(step_loop_train, data, cs, cfg)
 
 
 class TestTrainingQuality:
@@ -670,9 +667,8 @@ class TestTrainingQuality:
         """5k steps on the two-mode mixture beats the zero-net baseline."""
         spec = DatasetSpec(kind="mixture2d", n_train=8192, seed=5, modes=2, radius=1.0, std=0.2)
         data = make_dataset(spec)
-        arch = MlpArch(in_dim=2, hidden_dims=(64, 64), time_embed_dim=16)
         cfg = TrainConfig(steps=5000, batch_size=128, lr=3e-3, seed=7, log_every=10)
-        _, _, history = train(data, arch, LINEAR_OFF, cfg)
+        _, _, history = train(data, LINEAR_OFF, cfg)
         losses = [row[1] for row in history]
         k = max(1, len(losses) // 10)
         assert float(np.mean(losses[-k:])) < 0.5  # zero net scores ~1.0
@@ -839,7 +835,7 @@ class TestGoldenTrainingBits:
         path = tmp_path / "run.txt"
         path.write_text(GOLDEN_RUNS[name])
         cfg = parse_config(path)
-        arch = cfg.net.build_arch(cfg.dataset.data_dim)
+        arch = cfg.train.arch(cfg.dataset.data_dim)
         k = _Batches(arch, cfg.compound, cfg.train.batch_size, cfg.train.self_cond_rate, 10**9).k
         steps = cfg.train.steps
         assert (k < steps and steps % k != 0) if blocks == "several" else steps < k
